@@ -7,19 +7,22 @@ basis vectors, and cross-checks the reduced recurrences against a dense
 matrix simulation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .linalg import (
     EQUIVALENCE_TOL,
     STRUCTURAL_TOL,
     DegenerateBasisError,
     GramDecomposition,
     adjoint,
-    apply,
     basis_state,
-    compose,
     gram_decompose,
+    hermitian_dev,
+    involution_dev,
     is_hermitian,
     is_unitary,
     random_unitary,
+    unitary_dev,
 )
 from .rotations import (
     RotationFamily,
@@ -34,7 +37,6 @@ from .engine2d import (
     AmplitudeTrajectory,
     ClosedFormRangeError,
     CoefficientTable,
-    FirstOrderPhases,
     HoyerParams,
     PhaseCondition,
     SweepResult,
@@ -59,13 +61,13 @@ from .engine4d import (
     FourDimCoefficients,
     FourDimInputs,
     approx4,
-    case2_tolerance,
     four_dim_coeffs,
     iterate4,
 )
 from .pairs import (
     CommutingUnitaryPair,
     LemmaFlags,
+    block_symmetry_dev,
     companion,
     from_eigenblocks,
     hermitian_iff_involution,
@@ -88,76 +90,8 @@ from .reporting import Report, make_report, render, round_sig, to_csv, to_json
 
 __version__ = "0.1.0"
 
+#: Every name imported above; each is listed once, in its import.
 __all__ = [
-    "EQUIVALENCE_TOL",
-    "STRUCTURAL_TOL",
-    "K_EXACT_MAX",
-    "DegenerateBasisError",
-    "ClosedFormRangeError",
-    "GramDecomposition",
-    "adjoint",
-    "apply",
-    "basis_state",
-    "compose",
-    "gram_decompose",
-    "is_hermitian",
-    "is_unitary",
-    "random_unitary",
-    "RotationFamily",
-    "SelectiveRotation",
-    "phase_scale",
-    "snapped_cos",
-    "verify_family_identities",
-    "AlgorithmParams",
-    "AmplitudeTrajectory",
-    "CoefficientTable",
-    "FirstOrderPhases",
-    "HoyerParams",
-    "PhaseCondition",
-    "SweepResult",
-    "TwoDimCoefficients",
-    "approx_b",
-    "closed_form_magnitude",
-    "coefficient_table",
-    "exact_a",
-    "exact_b",
-    "grover_coeffs",
-    "hoyer_coeffs",
-    "iterate2",
-    "l_coeff",
-    "long_coeffs",
-    "phase_condition",
-    "present_coeffs",
-    "sweep_max",
-    "t_coeff",
-    "FourAmplitudes",
-    "FourDimCoefficients",
-    "FourDimInputs",
-    "approx4",
-    "case2_tolerance",
-    "four_dim_coeffs",
-    "iterate4",
-    "CommutingUnitaryPair",
-    "LemmaFlags",
-    "companion",
-    "from_eigenblocks",
-    "hermitian_iff_involution",
-    "is_block_symmetric",
-    "pair_swap",
-    "pairing_basis",
-    "random_commuting_unitary",
-    "OracleConfig",
-    "OracleRun",
-    "build_q",
-    "evolve",
-    "invariant_basis",
-    "target_amplitude",
-    "unitary_with_overlap",
-    "walsh_hadamard",
-    "Report",
-    "make_report",
-    "render",
-    "round_sig",
-    "to_csv",
-    "to_json",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -6,6 +6,7 @@ JSON report with a small reproducibility header (seed, tolerances,
 version).
 """
 
+import cmath
 import math
 import sys
 
@@ -26,9 +27,17 @@ from .engine2d import (
     sweep_max,
 )
 from .engine4d import FourDimInputs, four_dim_coeffs, iterate4
-from .linalg import EQUIVALENCE_TOL, STRUCTURAL_TOL, random_unitary
+from .linalg import (
+    EQUIVALENCE_TOL,
+    STRUCTURAL_TOL,
+    hermitian_dev,
+    involution_dev,
+    random_unitary,
+    unitary_dev,
+)
 from .oracle import OracleConfig, build_q, evolve, target_amplitude
 from .pairs import (
+    block_symmetry_dev,
     companion,
     hermitian_iff_involution,
     pair_swap,
@@ -43,6 +52,12 @@ TABLE1_CASES = ((100, 6), (400, 12), (625, 14), (900, 17))
 TABLE2_CASES = ((0.01, 7), (0.02, 8), (0.03, 8), (0.04, 100), (0.05, 100))
 
 _SEED_MAX = 2**32
+
+#: Most theta values a ``START:STOP:STEP`` range may expand to.
+MAX_RANGE_POINTS = 100_000
+
+#: Largest ``--kmax``; each trajectory holds two complex arrays of kmax + 1 entries.
+MAX_K = 1_000_000
 
 
 def _base_metadata(seed, tolerance, **extra):
@@ -171,7 +186,35 @@ def run_coeffs(family, theta=0.0, phi=0.0, u=0.1, a=0.01, varphi=0.0):
     return make_report("coeffs", meta, [row])
 
 
-def _verify_2d_case(case, rng, structural_tol, equivalence_tol, k_max=50):
+def _verify_row(mode, case, matrix_seed, cfg, run, channels):
+    """The columns both suites share, and the worst of their deviations.
+
+    The deviations are the largest, over all k, of |coefficient - channel|
+    (``channels`` holds one recurrence array per invariant basis vector, in
+    the order of the decomposition coefficients), of the decomposition
+    residual and of | |Q^k gamma| - 1 |.
+    """
+    comp_dev = residual = norm_dev = 0.0
+    for k, dec in enumerate(run.decompositions):
+        for idx, channel in enumerate(channels):
+            comp_dev = max(comp_dev, abs(dec.coefficients[idx] - channel[k]))
+        residual = max(residual, dec.residual)
+        norm_dev = max(norm_dev, abs(float(np.linalg.norm(run.states[k])) - 1.0))
+    row = {
+        "mode": mode,
+        "case": case,
+        "dim": cfg.dim,
+        "matrix_seed": matrix_seed,
+        "theta": cfg.theta,
+        "phi": cfg.phi,
+        "max_component_dev": comp_dev,
+        "max_residual": residual,
+        "max_norm_dev": norm_dev,
+    }
+    return row, max(comp_dev, residual, norm_dev)
+
+
+def _verify_2d_case(case, rng, equivalence_tol, k_max=50):
     dim = (4, 16, 64)[case % 3]
     matrix_seed = int(rng.integers(_SEED_MAX))
     theta, phi = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
@@ -179,32 +222,14 @@ def _verify_2d_case(case, rng, structural_tol, equivalence_tol, k_max=50):
                        u_matrix=random_unitary(dim, matrix_seed))
     run = evolve(build_q(cfg), cfg, k_max)
     traj = iterate2(present_coeffs(AlgorithmParams(theta, phi, cfg.u_element)), k_max)
-    comp_dev = residual = norm_dev = amp_dev = 0.0
+    row, worst = _verify_row("2d", case, matrix_seed, cfg, run, (traj.a, traj.b))
+    amp_dev = 0.0
     for k in range(k_max + 1):
-        dec = run.decompositions[k]
-        comp_dev = max(
-            comp_dev,
-            abs(dec.coefficients[0] - traj.a[k]),
-            abs(dec.coefficients[1] - traj.b[k]),
-        )
-        residual = max(residual, dec.residual)
-        norm_dev = max(norm_dev, abs(float(np.linalg.norm(run.states[k])) - 1.0))
         predicted = traj.a[k] * cfg.u_element + traj.b[k]
         amp_dev = max(amp_dev, abs(target_amplitude(run, cfg, k) - predicted))
-    ok = max(comp_dev, residual, norm_dev, amp_dev) <= equivalence_tol
-    return {
-        "mode": "2d",
-        "case": case,
-        "dim": dim,
-        "matrix_seed": matrix_seed,
-        "theta": theta,
-        "phi": phi,
-        "max_component_dev": comp_dev,
-        "max_residual": residual,
-        "max_norm_dev": norm_dev,
-        "max_amplitude_dev": amp_dev,
-        "ok": ok,
-    }
+    row["max_amplitude_dev"] = amp_dev
+    row["ok"] = max(worst, amp_dev) <= equivalence_tol
+    return row
 
 
 def _verify_4d_case(case, rng, structural_tol, equivalence_tol, k_max=30):
@@ -227,37 +252,19 @@ def _verify_4d_case(case, rng, structural_tol, equivalence_tol, k_max=30):
     )
     run = evolve(build_q(cfg), cfg, k_max)
     traj = iterate4(four_dim_coeffs(inputs), k_max)
-    comp_dev = residual = norm_dev = 0.0
-    channels = (traj.a, traj.b, traj.c, traj.d)
-    for k in range(k_max + 1):
-        dec = run.decompositions[k]
-        for idx, channel in enumerate(channels):
-            comp_dev = max(comp_dev, abs(dec.coefficients[idx] - channel[k]))
-        residual = max(residual, dec.residual)
-        norm_dev = max(norm_dev, abs(float(np.linalg.norm(run.states[k])) - 1.0))
+    row, worst = _verify_row("4d", case, matrix_seed, cfg, run, (traj.a, traj.b, traj.c, traj.d))
     diag_dev = float(np.max(np.abs(np.diagonal(vu))))
     flags = hermitian_iff_involution(vu, structural_tol)
-    ok = (
-        max(comp_dev, residual, norm_dev) <= equivalence_tol
+    row["product_diag_dev"] = diag_dev
+    row["product_hermitian"] = flags.hermitian
+    row["product_involution"] = flags.involution
+    row["ok"] = (
+        worst <= equivalence_tol
         and diag_dev <= structural_tol
         and flags.hermitian
         and flags.involution
     )
-    return {
-        "mode": "4d",
-        "case": case,
-        "dim": dim,
-        "matrix_seed": matrix_seed,
-        "theta": theta,
-        "phi": phi,
-        "max_component_dev": comp_dev,
-        "max_residual": residual,
-        "max_norm_dev": norm_dev,
-        "product_diag_dev": diag_dev,
-        "product_hermitian": flags.hermitian,
-        "product_involution": flags.involution,
-        "ok": ok,
-    }
+    return row
 
 
 def run_verify(scope="all", seed=1, n_cases=20,
@@ -276,7 +283,7 @@ def run_verify(scope="all", seed=1, n_cases=20,
     rows = []
     if scope in ("2d", "all"):
         for case in range(n_cases):
-            rows.append(_verify_2d_case(case, rng, structural_tol, equivalence_tol))
+            rows.append(_verify_2d_case(case, rng, equivalence_tol))
     if scope in ("4d", "all"):
         for case in range(n_cases):
             rows.append(_verify_4d_case(case, rng, structural_tol, equivalence_tol))
@@ -299,24 +306,22 @@ def run_construct(dim, seed=0, structural_tol=STRUCTURAL_TOL):
     p = pair_swap(dim)
     vu = pair.product
     uv = pair.u @ pair.v
-    eye = np.eye(dim)
-    flags = hermitian_iff_involution(vu, structural_tol)
     deviations = (
-        ("v_unitary", float(np.max(np.abs(v @ v.conj().T - eye)))),
-        ("u_unitary", float(np.max(np.abs(pair.u @ pair.u.conj().T - eye)))),
-        ("v_block_symmetric", float(np.max(np.abs(v - p @ v @ p)))),
+        ("v_unitary", unitary_dev(v)),
+        ("u_unitary", unitary_dev(pair.u)),
+        ("v_block_symmetric", block_symmetry_dev(v)),
         ("vu_equals_pair_swap", float(np.max(np.abs(vu - p)))),
         ("uv_equals_pair_swap", float(np.max(np.abs(uv - p)))),
         ("vu_zero_diagonal", float(np.max(np.abs(np.diagonal(vu))))),
-        ("vu_hermitian_dev", float(np.max(np.abs(vu - vu.conj().T)))),
-        ("vu_involution_dev", float(np.max(np.abs(vu @ vu - eye)))),
+        ("vu_hermitian_dev", hermitian_dev(vu)),
+        ("vu_involution_dev", involution_dev(vu)),
     )
     rows = [
         {"check": name, "deviation": dev, "tol": structural_tol,
          "ok": dev <= structural_tol}
         for name, dev in deviations
     ]
-    passed = all(row["ok"] for row in rows) and flags.hermitian and flags.involution
+    passed = all(row["ok"] for row in rows)
     meta = _base_metadata(
         seed, structural_tol, dim=dim,
         v=v.tolist(), u=pair.u.tolist(),
@@ -325,23 +330,48 @@ def run_construct(dim, seed=0, structural_tol=STRUCTURAL_TOL):
 
 
 def _parse_range(text):
-    """Parse 'X' or 'A:B:STEP' into an inclusive list of floats."""
-    parts = text.split(":")
+    """Parse 'X' or 'A:B:STEP' into an inclusive list of at most MAX_RANGE_POINTS floats."""
+    try:
+        parts = [float(p) for p in text.split(":")]
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a number or START:STOP:STEP") from None
+    if not all(math.isfinite(p) for p in parts):
+        raise click.BadParameter(f"{text!r} has a non-finite part")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return parts
     if len(parts) != 3:
         raise click.BadParameter("expected a number or START:STOP:STEP")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = parts
     if step <= 0:
         raise click.BadParameter("step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    if count < 0:
+    steps = (stop - start) / step + 1e-9
+    if steps < 0:
         raise click.BadParameter("stop must not precede start")
-    return [start + i * step for i in range(count + 1)]
+    if steps >= MAX_RANGE_POINTS:
+        raise click.BadParameter(f"the range has more than {MAX_RANGE_POINTS} points")
+    return [start + i * step for i in range(int(math.floor(steps)) + 1)]
+
+
+class FiniteFloat(click.types.FloatParamType):
+    """Click parameter accepting a finite float, or with ``positive`` one above 0."""
+
+    def __init__(self, positive=False):
+        self.positive = positive
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value) or (self.positive and value <= 0):
+            kind = "finite positive" if self.positive else "finite"
+            self.fail(f"{value!r} is not a {kind} number", param, ctx)
+        return value
+
+
+FINITE = FiniteFloat()
+POSITIVE = FiniteFloat(positive=True)
 
 
 class ComplexParam(click.ParamType):
-    """Click parameter accepting anything python's complex() parses."""
+    """Click parameter accepting any finite number python's complex() parses."""
 
     name = "complex"
 
@@ -349,9 +379,12 @@ class ComplexParam(click.ParamType):
         if isinstance(value, complex):
             return value
         try:
-            return complex(str(value).replace(" ", ""))
+            z = complex(str(value).replace(" ", ""))
         except ValueError:
             self.fail(f"{value!r} is not a complex number", param, ctx)
+        if not cmath.isfinite(z):
+            self.fail(f"{value!r} is not finite", param, ctx)
+        return z
 
 
 COMPLEX = ComplexParam()
@@ -390,7 +423,7 @@ def table1_cmd(fmt, out):
 
 
 @main.command("table2")
-@click.option("--kmax", type=click.IntRange(min=1), default=100,
+@click.option("--kmax", type=click.IntRange(min=1, max=MAX_K), default=100,
               show_default=True, help="Upper iteration bound for the argmax.")
 @_output_options
 def table2_cmd(kmax, fmt, out):
@@ -410,11 +443,11 @@ def pyramid_cmd(max_k, fmt, out):
 @main.command("sweep")
 @click.option("--theta", "theta_range", default="0.0", show_default=True,
               help="Rotation angle of the start-state phase, X or A:B:STEP.")
-@click.option("--phi", type=float, default=0.0, show_default=True,
+@click.option("--phi", type=FINITE, default=0.0, show_default=True,
               help="Rotation angle of the target-state phase.")
 @click.option("--u", type=COMPLEX, default="0.1", show_default=True,
               help="Matrix element U_tau_gamma (complex accepted).")
-@click.option("--kmax", type=click.IntRange(min=1), default=100,
+@click.option("--kmax", type=click.IntRange(min=1, max=MAX_K), default=100,
               show_default=True, help="Upper iteration bound.")
 @_output_options
 def sweep_cmd(theta_range, phi, u, kmax, fmt, out):
@@ -425,12 +458,12 @@ def sweep_cmd(theta_range, phi, u, kmax, fmt, out):
 @main.command("coeffs")
 @click.option("--family", type=click.Choice(["present", "grover", "long", "hoyer"]),
               required=True, help="Which reduced 2x2 coefficient family.")
-@click.option("--theta", type=float, default=0.0, show_default=True)
-@click.option("--phi", type=float, default=0.0, show_default=True)
+@click.option("--theta", type=FINITE, default=0.0, show_default=True)
+@click.option("--phi", type=FINITE, default=0.0, show_default=True)
 @click.option("--u", type=COMPLEX, default="0.1", show_default=True)
-@click.option("--a", type=float, default=0.01, show_default=True,
+@click.option("--a", type=FINITE, default=0.01, show_default=True,
               help="Initial success probability (hoyer family only).")
-@click.option("--varphi", type=float, default=0.0, show_default=True,
+@click.option("--varphi", type=FINITE, default=0.0, show_default=True,
               help="Extra phase angle (hoyer family only).")
 @_output_options
 def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
@@ -444,9 +477,9 @@ def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--cases", type=click.IntRange(min=1), default=20,
               show_default=True, help="Random cases per suite.")
-@click.option("--structural-tol", type=float, default=STRUCTURAL_TOL,
+@click.option("--structural-tol", type=POSITIVE, default=STRUCTURAL_TOL,
               show_default=True, help="Tolerance for structural matrix checks.")
-@click.option("--equiv-tol", type=float, default=EQUIVALENCE_TOL,
+@click.option("--equiv-tol", type=POSITIVE, default=EQUIVALENCE_TOL,
               show_default=True, help="Tolerance for recurrence equivalence.")
 @_output_options
 def verify_cmd(scope, seed, cases, structural_tol, equiv_tol, fmt, out):
@@ -462,7 +495,7 @@ def verify_cmd(scope, seed, cases, structural_tol, equiv_tol, fmt, out):
 @click.option("--dim", type=click.IntRange(min=2), default=8, show_default=True,
               help="Even matrix dimension.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--structural-tol", type=float, default=STRUCTURAL_TOL,
+@click.option("--structural-tol", type=POSITIVE, default=STRUCTURAL_TOL,
               show_default=True, help="Tolerance for the emitted checks.")
 @_output_options
 def construct_cmd(dim, seed, structural_tol, fmt, out):

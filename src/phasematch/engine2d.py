@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class AlgorithmParams:
 
     def __post_init__(self):
         object.__setattr__(self, "u", complex(self.u))
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi) and cmath.isfinite(self.u)):
+            raise ValueError(f"non-finite parameters theta={self.theta}, phi={self.phi}, u={self.u}")
         if abs(self.u) > 1 + 1e-12:
             raise ValueError(f"|u| = {abs(self.u)} exceeds 1")
 
@@ -79,23 +81,6 @@ class HoyerParams:
             raise ValueError(f"a = {self.a} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class FirstOrderPhases:
-    """The unit phases sigma = e^(2i*theta), delta1 = e^(2i*phi).
-
-    The subspace coefficient ``delta = 2 cos(phi) e^(i*phi) - 1`` equals
-    ``delta1`` algebraically, but the first-order analysis treats the pair
-    (sigma, delta1) as its own object, so it lives in its own type.
-    """
-
-    sigma: complex
-    delta1: complex
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "FirstOrderPhases":
-        return cls(cmath.exp(2j * theta), cmath.exp(2j * phi))
-
-
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrajectory:
     """Amplitudes (a_k, b_k) for k = 0..k_max, stored as parallel arrays."""
@@ -106,11 +91,6 @@ class AmplitudeTrajectory:
     @property
     def k_max(self) -> int:
         return len(self.a) - 1
-
-    def steps(self) -> Iterator[tuple[int, complex, complex]]:
-        """Yield (k, a_k, b_k) triples in order."""
-        for k in range(len(self.a)):
-            yield k, complex(self.a[k]), complex(self.b[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,16 +288,20 @@ def exact_a(c: TwoDimCoefficients, k: int, k_exact_max: int = K_EXACT_MAX) -> co
 def approx_b(params: AlgorithmParams, k: int) -> complex:
     """First-order amplitude beta * sum_{i<k} sigma^(k-1-i) delta1^i.
 
-    Accurate to O(k^2 |u|^2) relative to the exact recurrence; its modulus in
-    closed form is :func:`closed_form_magnitude`.
+    Here sigma = e^(2i*theta) and delta1 = e^(2i*phi), which equals the
+    one-step ``delta = 2 cos(phi) e^(i*phi) - 1`` algebraically. This is the
+    arbitrary-phase sum of Hoyer, PRA 62, 052304 (2000). Accurate to
+    O(k^2 |u|^2) relative to the exact recurrence; its modulus in closed form
+    is :func:`closed_form_magnitude`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ph = FirstOrderPhases.from_angles(params.theta, params.phi)
+    sigma = cmath.exp(2j * params.theta)
+    delta1 = cmath.exp(2j * params.phi)
     beta = phase_scale(params.phi) * params.u
     total = 0j
     for i in range(k):
-        total += ph.sigma ** (k - 1 - i) * ph.delta1**i
+        total += sigma ** (k - 1 - i) * delta1**i
     return beta * total
 
 
@@ -326,11 +310,14 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
 
     ``2 k |cos(phi)| |u|`` in the degenerate direction theta = phi (detected
     by |sin(theta - phi)| < 1e-12, substituting the limit explicitly), else
-    ``2 |cos(phi)| |u| |sin(k (theta - phi)) / sin(theta - phi)|``.
+    ``2 |cos(phi)| |u| |sin(k (theta - phi)) / sin(theta - phi)|``. The
+    modulus has period pi in theta - phi, so the gap is first reduced to
+    [-pi/2, pi/2]: near a nonzero multiple of pi, the rounding of
+    k (theta - phi) would otherwise reach the ratio at O(eps / |sin(gap)|).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    gap = params.theta - params.phi
+    gap = math.remainder(params.theta - params.phi, math.pi)
     scale = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
     if abs(math.sin(gap)) < 1e-12:
         return k * scale

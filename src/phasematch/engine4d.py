@@ -13,16 +13,19 @@ not checkable from the scalars; the full-space oracle validates it.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .rotations import phase_scale, snapped_cos
+from .engine2d import AlgorithmParams, approx_b
+from .rotations import phase_scale
 
 
 def _bounded(name: str, z: complex) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} = {z} is not finite")
     if abs(z) > 1 + 1e-9:
         raise ValueError(f"|{name}| = {abs(z)} exceeds 1")
     return z
@@ -40,6 +43,8 @@ class FourDimInputs:
     uv_tt: complex = 0j
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"non-finite angles theta={self.theta}, phi={self.phi}")
         for name in ("u", "v", "vu_gg", "uv_tt"):
             object.__setattr__(self, name, _bounded(name, getattr(self, name)))
 
@@ -87,10 +92,6 @@ class FourAmplitudes:
     @property
     def k_max(self) -> int:
         return len(self.a) - 1
-
-    def steps(self) -> Iterator[tuple[int, complex, complex, complex, complex]]:
-        for k in range(len(self.a)):
-            yield k, complex(self.a[k]), complex(self.b[k]), complex(self.c[k]), complex(self.d[k])
 
 
 def four_dim_coeffs(inp: FourDimInputs) -> FourDimCoefficients:
@@ -153,27 +154,18 @@ def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, comp
         c_{k+1} = s * 2 cos(phi) e^(i*phi) u * sum_{l=0}^{m} sigma^(m-l) delta1^l,
 
     where the sign s is (-1)^m for k = 2m and (-1)^(m+1) for k = 2m + 1.
-    Both parities share the same sum length; the signs were verified against
-    the exact recurrence at small |u| before being hard-coded here.
+    The product after s is the 2D first-order amplitude
+    :func:`~phasematch.engine2d.approx_b` at step m + 1, so both parities
+    share the same sum length; the signs were verified against the exact
+    recurrence at small |u| before being hard-coded here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     m = k // 2
-    sigma = cmath.exp(2j * theta)
-    delta1 = cmath.exp(2j * phi)
     if k % 2:
         a_k = 0j
         sign = -((-1.0) ** m)
     else:
         a_k = (-1.0) ** m * cmath.exp(2j * m * theta)
         sign = (-1.0) ** m
-    total = 0j
-    for l in range(m + 1):
-        total += sigma ** (m - l) * delta1**l
-    c_next = sign * phase_scale(phi) * complex(u) * total
-    return a_k, c_next
-
-
-def case2_tolerance(theta: float, phi: float, u: complex) -> bool:
-    """Whether |theta - phi| < 2 |cos(phi)| |u| (the near-degenerate regime)."""
-    return abs(theta - phi) < 2 * abs(snapped_cos(phi)) * abs(complex(u))
+    return a_k, sign * approx_b(AlgorithmParams(theta, phi, u), m + 1)

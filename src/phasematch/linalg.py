@@ -62,15 +62,30 @@ def is_unitary(w, tol: float = STRUCTURAL_TOL) -> bool:
     tol : float
         Largest allowed deviation of any entry of ``W W+`` from the identity.
     """
+    return unitary_dev(w) <= tol
+
+
+def unitary_dev(w) -> float:
+    """Largest entry of ``|W W+ - I|``."""
     w = _as_square(w)
-    dev = np.max(np.abs(w @ w.conj().T - np.eye(w.shape[0])))
-    return bool(dev <= tol)
+    return float(np.max(np.abs(w @ w.conj().T - np.eye(w.shape[0]))))
 
 
 def is_hermitian(w, tol: float = STRUCTURAL_TOL) -> bool:
     """Check ``W = W+`` entrywise within ``tol``."""
+    return hermitian_dev(w) <= tol
+
+
+def hermitian_dev(w) -> float:
+    """Largest entry of ``|W - W+|``."""
     w = _as_square(w)
-    return bool(np.max(np.abs(w - w.conj().T)) <= tol)
+    return float(np.max(np.abs(w - w.conj().T)))
+
+
+def involution_dev(w) -> float:
+    """Largest entry of ``|W W - I|``."""
+    w = _as_square(w)
+    return float(np.max(np.abs(w @ w - np.eye(w.shape[0]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +142,3 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     d = np.diag(r)
     return q * (d / np.abs(d))
 
-
-def apply(w, v) -> np.ndarray:
-    """Matrix-vector product ``W v``."""
-    w = _as_square(w)
-    v = _as_vector(v)
-    if v.shape[0] != w.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {w.shape[0]}, vector {v.shape[0]}")
-    return w @ v
-
-
-def compose(w1, w2) -> np.ndarray:
-    """Matrix product ``W1 W2`` (apply ``W2`` first)."""
-    w1 = _as_square(w1)
-    w2 = _as_square(w2)
-    if w1.shape != w2.shape:
-        raise ValueError(f"dimension mismatch: {w1.shape} vs {w2.shape}")
-    return w1 @ w2

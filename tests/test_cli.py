@@ -6,8 +6,20 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasematch.cli import main, run_table1, run_table2, run_verify
+from phasematch.cli import (
+    MAX_K,
+    MAX_RANGE_POINTS,
+    _parse_range,
+    main,
+    run_table1,
+    run_table2,
+    run_verify,
+)
+
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "+inf", "NaN", "-Infinity"])
 
 
 @pytest.fixture()
@@ -82,6 +94,50 @@ def test_sweep_rejects_malformed_range(runner):
     assert result.exit_code != 0
     result = runner.invoke(main, ["sweep", "--u", "spaghetti"])
     assert result.exit_code != 0
+
+
+def _assert_usage_error(result):
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+
+
+@given(st.integers(0, 3), NON_FINITE)
+@settings(max_examples=30, deadline=None)
+def test_sweep_rejects_non_finite_range_part(slot, bad):
+    parts = ["0", "0.02", "0.01"]
+    if slot == 3:
+        text = bad
+    else:
+        parts[slot] = bad
+        text = ":".join(parts)
+    _assert_usage_error(CliRunner().invoke(main, ["sweep", "--theta", text]))
+
+
+@given(st.sampled_from(["--phi", "--u"]), NON_FINITE)
+@settings(max_examples=30, deadline=None)
+def test_sweep_rejects_non_finite_phi_and_u(option, bad):
+    for command in (["sweep"], ["coeffs", "--family", "present"]):
+        _assert_usage_error(CliRunner().invoke(main, [*command, option, bad]))
+
+
+@given(
+    st.sampled_from([["verify", "--structural-tol"], ["verify", "--equiv-tol"],
+                     ["construct", "--structural-tol"]]),
+    NON_FINITE | st.sampled_from(["0", "-1", "-1e-10", "0.0"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_tolerances_must_be_finite_and_positive(option, bad):
+    _assert_usage_error(CliRunner().invoke(main, [*option, bad]))
+
+
+def test_sweep_bounds_work_before_allocating(runner):
+    # The small over-cap range comes first, so that code without the bound
+    # fails here instead of trying to allocate ~1e10 floats below.
+    for theta in (f"0:{MAX_RANGE_POINTS}:1", "0:1e-300:1e-310", "-1e308:1e308:1e-300"):
+        _assert_usage_error(runner.invoke(main, ["sweep", "--theta", theta, "--kmax", "1"]))
+    assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+    for command in ("sweep", "table2"):
+        _assert_usage_error(runner.invoke(main, [command, "--kmax", str(MAX_K + 1)]))
 
 
 def test_coeffs_families(runner):

@@ -5,14 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasematch.engine2d import (
     K_EXACT_MAX,
     AlgorithmParams,
     ClosedFormRangeError,
-    FirstOrderPhases,
     HoyerParams,
     TwoDimCoefficients,
     approx_b,
@@ -80,6 +79,15 @@ def test_hoyer_rejects_bad_probability():
 def test_params_reject_large_u():
     with pytest.raises(ValueError):
         AlgorithmParams(0.0, 0.0, 1.5)
+
+
+@given(st.integers(0, 3), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_params_reject_non_finite(slot, bad):
+    values = [0.3, 0.1, 0.05, 0.02]
+    values[slot] = bad
+    theta, phi, u_re, u_im = values
+    with pytest.raises(ValueError):
+        AlgorithmParams(theta, phi, complex(u_re, u_im))
 
 
 def test_beta_vanishes_at_half_pi_phi():
@@ -242,12 +250,12 @@ def test_closed_form_range_guard():
 def test_delta1_equals_exact_delta():
     """The one-step delta = 2 cos(phi) e^(i*phi) - 1 is e^(2i*phi) exactly."""
     for phi in (-2.2, -0.4, 0.0, 0.9, 3.0):
-        ph = FirstOrderPhases.from_angles(0.0, phi)
         c = present_coeffs(AlgorithmParams(0.0, phi, 0.1))
-        assert c.delta == pytest.approx(ph.delta1, abs=1e-14)
+        assert c.delta == pytest.approx(cmath.exp(2j * phi), abs=1e-14)
 
 
 @given(angles, angles)
+@example(theta=3.1415926535897927, phi=1e-9)  # gap just below pi
 @settings(max_examples=60, deadline=None)
 def test_closed_form_magnitude_matches_approx(theta, phi):
     params = AlgorithmParams(theta, phi, 0.05)

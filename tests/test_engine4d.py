@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasematch.engine4d import (
     FourDimInputs,
     approx4,
-    case2_tolerance,
     four_dim_coeffs,
     iterate4,
 )
@@ -86,6 +87,17 @@ def test_inputs_reject_oversized_elements():
         FourDimInputs(0.0, 0.0, 1.5, 0.0)
 
 
+@given(st.integers(0, 9), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_inputs_reject_non_finite(slot, bad):
+    """Either angle, or the real or imaginary part of any of the four elements."""
+    values = [0.3, 0.1, 0.05, 0.0, 0.05, 0.0, 0.0, 0.0, 0.0, 0.0]
+    values[slot] = bad
+    theta, phi, *parts = values
+    elements = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+    with pytest.raises(ValueError):
+        FourDimInputs(theta, phi, *elements)
+
+
 def test_first_order_c_channel():
     # frozen from a pre-build scan: max c-deviation 3.96e-6 on this grid
     worst = 0.0
@@ -135,9 +147,3 @@ def test_approx4_sum_structure():
 def test_approx4_rejects_k_zero():
     with pytest.raises(ValueError):
         approx4(0.1, 0.1, 0.01, 0)
-
-
-def test_case2_tolerance():
-    assert case2_tolerance(0.01, 0.0, 0.1)       # |gap| = 0.01 < 0.2
-    assert not case2_tolerance(0.5, 0.0, 0.1)    # 0.5 > 0.2
-    assert not case2_tolerance(0.3, math.pi / 2, 0.9)  # threshold snaps to 0

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from phasematch.linalg import (
     DegenerateBasisError,
     adjoint,
-    apply,
     basis_state,
-    compose,
     gram_decompose,
     is_hermitian,
     is_unitary,
@@ -105,13 +103,3 @@ def test_gram_decompose_degenerate_basis_raises():
     v = basis_state(4, 1)
     with pytest.raises(DegenerateBasisError):
         gram_decompose(basis_state(4, 0), [v, v + 1e-9 * basis_state(4, 2)])
-
-
-def test_apply_and_compose_check_dimensions():
-    w = np.eye(3)
-    with pytest.raises(ValueError):
-        apply(w, np.ones(4))
-    with pytest.raises(ValueError):
-        compose(w, np.eye(4))
-    np.testing.assert_array_equal(apply(w, np.arange(3.0)), np.arange(3.0))
-    np.testing.assert_array_equal(compose(w, w), np.eye(3))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phasematch.linalg import is_hermitian, is_unitary, random_unitary
 from phasematch.pairs import (
+    block_symmetry_dev,
     companion,
     from_eigenblocks,
     hermitian_iff_involution,
@@ -79,6 +80,9 @@ def test_is_block_symmetric_detects_violations():
     assert not is_block_symmetric(broken)
     # a generic unitary essentially never commutes with P
     assert not is_block_symmetric(random_unitary(6, 9))
+    for bad in (np.array(1.0), np.ones(4), np.ones((2, 4)), np.eye(3)):
+        with pytest.raises(ValueError):
+            is_block_symmetric(bad)
 
 
 def test_is_block_symmetric_equals_commutation_with_p():
@@ -86,6 +90,11 @@ def test_is_block_symmetric_equals_commutation_with_p():
     for seed in range(5):
         v = random_commuting_unitary(8, seed)
         assert np.max(np.abs(v @ p - p @ v)) < 1e-12
+        # the blockwise test reads exactly the entries of V - PVP
+        for w in (v, v + 1e-11 * random_unitary(8, seed), random_unitary(8, seed)):
+            reference = float(np.max(np.abs(w - p @ w @ p)))
+            assert block_symmetry_dev(w) == reference
+            assert is_block_symmetric(w) == (reference <= 1e-10)
 
 
 def test_seeded_commuting_unitary():
