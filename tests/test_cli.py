@@ -115,7 +115,7 @@ def test_sweep_rejects_non_finite_range_part(slot, bad):
 
 @given(st.sampled_from(["--phi", "--u"]), NON_FINITE)
 @settings(max_examples=30, deadline=None)
-def test_sweep_rejects_non_finite_phi_and_u(option, bad):
+def test_rejects_non_finite_phi_and_u(option, bad):
     for command in (["sweep"], ["coeffs", "--family", "present"]):
         _assert_usage_error(CliRunner().invoke(main, [*command, option, bad]))
 
