@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .engine2d import (
+    K_EXACT_MAX,
     AlgorithmParams,
     HoyerParams,
     grover_coeffs,
@@ -30,6 +31,7 @@ from .engine4d import FourDimInputs, four_dim_coeffs, iterate4
 from .linalg import (
     EQUIVALENCE_TOL,
     STRUCTURAL_TOL,
+    DegenerateBasisError,
     hermitian_dev,
     involution_dev,
     random_unitary,
@@ -59,6 +61,16 @@ MAX_RANGE_POINTS = 100_000
 #: Largest ``--kmax``; each trajectory holds two complex arrays of kmax + 1 entries.
 MAX_K = 1_000_000
 
+#: Largest ``construct --dim``; the JSON report embeds two N x N matrices (about 46 MB at 512).
+MAX_DIM = 512
+
+#: Largest ``verify --cases``, per suite.
+MAX_CASES = 1000
+
+#: Steps of each dense simulation in the 2D and 4D verify suites.
+VERIFY_K_MAX_2D = 50
+VERIFY_K_MAX_4D = 30
+
 
 def _base_metadata(seed, tolerance, **extra):
     meta = {"seed": int(seed), "tolerance": float(tolerance), "version": __version__}
@@ -66,7 +78,7 @@ def _base_metadata(seed, tolerance, **extra):
     return meta
 
 
-def run_table1(equivalence_tol=EQUIVALENCE_TOL):
+def run_table1():
     """Amplitude |b_k| at the listed k for N in {100, 400, 625, 900}.
 
     Uses the two-dimensional engine with theta = phi = 0 and u = 1/sqrt(N);
@@ -85,11 +97,11 @@ def run_table1(equivalence_tol=EQUIVALENCE_TOL):
                 "abs_b_k": float(abs(traj.b[k])),
             }
         )
-    meta = _base_metadata(0, equivalence_tol, theta=0.0, phi=0.0)
+    meta = _base_metadata(0, EQUIVALENCE_TOL, theta=0.0, phi=0.0)
     return make_report("table1", meta, rows)
 
 
-def run_table2(k_max=100, equivalence_tol=EQUIVALENCE_TOL):
+def run_table2(k_max=100):
     """|b_k| at the listed k, plus argmax over k <= k_max, for small theta.
 
     Each row reports both the tabulated iteration count and the true
@@ -101,7 +113,7 @@ def run_table2(k_max=100, equivalence_tol=EQUIVALENCE_TOL):
         params = AlgorithmParams(theta, 0.0, 0.1)
         coeffs = present_coeffs(params)
         traj = iterate2(coeffs, max(k_max, k_listed))
-        res = sweep_max(coeffs, k_max, params)
+        res = sweep_max(coeffs, k_max)
         rows.append(
             {
                 "theta": theta,
@@ -109,10 +121,10 @@ def run_table2(k_max=100, equivalence_tol=EQUIVALENCE_TOL):
                 "abs_b_k": float(abs(traj.b[k_listed])),
                 "k_star": res.k_star,
                 "max_abs_b": res.max_abs_b,
-                "ratio_l": res.ratio_l,
+                "ratio_l": phase_condition(params).ratio_l,
             }
         )
-    meta = _base_metadata(0, equivalence_tol, phi=0.0, u=0.1, k_max=k_max)
+    meta = _base_metadata(0, EQUIVALENCE_TOL, phi=0.0, u=0.1, k_max=k_max)
     return make_report("table2", meta, rows)
 
 
@@ -138,12 +150,12 @@ def run_pyramid(max_k=12):
     return make_report("pyramid", _base_metadata(0, 0.0, max_k=max_k), rows)
 
 
-def run_sweep(thetas, phi, u, k_max=100, equivalence_tol=EQUIVALENCE_TOL):
+def run_sweep(thetas, phi, u, k_max=100):
     """Optimal iteration count and phase-condition check per theta."""
     rows = []
     for theta in thetas:
         params = AlgorithmParams(theta, phi, u)
-        res = sweep_max(present_coeffs(params), k_max, params)
+        res = sweep_max(present_coeffs(params), k_max)
         cond = phase_condition(params)
         rows.append(
             {
@@ -158,7 +170,7 @@ def run_sweep(thetas, phi, u, k_max=100, equivalence_tol=EQUIVALENCE_TOL):
                 "satisfied": cond.satisfied,
             }
         )
-    meta = _base_metadata(0, equivalence_tol, phi=float(phi), k_max=k_max)
+    meta = _base_metadata(0, EQUIVALENCE_TOL, phi=float(phi), k_max=k_max)
     return make_report("sweep", meta, rows)
 
 
@@ -214,17 +226,17 @@ def _verify_row(mode, case, matrix_seed, cfg, run, channels):
     return row, max(comp_dev, residual, norm_dev)
 
 
-def _verify_2d_case(case, rng, equivalence_tol, k_max=50):
+def _verify_2d_case(case, rng, equivalence_tol):
     dim = (4, 16, 64)[case % 3]
     matrix_seed = int(rng.integers(_SEED_MAX))
     theta, phi = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
     cfg = OracleConfig(dim=dim, theta=theta, phi=phi,
                        u_matrix=random_unitary(dim, matrix_seed))
-    run = evolve(build_q(cfg), cfg, k_max)
-    traj = iterate2(present_coeffs(AlgorithmParams(theta, phi, cfg.u_element)), k_max)
+    run = evolve(build_q(cfg), cfg, VERIFY_K_MAX_2D)
+    traj = iterate2(present_coeffs(AlgorithmParams(theta, phi, cfg.u_element)), VERIFY_K_MAX_2D)
     row, worst = _verify_row("2d", case, matrix_seed, cfg, run, (traj.a, traj.b))
     amp_dev = 0.0
-    for k in range(k_max + 1):
+    for k in range(VERIFY_K_MAX_2D + 1):
         predicted = traj.a[k] * cfg.u_element + traj.b[k]
         amp_dev = max(amp_dev, abs(target_amplitude(run, cfg, k) - predicted))
     row["max_amplitude_dev"] = amp_dev
@@ -232,7 +244,7 @@ def _verify_2d_case(case, rng, equivalence_tol, k_max=50):
     return row
 
 
-def _verify_4d_case(case, rng, structural_tol, equivalence_tol, k_max=30):
+def _verify_4d_case(case, rng, structural_tol, equivalence_tol):
     dim = (8, 16)[case % 2]
     matrix_seed = int(rng.integers(_SEED_MAX))
     theta, phi = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
@@ -250,8 +262,8 @@ def _verify_4d_case(case, rng, structural_tol, equivalence_tol, k_max=30):
         vu_gg=vu[g, g],
         uv_tt=uv[t, t],
     )
-    run = evolve(build_q(cfg), cfg, k_max)
-    traj = iterate4(four_dim_coeffs(inputs), k_max)
+    run = evolve(build_q(cfg), cfg, VERIFY_K_MAX_4D)
+    traj = iterate4(four_dim_coeffs(inputs), VERIFY_K_MAX_4D)
     row, worst = _verify_row("4d", case, matrix_seed, cfg, run, (traj.a, traj.b, traj.c, traj.d))
     diag_dev = float(np.max(np.abs(np.diagonal(vu))))
     flags = hermitian_iff_involution(vu, structural_tol)
@@ -290,7 +302,7 @@ def run_verify(scope="all", seed=1, n_cases=20,
     passed = all(row["ok"] for row in rows)
     meta = _base_metadata(
         seed, equivalence_tol, structural_tolerance=structural_tol,
-        scope=scope, cases=n_cases, k_max_2d=50, k_max_4d=30,
+        scope=scope, cases=n_cases, k_max_2d=VERIFY_K_MAX_2D, k_max_4d=VERIFY_K_MAX_4D,
     )
     return make_report("verify", meta, rows, passed=passed)
 
@@ -409,7 +421,22 @@ def _output_options(func):
     return func
 
 
-@click.group()
+class _Commands(click.Group):
+    """Turns a ``ValueError`` from a command's input into a usage error (exit code 2).
+
+    :class:`DegenerateBasisError` is a fault of the computation, not of the input.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DegenerateBasisError:
+            raise
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="phasematch")
 def main():
     """Generalized quantum search with arbitrary phase rotations."""
@@ -432,8 +459,9 @@ def table2_cmd(kmax, fmt, out):
 
 
 @main.command("pyramid")
-@click.option("--max-k", type=click.IntRange(min=1), default=12,
-              show_default=True, help="Largest iteration index to print.")
+@click.option("--max-k", type=click.IntRange(min=1, max=K_EXACT_MAX), default=12,
+              show_default=True,
+              help="Largest iteration index to print, at most the closed form's range.")
 @_output_options
 def pyramid_cmd(max_k, fmt, out):
     """Integer coefficient pyramids of the closed-form expansion."""
@@ -475,7 +503,7 @@ def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
 @click.option("--scope", type=click.Choice(["2d", "4d", "all"]), default="all",
               show_default=True, help="Which equivalence suites to run.")
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--cases", type=click.IntRange(min=1), default=20,
+@click.option("--cases", type=click.IntRange(min=1, max=MAX_CASES), default=20,
               show_default=True, help="Random cases per suite.")
 @click.option("--structural-tol", type=POSITIVE, default=STRUCTURAL_TOL,
               show_default=True, help="Tolerance for structural matrix checks.")
@@ -492,7 +520,7 @@ def verify_cmd(scope, seed, cases, structural_tol, equiv_tol, fmt, out):
 
 
 @main.command("construct")
-@click.option("--dim", type=click.IntRange(min=2), default=8, show_default=True,
+@click.option("--dim", type=click.IntRange(min=2, max=MAX_DIM), default=8, show_default=True,
               help="Even matrix dimension.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--structural-tol", type=POSITIVE, default=STRUCTURAL_TOL,

@@ -37,6 +37,16 @@ class ClosedFormRangeError(ValueError):
     """Closed-form evaluation refused because the polynomial is ill-conditioned."""
 
 
+def _bounded(name: str, z, slack: float = 1e-12) -> complex:
+    """The matrix element ``z`` as a complex number, checked to be finite with |z| <= 1 + slack."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} = {z} is not finite")
+    if abs(z) > 1 + slack:
+        raise ValueError(f"|{name}| = {abs(z)} exceeds 1")
+    return z
+
+
 @dataclass(frozen=True)
 class AlgorithmParams:
     """One search instance: rotation angles (radians) and the element u = <tau|U|gamma>."""
@@ -46,11 +56,9 @@ class AlgorithmParams:
     u: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "u", complex(self.u))
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi) and cmath.isfinite(self.u)):
-            raise ValueError(f"non-finite parameters theta={self.theta}, phi={self.phi}, u={self.u}")
-        if abs(self.u) > 1 + 1e-12:
-            raise ValueError(f"|u| = {abs(self.u)} exceeds 1")
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"non-finite angles theta={self.theta}, phi={self.phi}")
+        object.__setattr__(self, "u", _bounded("u", self.u))
 
 
 @dataclass(frozen=True)
@@ -97,18 +105,13 @@ class AmplitudeTrajectory:
 class SweepResult:
     """Outcome of maximizing |b_k| over 1 <= k <= k_max.
 
-    ``k_star`` is the smallest k attaining the maximum. ``threshold`` is
-    2|cos(phi)||u| and ``ratio_l`` is |theta - phi| / threshold when the
-    originating angles are known; a coefficients-only sweep reports
-    ``threshold = |beta|`` (the same number for the double-rotation family)
-    and ``ratio_l = nan``.
+    ``k_star`` is the smallest k attaining the maximum. The threshold and
+    ratio of the first-order analysis come from :func:`phase_condition`.
     """
 
     k_star: int
     max_abs_b: float
     trajectory: AmplitudeTrajectory
-    threshold: float
-    ratio_l: float
 
 
 class PhaseCondition(NamedTuple):
@@ -141,7 +144,7 @@ def present_coeffs(params: AlgorithmParams) -> TwoDimCoefficients:
 
 def grover_coeffs(u: complex) -> TwoDimCoefficients:
     """Both angles zero: (1 - 4|u|^2, 2u, -2 conj(u), 1)."""
-    u = complex(u)
+    u = _bounded("u", u)
     return TwoDimCoefficients(
         alpha=1 - 4 * abs(u) ** 2,
         beta=2 * u,
@@ -153,7 +156,7 @@ def grover_coeffs(u: complex) -> TwoDimCoefficients:
 
 def long_coeffs(theta: float, phi: float, u: complex) -> TwoDimCoefficients:
     """Coefficients when both rotations come from the ``LONG`` family."""
-    u = complex(u)
+    u = _bounded("u", u)
     et = cmath.exp(1j * theta)
     ep = cmath.exp(1j * phi)
     return TwoDimCoefficients(
@@ -214,12 +217,12 @@ def t_coeff(k: int, i: int, j: int) -> int:
     return binom(i + j - 1, j - 1) * binom(k - i - j, j)
 
 
-def _check_closed_form_k(k: int, k_exact_max: int) -> None:
+def _check_closed_form_k(k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > k_exact_max:
+    if k > K_EXACT_MAX:
         raise ClosedFormRangeError(
-            f"closed-form evaluation is limited to k <= {k_exact_max}: the integer "
+            f"closed-form evaluation is limited to k <= {K_EXACT_MAX}: the integer "
             f"coefficients grow combinatorially and the polynomial becomes "
             f"ill-conditioned in double precision; use iterate2 for k = {k}"
         )
@@ -253,21 +256,21 @@ class CoefficientTable:
     d: tuple[complex, ...]
 
 
-def coefficient_table(c2: TwoDimCoefficients, k: int, k_exact_max: int = K_EXACT_MAX) -> CoefficientTable:
-    """Evaluate every c_kj and d_kj for the given coefficients at step k."""
-    _check_closed_form_k(k, k_exact_max)
+def coefficient_table(c2: TwoDimCoefficients, k: int) -> CoefficientTable:
+    """Evaluate every c_kj and d_kj for the given coefficients at step k <= K_EXACT_MAX."""
+    _check_closed_form_k(k)
     cs = tuple(_c_kj(c2.alpha, c2.delta, k, j) for j in range((k - 1) // 2 + 1))
     ds = tuple(_d_kj(c2.alpha, c2.delta, k, j) for j in range(1, k // 2 + 1))
     return CoefficientTable(k, cs, ds)
 
 
-def exact_b(c: TwoDimCoefficients, k: int, k_exact_max: int = K_EXACT_MAX) -> complex:
+def exact_b(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form b_k = beta * sum_j c_kj (beta*lambda)^j.
 
     Cross-checked against :func:`iterate2` to 1e-9 for k <= 25 whenever
-    |alpha|, |delta| <= 1; refuses k beyond ``k_exact_max``.
+    |alpha|, |delta| <= 1; refuses k beyond ``K_EXACT_MAX``.
     """
-    _check_closed_form_k(k, k_exact_max)
+    _check_closed_form_k(k)
     bl = c.beta * c.lam
     total = 0j
     for j in range((k - 1) // 2 + 1):
@@ -275,9 +278,9 @@ def exact_b(c: TwoDimCoefficients, k: int, k_exact_max: int = K_EXACT_MAX) -> co
     return c.beta * total
 
 
-def exact_a(c: TwoDimCoefficients, k: int, k_exact_max: int = K_EXACT_MAX) -> complex:
+def exact_a(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j."""
-    _check_closed_form_k(k, k_exact_max)
+    _check_closed_form_k(k)
     bl = c.beta * c.lam
     total = c.alpha**k + 0j
     for j in range(1, k // 2 + 1):
@@ -324,30 +327,17 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     return scale * abs(math.sin(k * gap) / math.sin(gap))
 
 
-def sweep_max(
-    c: TwoDimCoefficients, k_max: int, params: AlgorithmParams | None = None
-) -> SweepResult:
-    """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties).
-
-    Pass the originating ``params`` to fill ``threshold`` and ``ratio_l``
-    from the phase condition; without them the threshold falls back to
-    ``|beta|`` and ``ratio_l`` is nan.
-    """
+def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
+    """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     trajectory = iterate2(c, k_max)
     magnitudes = np.abs(trajectory.b[1:])
     k_star = int(np.argmax(magnitudes)) + 1
-    if params is not None:
-        threshold, ratio_l, _ = phase_condition(params)
-    else:
-        threshold, ratio_l = abs(c.beta), math.nan
     return SweepResult(
         k_star=k_star,
         max_abs_b=float(magnitudes[k_star - 1]),
         trajectory=trajectory,
-        threshold=threshold,
-        ratio_l=ratio_l,
     )
 
 

@@ -18,17 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import AlgorithmParams, approx_b
+from .engine2d import AlgorithmParams, _bounded, approx_b
 from .rotations import phase_scale
-
-
-def _bounded(name: str, z: complex) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{name} = {z} is not finite")
-    if abs(z) > 1 + 1e-9:
-        raise ValueError(f"|{name}| = {abs(z)} exceeds 1")
-    return z
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,7 @@ class FourDimInputs:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError(f"non-finite angles theta={self.theta}, phi={self.phi}")
         for name in ("u", "v", "vu_gg", "uv_tt"):
-            object.__setattr__(self, name, _bounded(name, getattr(self, name)))
+            object.__setattr__(self, name, _bounded(name, getattr(self, name), 1e-9))
 
     @classmethod
     def idealized(cls, theta: float, phi: float, u: complex) -> "FourDimInputs":

@@ -101,27 +101,31 @@ class GramDecomposition:
     residual: float
 
 
-def gram_decompose(state, basis) -> GramDecomposition:
-    """Solve the normal equations to expand ``state`` over ``basis``.
+def gram_decompose(states, basis) -> list[GramDecomposition]:
+    """Solve the normal equations to expand each of ``states`` over ``basis``.
 
-    The Gram matrix ``G[i, j] = <basis_i | basis_j>`` must be nonsingular:
-    ``|det G| <= 1e-12`` raises :class:`DegenerateBasisError`. The basis
-    vectors need not be orthogonal or normalized.
+    The Gram matrix ``G[i, j] = <basis_i | basis_j>`` is built once per call
+    and must be nonsingular: ``|det G| <= 1e-12`` raises
+    :class:`DegenerateBasisError` before any state is read. The basis vectors
+    need not be orthogonal or normalized.
     """
     vecs = [_as_vector(b) for b in basis]
-    s = _as_vector(state)
-    gram = np.array([[vi.conj() @ vj for vj in vecs] for vi in vecs])
+    duals = [v.conj() for v in vecs]
+    gram = np.array([[di @ vj for vj in vecs] for di in duals])
     det = abs(np.linalg.det(gram))
     if det <= _GRAM_DET_FLOOR:
         raise DegenerateBasisError(
             f"basis is numerically dependent: |det(Gram)| = {det:.3e}"
         )
-    rhs = np.array([vi.conj() @ s for vi in vecs])
-    coeffs = np.linalg.solve(gram, rhs)
-    synth = np.zeros_like(s)
-    for c, v in zip(coeffs, vecs):
-        synth += c * v
-    return GramDecomposition(coeffs, float(np.linalg.norm(s - synth)))
+    decompositions = []
+    for state in states:
+        s = _as_vector(state)
+        coeffs = np.linalg.solve(gram, np.array([di @ s for di in duals]))
+        synth = np.zeros_like(s)
+        for c, v in zip(coeffs, vecs):
+            synth += c * v
+        decompositions.append(GramDecomposition(coeffs, float(np.linalg.norm(s - synth))))
+    return decompositions
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -32,8 +32,9 @@ from .rotations import RotationFamily, SelectiveRotation, build
 class OracleConfig:
     """One simulation instance.
 
-    ``v_matrix=None`` selects the 2D algorithm (V = adjoint(U) implicitly);
-    passing a V selects the 4D one. ``tau_index`` defaults to dim - 1.
+    The start state |gamma> is the first basis state and the target |tau>
+    the last one. ``v_matrix=None`` selects the 2D algorithm
+    (V = adjoint(U) implicitly); passing a V selects the 4D one.
     """
 
     dim: int
@@ -41,21 +42,13 @@ class OracleConfig:
     phi: float
     u_matrix: np.ndarray
     v_matrix: np.ndarray | None = None
-    gamma_index: int = 0
-    tau_index: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u_matrix", np.asarray(self.u_matrix, dtype=np.complex128))
         if self.v_matrix is not None:
             object.__setattr__(self, "v_matrix", np.asarray(self.v_matrix, dtype=np.complex128))
-        if self.tau_index is None:
-            object.__setattr__(self, "tau_index", self.dim - 1)
-        if not 0 <= self.gamma_index < self.dim:
-            raise ValueError(f"gamma index {self.gamma_index} out of range")
-        if not 0 <= self.tau_index < self.dim:
-            raise ValueError(f"tau index {self.tau_index} out of range")
-        if self.gamma_index == self.tau_index:
-            raise ValueError("gamma and tau must be distinct basis states")
+        if self.dim < 2:
+            raise ValueError(f"dimension {self.dim} leaves no room for distinct gamma and tau")
         if self.u_matrix.shape != (self.dim, self.dim):
             raise ValueError(f"U has shape {self.u_matrix.shape}, expected ({self.dim}, {self.dim})")
         if not is_unitary(self.u_matrix, STRUCTURAL_TOL):
@@ -67,8 +60,14 @@ class OracleConfig:
                 raise ValueError("V must be unitary")
 
     @property
-    def mode(self) -> str:
-        return "2d" if self.v_matrix is None else "4d"
+    def gamma_index(self) -> int:
+        """Index of the start state |gamma>: always 0."""
+        return 0
+
+    @property
+    def tau_index(self) -> int:
+        """Index of the target state |tau>: always dim - 1."""
+        return self.dim - 1
 
     @property
     def u_element(self) -> complex:
@@ -116,18 +115,15 @@ def invariant_basis(cfg: OracleConfig) -> list[np.ndarray]:
 
 
 def evolve(q: np.ndarray, cfg: OracleConfig, k_max: int) -> OracleRun:
-    """Apply Q repeatedly to |gamma>, decomposing every intermediate state."""
+    """Apply Q repeatedly to |gamma>, then decompose every state over the invariant basis."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    basis = invariant_basis(cfg)
     state = basis_state(cfg.dim, cfg.gamma_index)
     states = [state]
-    decompositions = [gram_decompose(state, basis)]
     for _ in range(k_max):
         state = q @ state
         states.append(state)
-        decompositions.append(gram_decompose(state, basis))
-    return OracleRun(states=states, decompositions=decompositions)
+    return OracleRun(states=states, decompositions=gram_decompose(states, invariant_basis(cfg)))
 
 
 def target_amplitude(run: OracleRun, cfg: OracleConfig, k: int) -> complex:
@@ -155,33 +151,25 @@ def walsh_hadamard(n_qubits: int) -> np.ndarray:
     return (signs / math.sqrt(dim)).astype(np.complex128)
 
 
-def unitary_with_overlap(
-    dim: int,
-    seed,
-    magnitude: float,
-    gamma_index: int = 0,
-    tau_index: int | None = None,
-) -> np.ndarray:
+def unitary_with_overlap(dim: int, seed, magnitude: float) -> np.ndarray:
     """Seeded random unitary postprocessed so |<tau|U|gamma>| equals ``magnitude``.
 
-    A two-plane rotation mixes column ``gamma`` with the column whose tau-row
-    entry is largest, steering the (tau, gamma) element to the requested
-    modulus without disturbing unitarity. This is how table-scale instances
-    with |u| = 1/sqrt(N) are produced at dimensions that are not powers of two.
+    A two-plane rotation mixes column gamma = 0 with the column whose
+    tau-row (tau = dim - 1) entry is largest, steering the (tau, gamma)
+    element to the requested modulus without disturbing unitarity. All other
+    columns are those of ``random_unitary(dim, seed)``. This is how
+    table-scale instances with |u| = 1/sqrt(N) are produced at dimensions
+    that are not powers of two.
     """
-    if tau_index is None:
-        tau_index = dim - 1
     if not 0 <= magnitude <= 1:
         raise ValueError(f"magnitude {magnitude} outside [0, 1]")
-    if gamma_index == tau_index:
-        raise ValueError("gamma and tau must be distinct")
+    if dim < 2:
+        raise ValueError(f"dimension {dim} leaves no room for distinct gamma and tau")
     w = random_unitary(dim, seed)
-    r1 = complex(w[tau_index, gamma_index])
-    other = max(
-        (c for c in range(dim) if c != gamma_index),
-        key=lambda c: abs(w[tau_index, c]),
-    )
-    r2 = complex(w[tau_index, other])
+    tau_row = w[dim - 1]
+    # Column gamma = 0 is excluded; np.argmax takes the first maximum.
+    other = 1 + int(np.argmax(np.abs(tau_row[1:])))
+    r1, r2 = complex(tau_row[0]), complex(tau_row[other])
     reach = math.hypot(abs(r1), abs(r2))
     if magnitude > reach:
         raise ValueError(
@@ -190,9 +178,7 @@ def unitary_with_overlap(
         )
     t = math.atan2(abs(r2), abs(r1)) + math.acos(magnitude / reach)
     psi = cmath.phase(r1) - cmath.phase(r2)
-    plane = np.eye(dim, dtype=np.complex128)
-    plane[gamma_index, gamma_index] = math.cos(t)
-    plane[other, gamma_index] = cmath.exp(1j * psi) * math.sin(t)
-    plane[gamma_index, other] = -cmath.exp(-1j * psi) * math.sin(t)
-    plane[other, other] = math.cos(t)
-    return w @ plane
+    col_gamma, col_other = w[:, 0].copy(), w[:, other].copy()
+    w[:, 0] = math.cos(t) * col_gamma + cmath.exp(1j * psi) * math.sin(t) * col_other
+    w[:, other] = -cmath.exp(-1j * psi) * math.sin(t) * col_gamma + math.cos(t) * col_other
+    return w

@@ -244,14 +244,14 @@ def test_criterion_10_phase_condition_trend(verdict):
     for theta in (0.3, 0.4, 0.6):
         params = AlgorithmParams(theta, 0.0, 0.1)
         ratio_l = theta / 0.2
-        res = sweep_max(present_coeffs(params), 2000, params)
+        res = sweep_max(present_coeffs(params), 2000)
         cap = 1 / ratio_l + 0.05
         capped_ok = capped_ok and res.max_abs_b <= cap
         details.append(f"{res.max_abs_b:.3f}<={cap:.3f}")
     matched_ok = True
     for theta in (0.01, 0.02):
         params = AlgorithmParams(theta, 0.0, 0.1)
-        res = sweep_max(present_coeffs(params), 2000, params)
+        res = sweep_max(present_coeffs(params), 2000)
         matched_ok = matched_ok and res.max_abs_b >= 0.99
     ok = capped_ok and matched_ok
     verdict(10, ok, f"mismatched caps {', '.join(details)}; matched maxima >= 0.99")

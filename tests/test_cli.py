@@ -9,7 +9,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasematch import cli
 from phasematch.cli import (
+    MAX_CASES,
+    MAX_DIM,
     MAX_K,
     MAX_RANGE_POINTS,
     _parse_range,
@@ -18,6 +21,8 @@ from phasematch.cli import (
     run_table2,
     run_verify,
 )
+from phasematch.engine2d import K_EXACT_MAX
+from phasematch.linalg import DegenerateBasisError
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "+inf", "NaN", "-Infinity"])
 
@@ -138,6 +143,36 @@ def test_sweep_bounds_work_before_allocating(runner):
     assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
     for command in ("sweep", "table2"):
         _assert_usage_error(runner.invoke(main, [command, "--kmax", str(MAX_K + 1)]))
+
+
+def test_size_options_are_bounded_before_work(runner):
+    for args in (["construct", "--dim", str(MAX_DIM + 2)],
+                 ["verify", "--cases", str(MAX_CASES + 1)],
+                 ["pyramid", "--max-k", str(K_EXACT_MAX + 1)]):
+        _assert_usage_error(runner.invoke(main, args))
+    assert runner.invoke(main, ["pyramid", "--max-k", str(K_EXACT_MAX)]).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--u", "2"],
+    ["coeffs", "--family", "hoyer", "--a", "2"],
+    ["coeffs", "--family", "grover", "--u", "2"],
+    ["coeffs", "--family", "long", "--u", "2"],
+    ["construct", "--structural-tol", "1e-20"],
+    ["verify", "--structural-tol", "1e-20"],
+], ids=" ".join)
+def test_out_of_range_input_is_a_usage_error(runner, args):
+    _assert_usage_error(runner.invoke(main, args))
+
+
+def test_degenerate_basis_is_not_a_usage_error(runner, monkeypatch):
+    def degenerate(**kwargs):
+        raise DegenerateBasisError("basis is numerically dependent")
+
+    monkeypatch.setattr(cli, "run_verify", degenerate)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, DegenerateBasisError)
 
 
 def test_coeffs_families(runner):

@@ -76,9 +76,17 @@ def test_hoyer_rejects_bad_probability():
         HoyerParams(1.2, 0.0, 0.0)
 
 
+def _takes_u():
+    """Every constructor that takes the element u, as a function of u alone."""
+    return (lambda u: AlgorithmParams(0.0, 0.0, u), grover_coeffs,
+            lambda u: long_coeffs(0.3, 0.1, u))
+
+
 def test_params_reject_large_u():
-    with pytest.raises(ValueError):
-        AlgorithmParams(0.0, 0.0, 1.5)
+    for make in _takes_u():
+        make(1.0)
+        with pytest.raises(ValueError):
+            make(1.5)
 
 
 @given(st.integers(0, 3), st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -88,6 +96,10 @@ def test_params_reject_non_finite(slot, bad):
     theta, phi, u_re, u_im = values
     with pytest.raises(ValueError):
         AlgorithmParams(theta, phi, complex(u_re, u_im))
+    if slot >= 2:
+        for make in _takes_u():
+            with pytest.raises(ValueError):
+                make(complex(u_re, u_im))
 
 
 def test_beta_vanishes_at_half_pi_phi():
@@ -290,12 +302,10 @@ def test_matched_phases_magnitude_is_linear_in_k():
 
 def test_sweep_max_small_angle():
     params = AlgorithmParams(0.01, 0.0, 0.1)
-    res = sweep_max(present_coeffs(params), 100, params)
+    res = sweep_max(present_coeffs(params), 100)
     assert res.k_star == 86
     assert res.max_abs_b == pytest.approx(1.003405056579, abs=1e-9)
     assert abs(res.trajectory.b[7]) == pytest.approx(0.989901089357, abs=1e-9)
-    assert res.threshold == pytest.approx(0.2, abs=1e-15)
-    assert res.ratio_l == pytest.approx(0.05, abs=1e-12)
 
 
 def test_sweep_max_grover_short():
@@ -303,14 +313,12 @@ def test_sweep_max_grover_short():
     assert res.k_star == 8
     assert res.max_abs_b == pytest.approx(1.004527053996, abs=1e-9)
     assert abs(res.trajectory.b[7]) == pytest.approx(0.990811915059, abs=1e-9)
-    assert math.isnan(res.ratio_l)
-    assert res.threshold == pytest.approx(0.2, abs=1e-15)
 
 
 def test_sweep_max_ties_resolve_to_smallest_k():
     # phi = pi/2 makes every b_k zero, so the tie is at k = 1
     params = AlgorithmParams(0.3, math.pi / 2, 0.1)
-    res = sweep_max(present_coeffs(params), 20, params)
+    res = sweep_max(present_coeffs(params), 20)
     assert res.k_star == 1
     assert res.max_abs_b == 0.0
 

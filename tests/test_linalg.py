@@ -78,7 +78,7 @@ def test_is_hermitian():
 def test_gram_decompose_orthonormal_basis():
     state = np.array([0.6, 0.8j, 0.0])
     basis = [basis_state(3, 0), basis_state(3, 1)]
-    dec = gram_decompose(state, basis)
+    dec = gram_decompose([state], basis)[0]
     np.testing.assert_allclose(dec.coefficients, [0.6, 0.8j], atol=1e-14)
     assert dec.residual < 1e-14
 
@@ -88,18 +88,26 @@ def test_gram_decompose_non_orthogonal_basis():
     v0 = basis_state(2, 0)
     v1 = (basis_state(2, 0) + basis_state(2, 1)) / np.sqrt(2)
     state = 2 * v0 + 3 * v1
-    dec = gram_decompose(state, [v0, v1])
+    dec = gram_decompose([state], [v0, v1])[0]
     np.testing.assert_allclose(dec.coefficients, [2.0, 3.0], atol=1e-12)
     assert dec.residual < 1e-12
 
 
 def test_gram_decompose_reports_out_of_span_residual():
     basis = [basis_state(3, 0)]
-    dec = gram_decompose(basis_state(3, 2), basis)
+    dec = gram_decompose([basis_state(3, 2)], basis)[0]
     assert dec.residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_decompose_degenerate_basis_raises():
     v = basis_state(4, 1)
+    basis = [v, v + 1e-9 * basis_state(4, 2)]
     with pytest.raises(DegenerateBasisError):
-        gram_decompose(basis_state(4, 0), [v, v + 1e-9 * basis_state(4, 2)])
+        gram_decompose([basis_state(4, 0)], basis)
+
+    def unread_states():
+        raise AssertionError("a state was read before the basis was checked")
+        yield
+
+    with pytest.raises(DegenerateBasisError):
+        gram_decompose(unread_states(), basis)

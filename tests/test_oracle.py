@@ -134,17 +134,47 @@ def test_invariant_basis_modes():
     assert len(basis) == 4
     np.testing.assert_array_equal(basis[0], basis_state(4, 0))
     # residual of the start state over its own basis is zero
-    assert gram_decompose(basis[0], basis).residual < 1e-12
+    assert gram_decompose([basis[0]], basis)[0].residual < 1e-12
+
+
+def _per_state_decomposition(state, basis):
+    """The normal equations of one state, with a Gram matrix of its own."""
+    gram = np.array([[vi.conj() @ vj for vj in basis] for vi in basis])
+    coeffs = np.linalg.solve(gram, np.array([vi.conj() @ state for vi in basis]))
+    synth = np.zeros_like(state)
+    for c, v in zip(coeffs, basis):
+        synth += c * v
+    return coeffs, float(np.linalg.norm(state - synth))
+
+
+@pytest.mark.parametrize("mode", ["2d", "4d"])
+def test_evolve_equals_per_state_solves(mode):
+    if mode == "2d":
+        cfg = OracleConfig(dim=16, theta=0.9, phi=-0.4, u_matrix=random_unitary(16, 8))
+    else:
+        pair = companion(random_commuting_unitary(16, 12))
+        cfg = OracleConfig(dim=16, theta=0.35, phi=-1.2, u_matrix=pair.u, v_matrix=pair.v)
+    q = build_q(cfg)
+    run = evolve(q, cfg, 30)
+    basis = invariant_basis(cfg)
+    assert len(run.states) == len(run.decompositions) == 31
+    np.testing.assert_array_equal(run.states[0], basis_state(16, 0))
+    for k, (state, dec) in enumerate(zip(run.states, run.decompositions)):
+        if k:
+            np.testing.assert_array_equal(state, q @ run.states[k - 1])
+        coeffs, residual = _per_state_decomposition(state, basis)
+        np.testing.assert_array_equal(dec.coefficients, coeffs)
+        assert dec.residual == residual
 
 
 def test_config_validation():
     w = walsh_hadamard(2)
+    cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w)
+    assert (cfg.gamma_index, cfg.tau_index) == (0, 3)
     with pytest.raises(ValueError):
-        OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w, gamma_index=3, tau_index=3)
+        OracleConfig(dim=1, theta=0.0, phi=0.0, u_matrix=np.eye(1))
     with pytest.raises(ValueError):
         OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w, tau_index=9)
 
 
 def test_target_amplitude_range_check():
@@ -161,17 +191,27 @@ def test_unitary_with_overlap_hits_requested_magnitude():
         assert abs(w[dim - 1, 0]) == pytest.approx(mag, abs=1e-13)
 
 
+def test_unitary_with_overlap_rotates_only_gamma_and_its_partner():
+    for dim, mag in ((10, 0.3), (100, 0.1), (7, 1 / math.sqrt(7))):
+        w = unitary_with_overlap(dim, seed=6, magnitude=mag)
+        base = random_unitary(dim, 6)
+        partner = 1 + int(np.argmax(np.abs(base[dim - 1, 1:])))
+        kept = [c for c in range(dim) if c not in (0, partner)]
+        np.testing.assert_array_equal(w[:, kept], base[:, kept])
+        assert np.all(w[:, [0, partner]] != base[:, [0, partner]])
+
+
 def test_unitary_with_overlap_validation():
     with pytest.raises(ValueError):
         unitary_with_overlap(8, seed=0, magnitude=1.5)
     with pytest.raises(ValueError):
-        unitary_with_overlap(8, seed=0, magnitude=0.1, gamma_index=2, tau_index=2)
+        unitary_with_overlap(1, seed=0, magnitude=0.1)
 
 
 def test_table_scale_instance_through_the_oracle():
     """N = 100 with |u| forced to 1/sqrt(N) reproduces the printed |b_6|."""
     w = unitary_with_overlap(100, seed=17, magnitude=0.1)
-    cfg = OracleConfig(dim=100, theta=0.0, phi=0.0, u_matrix=w, tau_index=99)
+    cfg = OracleConfig(dim=100, theta=0.0, phi=0.0, u_matrix=w)
     run = evolve(build_q(cfg), cfg, 6)
     b6 = run.decompositions[6].coefficients[1]
     assert abs(b6) == pytest.approx(0.9375, abs=5e-4)
