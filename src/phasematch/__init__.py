@@ -24,26 +24,18 @@ from .linalg import (
     random_unitary,
     unitary_dev,
 )
-from .rotations import (
-    RotationFamily,
-    SelectiveRotation,
-    phase_scale,
-    snapped_cos,
-    verify_family_identities,
-)
+from .rotations import phase_scale, snapped_cos
 from .engine2d import (
     K_EXACT_MAX,
     AlgorithmParams,
     AmplitudeTrajectory,
     ClosedFormRangeError,
-    CoefficientTable,
     HoyerParams,
     PhaseCondition,
     SweepResult,
     TwoDimCoefficients,
     approx_b,
     closed_form_magnitude,
-    coefficient_table,
     exact_a,
     exact_b,
     grover_coeffs,

@@ -186,7 +186,7 @@ def run_coeffs(family, theta=0.0, phi=0.0, u=0.1, a=0.01, varphi=0.0):
         coeffs = hoyer_coeffs(HoyerParams(a, phi, varphi))
     else:
         raise ValueError(f"unknown coefficient family {family!r}")
-    row = {"family": family, "provenance": coeffs.provenance}
+    row = {"family": family, "provenance": family}
     for name in ("alpha", "beta", "lam", "delta"):
         value = getattr(coeffs, name)
         row[f"{name}_re"] = value.real

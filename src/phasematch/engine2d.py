@@ -1,6 +1,6 @@
 """Two-dimensional invariant-subspace engine for Q = -I_gamma U^-1 I_tau U.
 
-With both selective rotations drawn from the ``UNITARY`` family (angles theta
+With both selective rotations of :mod:`phasematch.rotations` (angles theta
 on the initial state, phi on the marked state), Q preserves the span of
 ``|gamma>`` and ``U^-1|tau>``. Over that generally non-orthogonal basis a
 single application acts linearly:
@@ -30,8 +30,6 @@ from .rotations import phase_scale, snapped_cos
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
 
-_PROVENANCES = ("present", "grover", "long", "hoyer", "custom")
-
 
 class ClosedFormRangeError(ValueError):
     """Closed-form evaluation refused because the polynomial is ill-conditioned."""
@@ -47,6 +45,13 @@ def _bounded(name: str, z, slack: float = 1e-12) -> complex:
     return z
 
 
+def _finite_angles(**angles: float) -> None:
+    """Raise ``ValueError`` naming every angle unless all of them are finite."""
+    if not all(math.isfinite(value) for value in angles.values()):
+        listed = ", ".join(f"{name}={value}" for name, value in angles.items())
+        raise ValueError(f"non-finite angles {listed}")
+
+
 @dataclass(frozen=True)
 class AlgorithmParams:
     """One search instance: rotation angles (radians) and the element u = <tau|U|gamma>."""
@@ -56,8 +61,7 @@ class AlgorithmParams:
     u: complex
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"non-finite angles theta={self.theta}, phi={self.phi}")
+        _finite_angles(theta=self.theta, phi=self.phi)
         object.__setattr__(self, "u", _bounded("u", self.u))
 
 
@@ -69,11 +73,6 @@ class TwoDimCoefficients:
     beta: complex
     lam: complex
     delta: complex
-    provenance: str = "custom"
-
-    def __post_init__(self):
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,7 @@ class HoyerParams:
     def __post_init__(self):
         if not 0 <= self.a <= 1:
             raise ValueError(f"a = {self.a} outside [0, 1]")
+        _finite_angles(phi=self.phi, varphi=self.varphi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +95,6 @@ class AmplitudeTrajectory:
 
     a: np.ndarray
     b: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return len(self.a) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +107,6 @@ class SweepResult:
 
     k_star: int
     max_abs_b: float
-    trajectory: AmplitudeTrajectory
 
 
 class PhaseCondition(NamedTuple):
@@ -138,7 +133,6 @@ def present_coeffs(params: AlgorithmParams) -> TwoDimCoefficients:
         beta=gp * u,
         lam=gt * (1 - gp) * u.conjugate(),
         delta=gp - 1,
-        provenance="present",
     )
 
 
@@ -150,12 +144,17 @@ def grover_coeffs(u: complex) -> TwoDimCoefficients:
         beta=2 * u,
         lam=-2 * u.conjugate(),
         delta=1.0,
-        provenance="grover",
     )
 
 
 def long_coeffs(theta: float, phi: float, u: complex) -> TwoDimCoefficients:
-    """Coefficients when both rotations come from the ``LONG`` family."""
+    """Coefficients when both rotations are Long's, multiplying by ``e^(i*angle)``.
+
+    Long's rotation at angle t is the package's rotation at (t - pi) / 2, so
+    these equal :func:`present_coeffs` at ((theta - pi) / 2, (phi - pi) / 2)
+    up to rounding.
+    """
+    _finite_angles(theta=theta, phi=phi)
     u = _bounded("u", u)
     et = cmath.exp(1j * theta)
     ep = cmath.exp(1j * phi)
@@ -164,7 +163,6 @@ def long_coeffs(theta: float, phi: float, u: complex) -> TwoDimCoefficients:
         beta=(1 - ep) * u,
         lam=(1 - et) * ep * u.conjugate(),
         delta=-ep,
-        provenance="long",
     )
 
 
@@ -178,7 +176,6 @@ def hoyer_coeffs(h: HoyerParams) -> TwoDimCoefficients:
         beta=(1 - ep) * root * ev,
         lam=(1 - ep) * root,
         delta=((1 - ep) * h.a - 1) * ev,
-        provenance="hoyer",
     )
 
 
@@ -240,28 +237,6 @@ def _d_kj(alpha: complex, delta: complex, k: int, j: int) -> complex:
     return sum(
         t_coeff(k, i, j) * alpha ** (top - i) * delta**i for i in range(top + 1)
     )
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The polynomial coefficients of a_k and b_k in powers of (beta*lambda).
-
-    ``c[j]`` (j = 0..(k-1)//2) multiplies (beta*lambda)^j inside b_k / beta;
-    ``d[j-1]`` (j = 1..k//2) multiplies (beta*lambda)^j inside a_k, whose
-    j = 0 term is alpha^k.
-    """
-
-    k: int
-    c: tuple[complex, ...]
-    d: tuple[complex, ...]
-
-
-def coefficient_table(c2: TwoDimCoefficients, k: int) -> CoefficientTable:
-    """Evaluate every c_kj and d_kj for the given coefficients at step k <= K_EXACT_MAX."""
-    _check_closed_form_k(k)
-    cs = tuple(_c_kj(c2.alpha, c2.delta, k, j) for j in range((k - 1) // 2 + 1))
-    ds = tuple(_d_kj(c2.alpha, c2.delta, k, j) for j in range(1, k // 2 + 1))
-    return CoefficientTable(k, cs, ds)
 
 
 def exact_b(c: TwoDimCoefficients, k: int) -> complex:
@@ -331,24 +306,22 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    trajectory = iterate2(c, k_max)
-    magnitudes = np.abs(trajectory.b[1:])
+    magnitudes = np.abs(iterate2(c, k_max).b[1:])
     k_star = int(np.argmax(magnitudes)) + 1
-    return SweepResult(
-        k_star=k_star,
-        max_abs_b=float(magnitudes[k_star - 1]),
-        trajectory=trajectory,
-    )
+    return SweepResult(k_star=k_star, max_abs_b=float(magnitudes[k_star - 1]))
 
 
 def phase_condition(params: AlgorithmParams) -> PhaseCondition:
     """The first-order success condition |theta - phi| < 2 |cos(phi)| |u|.
 
-    Returns the threshold, the ratio l = |theta - phi| / threshold (infinite
-    when the threshold vanishes, e.g. at phi = pi/2), and whether l < 1.
-    When l > 1 the first-order analysis caps the sweep maximum near 1/l.
+    The operator depends on each angle only modulo pi, so the gap
+    theta - phi is taken modulo pi, in [-pi/2, pi/2], as in
+    :func:`closed_form_magnitude`. Returns the threshold, the ratio
+    l = |gap| / threshold (infinite when the threshold vanishes, e.g. at
+    phi = pi/2), and whether l < 1. When l > 1 the first-order analysis caps
+    the sweep maximum near 1/l.
     """
     threshold = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
-    gap = abs(params.theta - params.phi)
+    gap = abs(math.remainder(params.theta - params.phi, math.pi))
     ratio_l = gap / threshold if threshold > 0 else math.inf
     return PhaseCondition(threshold, ratio_l, ratio_l < 1)

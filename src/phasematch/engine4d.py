@@ -13,12 +13,11 @@ not checkable from the scalars; the full-space oracle validates it.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import AlgorithmParams, _bounded, approx_b
+from .engine2d import AlgorithmParams, _bounded, _finite_angles, approx_b
 from .rotations import phase_scale
 
 
@@ -34,8 +33,7 @@ class FourDimInputs:
     uv_tt: complex = 0j
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"non-finite angles theta={self.theta}, phi={self.phi}")
+        _finite_angles(theta=self.theta, phi=self.phi)
         for name in ("u", "v", "vu_gg", "uv_tt"):
             object.__setattr__(self, name, _bounded(name, getattr(self, name), 1e-9))
 
@@ -79,10 +77,6 @@ class FourAmplitudes:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return len(self.a) - 1
 
 
 def four_dim_coeffs(inp: FourDimInputs) -> FourDimCoefficients:

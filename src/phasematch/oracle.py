@@ -25,7 +25,7 @@ from .linalg import (
     is_unitary,
     random_unitary,
 )
-from .rotations import RotationFamily, SelectiveRotation, build
+from .rotations import build
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +89,8 @@ class OracleRun:
 
 def build_q(cfg: OracleConfig) -> np.ndarray:
     """Assemble Q = -(I_gamma V I_tau U) as a dense matrix."""
-    i_gamma = build(
-        SelectiveRotation(cfg.gamma_index, cfg.theta, RotationFamily.UNITARY), cfg.dim
-    )
-    i_tau = build(
-        SelectiveRotation(cfg.tau_index, cfg.phi, RotationFamily.UNITARY), cfg.dim
-    )
+    i_gamma = build(cfg.gamma_index, cfg.theta, cfg.dim)
+    i_tau = build(cfg.tau_index, cfg.phi, cfg.dim)
     v = cfg.v_matrix if cfg.v_matrix is not None else adjoint(cfg.u_matrix)
     return -(i_gamma @ v @ i_tau @ cfg.u_matrix)
 

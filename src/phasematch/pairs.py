@@ -27,6 +27,7 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     random_unitary,
+    unitary_dev,
 )
 
 
@@ -121,7 +122,6 @@ class CommutingUnitaryPair:
 
     v: np.ndarray
     u: np.ndarray
-    dim: int
 
     @property
     def product(self) -> np.ndarray:
@@ -132,15 +132,17 @@ def companion(v, tol: float = STRUCTURAL_TOL) -> CommutingUnitaryPair:
     """Pair a block-symmetric unitary with U = adjoint(V) P."""
     v = np.asarray(v, dtype=np.complex128)
     if not is_unitary(v, tol):
-        raise ValueError("companion construction requires a unitary matrix")
+        raise ValueError(
+            "companion construction requires a unitary matrix: "
+            f"max|V V+ - I| = {unitary_dev(v):.3g} exceeds the tolerance {tol:g}"
+        )
     if not is_block_symmetric(v, tol):
         raise ValueError(
             "companion construction requires V = PVP "
-            "(2x2 blocks of the form [[a, b], [b, a]]); without it UV != P"
+            "(2x2 blocks of the form [[a, b], [b, a]]); without it UV != P: "
+            f"max|V - PVP| = {block_symmetry_dev(v):.3g} exceeds the tolerance {tol:g}"
         )
-    n = v.shape[0]
-    u = adjoint(v) @ pair_swap(n)
-    return CommutingUnitaryPair(v=v, u=u, dim=n)
+    return CommutingUnitaryPair(v=v, u=adjoint(v) @ pair_swap(v.shape[0]))
 
 
 class LemmaFlags(NamedTuple):
@@ -156,5 +158,8 @@ def hermitian_iff_involution(w, tol: float = STRUCTURAL_TOL) -> LemmaFlags:
     """
     w = np.asarray(w, dtype=np.complex128)
     if not is_unitary(w, tol):
-        raise ValueError("the lemma's premise requires a unitary matrix")
+        raise ValueError(
+            "the lemma's premise requires a unitary matrix: "
+            f"max|W W+ - I| = {unitary_dev(w):.3g} exceeds the tolerance {tol:g}"
+        )
     return LemmaFlags(hermitian=is_hermitian(w, tol), involution=involution_dev(w) <= tol)

@@ -1,22 +1,17 @@
 """Selective phase rotations: identity everywhere except one basis amplitude.
 
-Two one-parameter families are used throughout the package, plus the plain
-amplitude inversion they both contain as a special case:
-
-* ``LONG``: multiplies the target amplitude by ``e^(i*angle)``; the matrix is
-  ``I - (1 - e^(i*angle)) |x><x|``.
-* ``UNITARY``: matrix ``I - 2 cos(angle) e^(i*angle) |x><x|``; the target
-  entry is ``-e^(2i*angle)``, so this family also has unit modulus for every
-  angle. At angle 0 it reduces to the inversion.
-* ``INVERSION``: the ``LONG`` family at angle pi (target amplitude flipped).
+The search operator uses one family, ``I - 2 cos(angle) e^(i*angle) |x><x|``.
+Its target entry is ``-e^(2i*angle)``, so it has unit modulus for every
+angle; at angle 0 it is the plain inversion. Long's rotation (Long, PRA 64,
+022307 (2001)) multiplies the target amplitude by ``e^(i*t)``, so the
+rotation at ``angle`` is Long's at ``t = 2*angle + pi``. Long's reduced
+coefficients are :func:`phasematch.engine2d.long_coeffs`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,27 +19,14 @@ import numpy as np
 COS_SNAP = 1e-14
 
 
-class RotationFamily(Enum):
-    LONG = "long"
-    UNITARY = "unitary"
-    INVERSION = "inversion"
-
-
-@dataclass(frozen=True)
-class SelectiveRotation:
-    target_index: int
-    angle: float
-    family: RotationFamily
-
-
 def snapped_cos(angle: float) -> float:
     """``cos(angle)`` with near-zero results flushed to exactly 0.0.
 
     Odd multiples of pi/2 are not representable in floating point, so their
     cosines evaluate to ~6e-17 rather than 0; flushing makes the no-op cases
-    exact (a ``UNITARY`` rotation at pi/2 is exactly the identity, and the
-    amplitude ``beta`` vanishes exactly at phi = pi/2). Inputs more than
-    1e-14 away from those points are untouched.
+    exact (the rotation at pi/2 is exactly the identity, and the amplitude
+    ``beta`` vanishes exactly at phi = pi/2). Inputs more than 1e-14 away
+    from those points are untouched.
     """
     c = math.cos(angle)
     return 0.0 if abs(c) < COS_SNAP else c
@@ -59,49 +41,11 @@ def phase_scale(angle: float) -> complex:
     return 2 * snapped_cos(angle) * cmath.exp(1j * angle)
 
 
-def build(rotation: SelectiveRotation, dim: int) -> np.ndarray:
-    """Dense matrix of a selective rotation.
-
-    The result is the identity except for the ``(x, x)`` entry:
-    ``e^(i*angle)`` for ``LONG``, ``1 - 2 cos(angle) e^(i*angle)`` for
-    ``UNITARY``, and ``-1`` for ``INVERSION``.
-    """
-    x = rotation.target_index
-    if not 0 <= x < dim:
-        raise ValueError(f"target index {x} out of range for dimension {dim}")
+def build(index: int, angle: float, dim: int) -> np.ndarray:
+    """Dense matrix of the rotation: the identity with ``(index, index)``
+    entry ``1 - 2 cos(angle) e^(i*angle)``."""
+    if not 0 <= index < dim:
+        raise ValueError(f"target index {index} out of range for dimension {dim}")
     m = np.eye(dim, dtype=np.complex128)
-    if rotation.family is RotationFamily.LONG:
-        m[x, x] = cmath.exp(1j * rotation.angle)
-    elif rotation.family is RotationFamily.UNITARY:
-        m[x, x] = 1 - phase_scale(rotation.angle)
-    else:
-        m[x, x] = -1.0
+    m[index, index] = 1 - phase_scale(angle)
     return m
-
-
-def verify_family_identities(theta: float, dim: int, x: int, tol: float = 1e-12) -> bool:
-    """Check the algebra tying the two families together.
-
-    Three identities are evaluated entrywise on dense matrices:
-
-    1. composition: ``R_long(pi + t) = R_long(pi) R_long(t)``;
-    2. half-angle form: ``R_long(pi + t) = I - 2 cos(t/2) e^(i*t/2) |x><x|``
-       (the half-angle exponent is the convention under which identity 1
-       holds; with ``e^(i*t)`` in its place the two sides differ at O(1),
-       since ``1 - 2 cos(t/2) e^(i*t/2) = -e^(i*t)`` exactly);
-    3. ``R_unitary(t) = R_long(pi) R_long(t)^2``.
-    """
-    long_pi = build(SelectiveRotation(x, math.pi, RotationFamily.LONG), dim)
-    long_t = build(SelectiveRotation(x, theta, RotationFamily.LONG), dim)
-    long_sum = build(SelectiveRotation(x, math.pi + theta, RotationFamily.LONG), dim)
-    unitary_t = build(SelectiveRotation(x, theta, RotationFamily.UNITARY), dim)
-
-    half_angle = np.eye(dim, dtype=np.complex128)
-    half_angle[x, x] = 1 - 2 * math.cos(theta / 2) * cmath.exp(0.5j * theta)
-
-    deviations = (
-        np.max(np.abs(long_sum - long_pi @ long_t)),
-        np.max(np.abs(long_sum - half_angle)),
-        np.max(np.abs(unitary_t - long_pi @ long_t @ long_t)),
-    )
-    return bool(max(deviations) <= tol)

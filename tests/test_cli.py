@@ -22,7 +22,8 @@ from phasematch.cli import (
     run_verify,
 )
 from phasematch.engine2d import K_EXACT_MAX
-from phasematch.linalg import DegenerateBasisError
+from phasematch.linalg import DegenerateBasisError, unitary_dev
+from phasematch.pairs import random_commuting_unitary
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "+inf", "NaN", "-Infinity"])
 
@@ -163,6 +164,15 @@ def test_size_options_are_bounded_before_work(runner):
 ], ids=" ".join)
 def test_out_of_range_input_is_a_usage_error(runner, args):
     _assert_usage_error(runner.invoke(main, args))
+
+
+def test_tolerance_usage_error_names_deviation_and_tolerance(runner):
+    result = runner.invoke(main, ["construct", "--structural-tol", "1e-20"])
+    _assert_usage_error(result)
+    measured = unitary_dev(random_commuting_unitary(8, 0))
+    assert 0 < measured < 1e-13
+    assert f"{measured:.3g}" in result.stderr
+    assert "1e-20" in result.stderr
 
 
 def test_degenerate_basis_is_not_a_usage_error(runner, monkeypatch):

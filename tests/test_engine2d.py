@@ -16,7 +16,6 @@ from phasematch.engine2d import (
     TwoDimCoefficients,
     approx_b,
     closed_form_magnitude,
-    coefficient_table,
     exact_a,
     exact_b,
     grover_coeffs,
@@ -47,6 +46,17 @@ def test_long_at_pi_reduces_to_grover():
     assert gc.beta == pytest.approx(0.2, abs=1e-12)
     assert gc.lam == pytest.approx(-0.2, abs=1e-12)
     assert gc.delta == 1
+
+
+@given(angles, angles, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+@settings(max_examples=100, deadline=None)
+def test_long_coeffs_are_present_coeffs_at_twice_the_angle_plus_pi(theta, phi, r, arg):
+    """Long's rotation at 2t + pi is the package's rotation at t."""
+    u = cmath.rect(r, arg)
+    lc = long_coeffs(2 * theta + math.pi, 2 * phi + math.pi, u)
+    pc = present_coeffs(AlgorithmParams(theta, phi, u))
+    for name in ("alpha", "beta", "lam", "delta"):
+        assert abs(getattr(lc, name) - getattr(pc, name)) <= 1e-13
 
 
 def test_present_at_zero_angles_matches_grover():
@@ -100,6 +110,19 @@ def test_params_reject_non_finite(slot, bad):
         for make in _takes_u():
             with pytest.raises(ValueError):
                 make(complex(u_re, u_im))
+
+
+@pytest.mark.parametrize("make", [
+    lambda x, y: HoyerParams(0.1, x, y),
+    lambda x, y: long_coeffs(x, y, 0.1),
+], ids=["HoyerParams", "long_coeffs"])
+@given(slot=st.integers(0, 1), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_angles_reject_non_finite(make, slot, bad):
+    angles_ = [0.3, 0.1]
+    make(*angles_)
+    angles_[slot] = bad
+    with pytest.raises(ValueError):
+        make(*angles_)
 
 
 def test_beta_vanishes_at_half_pi_phi():
@@ -238,21 +261,12 @@ def test_closed_form_matches_recurrence():
             assert exact_a(c, k) == pytest.approx(traj.a[k], abs=1e-9)
 
 
-def test_coefficient_table_shape():
-    tab = coefficient_table(grover_coeffs(0.1), 7)
-    assert tab.k == 7
-    assert len(tab.c) == 4  # j = 0..3
-    assert len(tab.d) == 3  # j = 1..3
-
-
 def test_closed_form_range_guard():
     c = grover_coeffs(0.1)
     with pytest.raises(ValueError):
         exact_b(c, 0)
     with pytest.raises(ClosedFormRangeError):
         exact_b(c, K_EXACT_MAX + 1)
-    with pytest.raises(ClosedFormRangeError):
-        coefficient_table(c, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +315,19 @@ def test_matched_phases_magnitude_is_linear_in_k():
 
 
 def test_sweep_max_small_angle():
-    params = AlgorithmParams(0.01, 0.0, 0.1)
-    res = sweep_max(present_coeffs(params), 100)
+    c = present_coeffs(AlgorithmParams(0.01, 0.0, 0.1))
+    res = sweep_max(c, 100)
     assert res.k_star == 86
     assert res.max_abs_b == pytest.approx(1.003405056579, abs=1e-9)
-    assert abs(res.trajectory.b[7]) == pytest.approx(0.989901089357, abs=1e-9)
+    assert abs(iterate2(c, 7).b[7]) == pytest.approx(0.989901089357, abs=1e-9)
 
 
 def test_sweep_max_grover_short():
-    res = sweep_max(grover_coeffs(0.1), 10)
+    c = grover_coeffs(0.1)
+    res = sweep_max(c, 10)
     assert res.k_star == 8
     assert res.max_abs_b == pytest.approx(1.004527053996, abs=1e-9)
-    assert abs(res.trajectory.b[7]) == pytest.approx(0.990811915059, abs=1e-9)
+    assert abs(iterate2(c, 7).b[7]) == pytest.approx(0.990811915059, abs=1e-9)
 
 
 def test_sweep_max_ties_resolve_to_smallest_k():
@@ -331,6 +346,26 @@ def test_phase_condition():
     far = phase_condition(AlgorithmParams(0.5, 0.0, 0.1))
     assert far.ratio_l == pytest.approx(2.5, abs=1e-12)
     assert not far.satisfied
+    # theta = 3.15159, about 0.01 + pi, gives nearly the operator of theta = 0.01
+    wrapped = phase_condition(AlgorithmParams(3.15159, 0.0, 0.1))
+    assert wrapped.ratio_l == pytest.approx((3.15159 - math.pi) / 0.2, abs=1e-12)
+    assert wrapped.satisfied
+
+
+@given(angles, angles, st.floats(1e-3, 1.0), st.integers(-4, 4))
+@settings(max_examples=100, deadline=None)
+def test_phase_condition_has_period_pi_in_theta(theta, phi, u, n):
+    base = phase_condition(AlgorithmParams(theta, phi, u))
+    shifted = phase_condition(AlgorithmParams(theta + n * math.pi, phi, u))
+    assert shifted.threshold == base.threshold
+    if base.threshold > 0:
+        gap, shifted_gap = base.ratio_l * base.threshold, shifted.ratio_l * shifted.threshold
+        assert shifted_gap == pytest.approx(gap, abs=1e-12)
+        assert gap <= math.pi / 2 + 1e-12
+        if abs(base.ratio_l - 1) > 1e-9:
+            assert shifted.satisfied == base.satisfied
+    else:
+        assert math.isinf(shifted.ratio_l) and not shifted.satisfied
 
 
 def test_phase_condition_degenerate_threshold():

@@ -15,6 +15,7 @@ and only in a commit that changes no file under ``src/``: a commit that
 changes the program and its goldens together shows nothing.
 """
 
+import itertools
 import json
 import pathlib
 
@@ -58,13 +59,31 @@ def _run(args):
     return result.exit_code, result.stdout_bytes
 
 
+def _first_difference(expected: bytes, actual: bytes) -> str:
+    """The first line, numbered from 1, where ``actual`` departs from ``expected``."""
+    lines = itertools.zip_longest(
+        expected.splitlines(keepends=True), actual.splitlines(keepends=True))
+    for number, (want, got) in enumerate(lines, 1):
+        if want != got:
+            return f"line {number}: expected {want!r}, got {got!r}"
+    return "no line differs"
+
+
+def test_first_difference_names_the_line():
+    assert _first_difference(b"a\nb\nc\n", b"a\nx\nc\n") == "line 2: expected b'b\\n', got b'x\\n'"
+    assert _first_difference(b"a\n", b"a\nb\n") == "line 2: expected None, got b'b\\n'"
+    assert _first_difference(b"a\n", b"a") == "line 1: expected b'a\\n', got b'a'"
+
+
 @pytest.mark.parametrize("name,args", GOLDENS, ids=[name for name, _ in GOLDENS])
 def test_golden(name, args):
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     exit_code, output = _run(args)
     builds = f"goldens made with {manifest['build']}, running {_build()}"
     assert exit_code == manifest["exit_codes"][name], f"{name}: exit code {exit_code}; {builds}"
-    assert output == (GOLDEN_DIR / name).read_bytes(), f"{name}: output differs; {builds}"
+    golden = (GOLDEN_DIR / name).read_bytes()
+    if output != golden:
+        pytest.fail(f"{name}: output differs at {_first_difference(golden, output)}; {builds}")
 
 
 def regenerate():

@@ -18,7 +18,7 @@ from phasematch.oracle import (
     walsh_hadamard,
 )
 from phasematch.pairs import companion, random_commuting_unitary
-from phasematch.rotations import RotationFamily, SelectiveRotation, build
+from phasematch.rotations import build
 
 
 def test_walsh_hadamard_two_qubits():
@@ -86,7 +86,7 @@ def test_half_pi_target_phase_reduces_q_to_start_rotation():
     """At phi = pi/2 the target rotation is the identity, so Q = -I_gamma."""
     cfg = OracleConfig(dim=8, theta=1.1, phi=math.pi / 2, u_matrix=random_unitary(8, 4))
     q = build_q(cfg)
-    i_gamma = build(SelectiveRotation(0, 1.1, RotationFamily.UNITARY), 8)
+    i_gamma = build(0, 1.1, 8)
     np.testing.assert_allclose(q, -i_gamma, atol=1e-12)
 
 

@@ -119,13 +119,14 @@ def test_companion_product_is_pair_swap():
 
 
 def test_companion_rejects_plain_unitary():
-    with pytest.raises(ValueError):
-        companion(random_unitary(4, 2))
+    w = random_unitary(4, 2)
+    with pytest.raises(ValueError, match=rf"V = PVP.* {block_symmetry_dev(w):.3g} .* 1e-10"):
+        companion(w)
 
 
 def test_companion_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        companion(np.ones((4, 4)))
+    with pytest.raises(ValueError, match=r"unitary.* 4 exceeds the tolerance 1e-07"):
+        companion(np.ones((4, 4)), tol=1e-7)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -150,5 +151,5 @@ def test_lemma_flags_positive_cases():
 
 
 def test_lemma_rejects_non_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unitary.* 3 exceeds the tolerance 1e-10"):
         hermitian_iff_involution(np.diag([1.0, 2.0]))

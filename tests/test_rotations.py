@@ -1,4 +1,4 @@
-"""Tests for the selective phase rotation families."""
+"""Tests for the selective phase rotation."""
 
 import cmath
 import math
@@ -8,44 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasematch.rotations import (
-    RotationFamily,
-    SelectiveRotation,
-    build,
-    phase_scale,
-    snapped_cos,
-    verify_family_identities,
-)
+from phasematch.rotations import build, phase_scale, snapped_cos
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi,
                    allow_nan=False, allow_infinity=False)
 
 
-def test_long_family_entry():
-    m = build(SelectiveRotation(1, 0.7, RotationFamily.LONG), 3)
-    assert m[1, 1] == pytest.approx(cmath.exp(0.7j), abs=1e-15)
-    off = m - np.diag(np.diag(m))
-    assert np.max(np.abs(off)) == 0.0
-    assert m[0, 0] == 1.0 and m[2, 2] == 1.0
-
-
 def test_unitary_family_entry_is_minus_double_phase():
     # 1 - 2 cos(t) e^(it) = -e^(2it)
     for t in (0.0, 0.3, 1.1, -2.5, math.pi):
-        m = build(SelectiveRotation(0, t, RotationFamily.UNITARY), 2)
+        m = build(0, t, 2)
         assert m[0, 0] == pytest.approx(-cmath.exp(2j * t), abs=1e-14)
-
-
-def test_inversion_family():
-    m = build(SelectiveRotation(2, 0.0, RotationFamily.INVERSION), 4)
-    assert m[2, 2] == -1.0
-    long_pi = build(SelectiveRotation(2, math.pi, RotationFamily.LONG), 4)
-    np.testing.assert_allclose(m, long_pi, atol=1e-15)
 
 
 def test_unitary_at_half_pi_is_exact_identity():
     """cos(pi/2) is snapped to zero, so the rotation degenerates exactly."""
-    m = build(SelectiveRotation(0, math.pi / 2, RotationFamily.UNITARY), 3)
+    m = build(0, math.pi / 2, 3)
     np.testing.assert_array_equal(m, np.eye(3))
 
 
@@ -64,22 +42,10 @@ def test_phase_scale_zero():
 @given(angles)
 @settings(max_examples=60, deadline=None)
 def test_families_are_unitary(theta):
-    for family in RotationFamily:
-        m = build(SelectiveRotation(1, theta, family), 4)
-        np.testing.assert_allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
-
-
-@given(angles)
-@settings(max_examples=60, deadline=None)
-def test_family_identities_hold(theta):
-    assert verify_family_identities(theta, dim=5, x=2)
-
-
-def test_family_identities_grid():
-    for theta in np.linspace(-math.pi, math.pi, 21):
-        assert verify_family_identities(float(theta), dim=3, x=0)
+    m = build(1, theta, 4)
+    np.testing.assert_allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_build_rejects_bad_index():
     with pytest.raises(ValueError):
-        build(SelectiveRotation(4, 0.1, RotationFamily.LONG), 4)
+        build(4, 0.1, 4)
