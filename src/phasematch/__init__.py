@@ -19,7 +19,6 @@ from .linalg import (
     gram_decompose,
     hermitian_dev,
     involution_dev,
-    is_hermitian,
     is_unitary,
     random_unitary,
     unitary_dev,
@@ -61,11 +60,9 @@ from .pairs import (
     LemmaFlags,
     block_symmetry_dev,
     companion,
-    from_eigenblocks,
     hermitian_iff_involution,
     is_block_symmetric,
     pair_swap,
-    pairing_basis,
     random_commuting_unitary,
 )
 from .oracle import (

@@ -403,12 +403,15 @@ COMPLEX = ComplexParam()
 
 
 def _emit(report, fmt, out):
+    """Write the report, then exit with code 1 if it carries a failing verdict."""
     text = render(report, fmt)
     if out is None:
         click.echo(text, nl=False)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    if report.passed is False:
+        sys.exit(1)
 
 
 def _output_options(func):
@@ -512,11 +515,8 @@ def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
 @_output_options
 def verify_cmd(scope, seed, cases, structural_tol, equiv_tol, fmt, out):
     """Compare the reduced recurrences against dense simulation."""
-    report = run_verify(scope=scope, seed=seed, n_cases=cases,
-                        structural_tol=structural_tol, equivalence_tol=equiv_tol)
-    _emit(report, fmt, out)
-    if not report.passed:
-        sys.exit(1)
+    _emit(run_verify(scope=scope, seed=seed, n_cases=cases,
+                     structural_tol=structural_tol, equivalence_tol=equiv_tol), fmt, out)
 
 
 @main.command("construct")
@@ -530,10 +530,7 @@ def construct_cmd(dim, seed, structural_tol, fmt, out):
     """Emit a commuting unitary pair whose product is the pair swap."""
     if dim % 2:
         raise click.BadParameter("--dim must be even")
-    report = run_construct(dim, seed=seed, structural_tol=structural_tol)
-    _emit(report, fmt, out)
-    if not report.passed:
-        sys.exit(1)
+    _emit(run_construct(dim, seed=seed, structural_tol=structural_tol), fmt, out)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rotations import phase_scale, snapped_cos
+from .rotations import _finite_angles, phase_scale, snapped_cos
 
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
@@ -43,13 +43,6 @@ def _bounded(name: str, z, slack: float = 1e-12) -> complex:
     if abs(z) > 1 + slack:
         raise ValueError(f"|{name}| = {abs(z)} exceeds 1")
     return z
-
-
-def _finite_angles(**angles: float) -> None:
-    """Raise ``ValueError`` naming every angle unless all of them are finite."""
-    if not all(math.isfinite(value) for value in angles.values()):
-        listed = ", ".join(f"{name}={value}" for name, value in angles.items())
-        raise ValueError(f"non-finite angles {listed}")
 
 
 @dataclass(frozen=True)
@@ -225,17 +218,11 @@ def _check_closed_form_k(k: int) -> None:
         )
 
 
-def _c_kj(alpha: complex, delta: complex, k: int, j: int) -> complex:
-    top = k - 1 - 2 * j
+def _pyramid_sum(coeff, top: int, alpha: complex, delta: complex, k: int, j: int) -> complex:
+    """sum_{i=0}^{top} coeff(k, i, j) alpha^(top-i) delta^i: c_kj with
+    ``l_coeff`` and top = k-1-2j, d_kj with ``t_coeff`` and top = k-2j."""
     return sum(
-        l_coeff(k, i, j) * alpha ** (top - i) * delta**i for i in range(top + 1)
-    )
-
-
-def _d_kj(alpha: complex, delta: complex, k: int, j: int) -> complex:
-    top = k - 2 * j
-    return sum(
-        t_coeff(k, i, j) * alpha ** (top - i) * delta**i for i in range(top + 1)
+        coeff(k, i, j) * alpha ** (top - i) * delta**i for i in range(top + 1)
     )
 
 
@@ -249,7 +236,7 @@ def exact_b(c: TwoDimCoefficients, k: int) -> complex:
     bl = c.beta * c.lam
     total = 0j
     for j in range((k - 1) // 2 + 1):
-        total += _c_kj(c.alpha, c.delta, k, j) * bl**j
+        total += _pyramid_sum(l_coeff, k - 1 - 2 * j, c.alpha, c.delta, k, j) * bl**j
     return c.beta * total
 
 
@@ -259,7 +246,7 @@ def exact_a(c: TwoDimCoefficients, k: int) -> complex:
     bl = c.beta * c.lam
     total = c.alpha**k + 0j
     for j in range(1, k // 2 + 1):
-        total += _d_kj(c.alpha, c.delta, k, j) * bl**j
+        total += _pyramid_sum(t_coeff, k - 2 * j, c.alpha, c.delta, k, j) * bl**j
     return total
 
 
@@ -283,20 +270,26 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     return beta * total
 
 
+def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:
+    """The first-order threshold 2 |cos(phi)| |u|, and the gap theta - phi
+    reduced modulo pi to [-pi/2, pi/2]: the operator depends on each angle
+    only modulo pi, and near a nonzero multiple of pi an unreduced gap puts
+    a rounding error of O(eps / |sin(gap)|) into sin(k gap) / sin(gap)."""
+    threshold = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
+    return threshold, math.remainder(params.theta - params.phi, math.pi)
+
+
 def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     """|approx_b| in closed form.
 
     ``2 k |cos(phi)| |u|`` in the degenerate direction theta = phi (detected
-    by |sin(theta - phi)| < 1e-12, substituting the limit explicitly), else
-    ``2 |cos(phi)| |u| |sin(k (theta - phi)) / sin(theta - phi)|``. The
-    modulus has period pi in theta - phi, so the gap is first reduced to
-    [-pi/2, pi/2]: near a nonzero multiple of pi, the rounding of
-    k (theta - phi) would otherwise reach the ratio at O(eps / |sin(gap)|).
+    by |sin(gap)| < 1e-12, substituting the limit explicitly), else
+    ``2 |cos(phi)| |u| |sin(k gap) / sin(gap)|``, with the gap theta - phi
+    reduced modulo pi by :func:`_threshold_and_gap`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    gap = math.remainder(params.theta - params.phi, math.pi)
-    scale = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
+    scale, gap = _threshold_and_gap(params)
     if abs(math.sin(gap)) < 1e-12:
         return k * scale
     return scale * abs(math.sin(k * gap) / math.sin(gap))
@@ -314,14 +307,12 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
 def phase_condition(params: AlgorithmParams) -> PhaseCondition:
     """The first-order success condition |theta - phi| < 2 |cos(phi)| |u|.
 
-    The operator depends on each angle only modulo pi, so the gap
-    theta - phi is taken modulo pi, in [-pi/2, pi/2], as in
-    :func:`closed_form_magnitude`. Returns the threshold, the ratio
+    The gap theta - phi is reduced modulo pi by :func:`_threshold_and_gap`,
+    as in :func:`closed_form_magnitude`. Returns the threshold, the ratio
     l = |gap| / threshold (infinite when the threshold vanishes, e.g. at
     phi = pi/2), and whether l < 1. When l > 1 the first-order analysis caps
     the sweep maximum near 1/l.
     """
-    threshold = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
-    gap = abs(math.remainder(params.theta - params.phi, math.pi))
-    ratio_l = gap / threshold if threshold > 0 else math.inf
+    threshold, gap = _threshold_and_gap(params)
+    ratio_l = abs(gap) / threshold if threshold > 0 else math.inf
     return PhaseCondition(threshold, ratio_l, ratio_l < 1)

@@ -17,7 +17,8 @@ STRUCTURAL_TOL = 1e-10
 #: Default tolerance for cross-validation of independent computation paths.
 EQUIVALENCE_TOL = 1e-9
 
-_GRAM_DET_FLOOR = 1e-12
+#: A Gram matrix with cond(G) * eps above EQUIVALENCE_TOL is degenerate.
+_GRAM_COND_MAX = EQUIVALENCE_TOL / np.finfo(np.float64).eps
 
 
 class DegenerateBasisError(ValueError):
@@ -71,11 +72,6 @@ def unitary_dev(w) -> float:
     return float(np.max(np.abs(w @ w.conj().T - np.eye(w.shape[0]))))
 
 
-def is_hermitian(w, tol: float = STRUCTURAL_TOL) -> bool:
-    """Check ``W = W+`` entrywise within ``tol``."""
-    return hermitian_dev(w) <= tol
-
-
 def hermitian_dev(w) -> float:
     """Largest entry of ``|W - W+|``."""
     w = _as_square(w)
@@ -105,17 +101,20 @@ def gram_decompose(states, basis) -> list[GramDecomposition]:
     """Solve the normal equations to expand each of ``states`` over ``basis``.
 
     The Gram matrix ``G[i, j] = <basis_i | basis_j>`` is built once per call
-    and must be nonsingular: ``|det G| <= 1e-12`` raises
-    :class:`DegenerateBasisError` before any state is read. The basis vectors
-    need not be orthogonal or normalized.
+    and must be well conditioned: cond(G) * eps above ``EQUIVALENCE_TOL``
+    (cond(G) above about 4.5e6), or a NaN cond(G), raises
+    :class:`DegenerateBasisError` before any state is read. cond(G) is
+    scale-free, so the basis vectors need not be orthogonal or normalized.
     """
     vecs = [_as_vector(b) for b in basis]
     duals = [v.conj() for v in vecs]
     gram = np.array([[di @ vj for vj in vecs] for di in duals])
-    det = abs(np.linalg.det(gram))
-    if det <= _GRAM_DET_FLOOR:
+    # The SVD behind cond() does not converge on non-finite input.
+    cond = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
+    if not cond <= _GRAM_COND_MAX:
         raise DegenerateBasisError(
-            f"basis is numerically dependent: |det(Gram)| = {det:.3e}"
+            f"basis is numerically dependent: cond(Gram) = {cond:.3e} "
+            f"exceeds {_GRAM_COND_MAX:.3e}"
         )
     decompositions = []
     for state in states:

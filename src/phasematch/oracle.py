@@ -25,7 +25,7 @@ from .linalg import (
     is_unitary,
     random_unitary,
 )
-from .rotations import build
+from .rotations import _finite_angles, build
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +44,7 @@ class OracleConfig:
     v_matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        _finite_angles(theta=self.theta, phi=self.phi)
         object.__setattr__(self, "u_matrix", np.asarray(self.u_matrix, dtype=np.complex128))
         if self.v_matrix is not None:
             object.__setattr__(self, "v_matrix", np.asarray(self.v_matrix, dtype=np.complex128))

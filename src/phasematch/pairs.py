@@ -23,8 +23,8 @@ from .linalg import (
     STRUCTURAL_TOL,
     _as_square,
     adjoint,
+    hermitian_dev,
     involution_dev,
-    is_hermitian,
     is_unitary,
     random_unitary,
     unitary_dev,
@@ -64,52 +64,28 @@ def block_symmetry_dev(v) -> float:
     ))
 
 
-def pairing_basis(dim: int) -> np.ndarray:
-    """Orthonormal eigenbasis of the pair swap, as columns.
-
-    The first dim/2 columns are (e_{2i} + e_{2i+1})/sqrt(2) (eigenvalue +1),
-    the rest (e_{2i} - e_{2i+1})/sqrt(2) (eigenvalue -1).
-    """
-    if dim < 2 or dim % 2:
-        raise ValueError(f"pairing basis needs an even dimension >= 2, got {dim}")
-    half = dim // 2
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    r = 1 / math.sqrt(2)
-    for i in range(half):
-        s[2 * i, i] = r
-        s[2 * i + 1, i] = r
-        s[2 * i, half + i] = r
-        s[2 * i + 1, half + i] = -r
-    return s
-
-
-def from_eigenblocks(a, b) -> np.ndarray:
-    """Assemble the matrix acting as ``a`` on the +1 eigenspace of the pair
-    swap and as ``b`` on the -1 eigenspace.
-
-    Since P is an involution, V = PVP is the same as VP = PV, which holds
-    exactly when V is block-diagonal in P's eigenbasis; this constructor
-    therefore spans the whole admissible set.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eigenblocks must be square matrices of equal size")
-    half = a.shape[0]
-    s = pairing_basis(2 * half)
-    block = np.zeros((2 * half, 2 * half), dtype=np.complex128)
-    block[:half, :half] = a
-    block[half:, half:] = b
-    return s @ block @ s.conj().T
-
-
 def random_commuting_unitary(dim: int, seed) -> np.ndarray:
-    """Seeded random unitary commuting with the pair swap (so V = PVP)."""
+    """Seeded random unitary commuting with the pair swap (so V = PVP).
+
+    V = S diag(A, B) S+ for seeded random unitaries A, B of size dim/2, where
+    S holds P's eigenbasis as columns: (e_{2i} + e_{2i+1})/sqrt(2) for
+    eigenvalue +1, then (e_{2i} - e_{2i+1})/sqrt(2) for -1. Since P is an
+    involution, V = PVP is the same as VP = PV, which holds exactly when V is
+    block-diagonal in P's eigenbasis; so this spans the whole admissible set.
+    """
     if dim < 2 or dim % 2:
         raise ValueError(f"need an even dimension >= 2, got {dim}")
     rng = np.random.default_rng(seed)
     half = dim // 2
-    return from_eigenblocks(random_unitary(half, rng), random_unitary(half, rng))
+    i = np.arange(half)
+    r = 1 / math.sqrt(2)
+    s = np.zeros((dim, dim), dtype=np.complex128)
+    s[2 * i, i] = s[2 * i + 1, i] = s[2 * i, half + i] = r
+    s[2 * i + 1, half + i] = -r
+    block = np.zeros((dim, dim), dtype=np.complex128)
+    block[:half, :half] = random_unitary(half, rng)
+    block[half:, half:] = random_unitary(half, rng)
+    return s @ block @ s.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,4 +138,4 @@ def hermitian_iff_involution(w, tol: float = STRUCTURAL_TOL) -> LemmaFlags:
             "the lemma's premise requires a unitary matrix: "
             f"max|W W+ - I| = {unitary_dev(w):.3g} exceeds the tolerance {tol:g}"
         )
-    return LemmaFlags(hermitian=is_hermitian(w, tol), involution=involution_dev(w) <= tol)
+    return LemmaFlags(hermitian=hermitian_dev(w) <= tol, involution=involution_dev(w) <= tol)

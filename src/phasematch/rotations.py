@@ -5,7 +5,8 @@ Its target entry is ``-e^(2i*angle)``, so it has unit modulus for every
 angle; at angle 0 it is the plain inversion. Long's rotation (Long, PRA 64,
 022307 (2001)) multiplies the target amplitude by ``e^(i*t)``, so the
 rotation at ``angle`` is Long's at ``t = 2*angle + pi``. Long's reduced
-coefficients are :func:`phasematch.engine2d.long_coeffs`.
+coefficients are :func:`phasematch.engine2d.long_coeffs`. ``_finite_angles``
+is the one check the engines and the oracle run on every angle they accept.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import numpy as np
 
 #: Cosine magnitudes below this are flushed to exactly zero.
 COS_SNAP = 1e-14
+
+
+def _finite_angles(**angles: float) -> None:
+    """Raise ``ValueError`` naming every angle unless all of them are finite."""
+    if not all(math.isfinite(value) for value in angles.values()):
+        listed = ", ".join(f"{name}={value}" for name, value in angles.items())
+        raise ValueError(f"non-finite angles {listed}")
 
 
 def snapped_cos(angle: float) -> float:

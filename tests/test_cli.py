@@ -24,6 +24,7 @@ from phasematch.cli import (
 from phasematch.engine2d import K_EXACT_MAX
 from phasematch.linalg import DegenerateBasisError, unitary_dev
 from phasematch.pairs import random_commuting_unitary
+from phasematch.reporting import make_report, render
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "+inf", "NaN", "-Infinity"])
 
@@ -183,6 +184,22 @@ def test_degenerate_basis_is_not_a_usage_error(runner, monkeypatch):
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1
     assert isinstance(result.exception, DegenerateBasisError)
+
+
+@pytest.mark.parametrize("command, runner_name", [
+    ("verify", "run_verify"), ("construct", "run_construct"),
+])
+def test_failing_verdict_exits_one_after_writing(runner, monkeypatch, tmp_path,
+                                                 command, runner_name):
+    failing = make_report(command, {}, [{"ok": False}], passed=False)
+    monkeypatch.setattr(cli, runner_name, lambda *args, **kwargs: failing)
+    result = runner.invoke(main, [command])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["pass"] is False
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, [command, "--format", "csv", "--out", str(out)])
+    assert result.exit_code == 1
+    assert out.read_text(encoding="utf-8") == render(failing, "csv")
 
 
 def test_coeffs_families(runner):

@@ -10,7 +10,7 @@ from phasematch.linalg import (
     adjoint,
     basis_state,
     gram_decompose,
-    is_hermitian,
+    hermitian_dev,
     is_unitary,
     random_unitary,
 )
@@ -69,10 +69,13 @@ def test_is_unitary_rejects_scaled_identity():
     assert is_unitary(np.eye(3))
 
 
-def test_is_hermitian():
+def test_hermitian_dev():
     h = np.array([[1.0, 2 - 1j], [2 + 1j, -3.0]])
-    assert is_hermitian(h)
-    assert not is_hermitian(1j * h)
+    assert hermitian_dev(h) == 0
+    # 1j*h - (1j*h)+ = 2j*h, whose largest entry is |2j * 3|
+    assert hermitian_dev(1j * h) == pytest.approx(6.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        hermitian_dev(np.ones(3))
 
 
 def test_gram_decompose_orthonormal_basis():
@@ -99,10 +102,25 @@ def test_gram_decompose_reports_out_of_span_residual():
     assert dec.residual == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_gram_decompose_is_scale_free(scale):
+    # |det G| = scale**4 is 1e-20 at 1e-5, while cond(G) = 1 at every scale
+    basis = [scale * basis_state(3, 0), scale * basis_state(3, 1)]
+    dec = gram_decompose([basis[0]], basis)[0]
+    np.testing.assert_array_equal(dec.coefficients, [1.0, 0.0])
+    assert dec.residual == 0.0
+
+
+def test_gram_decompose_non_finite_basis_raises():
+    basis = [np.array([np.nan, 0.0]), basis_state(2, 1)]
+    with pytest.raises(DegenerateBasisError, match=r"cond\(Gram\) = nan"):
+        gram_decompose([basis_state(2, 0)], basis)
+
+
 def test_gram_decompose_degenerate_basis_raises():
     v = basis_state(4, 1)
     basis = [v, v + 1e-9 * basis_state(4, 2)]
-    with pytest.raises(DegenerateBasisError):
+    with pytest.raises(DegenerateBasisError, match=r"cond\(Gram\) = inf"):
         gram_decompose([basis_state(4, 0)], basis)
 
     def unread_states():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasematch.engine2d import AlgorithmParams, iterate2, present_coeffs
 from phasematch.engine4d import FourDimInputs, four_dim_coeffs, iterate4
@@ -175,6 +177,15 @@ def test_config_validation():
         OracleConfig(dim=1, theta=0.0, phi=0.0, u_matrix=np.eye(1))
     with pytest.raises(ValueError):
         OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=np.ones((4, 4)))
+
+
+@given(slot=st.integers(0, 1), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_config_rejects_non_finite_angles(slot, bad):
+    angles = [0.3, 0.1]
+    OracleConfig(4, *angles, u_matrix=walsh_hadamard(2))
+    angles[slot] = bad
+    with pytest.raises(ValueError, match="non-finite angles"):
+        OracleConfig(4, *angles, u_matrix=walsh_hadamard(2))
 
 
 def test_target_amplitude_range_check():

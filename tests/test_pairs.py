@@ -1,19 +1,19 @@
 """Tests for the pair-swap machinery and the commuting-pair construction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasematch.linalg import is_hermitian, is_unitary, random_unitary
+from phasematch.linalg import hermitian_dev, is_unitary, random_unitary
 from phasematch.pairs import (
     block_symmetry_dev,
     companion,
-    from_eigenblocks,
     hermitian_iff_involution,
     is_block_symmetric,
     pair_swap,
-    pairing_basis,
     random_commuting_unitary,
 )
 
@@ -36,7 +36,7 @@ def test_pair_swap_structure():
     for dim in (2, 6, 10):
         p = pair_swap(dim)
         assert is_unitary(p)
-        assert is_hermitian(p)
+        assert hermitian_dev(p) == 0
         np.testing.assert_array_equal(p @ p, np.eye(dim))
         assert np.all(np.diagonal(p) == 0)
 
@@ -46,30 +46,6 @@ def test_pair_swap_rejects_odd_dimension():
         pair_swap(5)
     with pytest.raises(ValueError):
         pair_swap(0)
-
-
-def test_pairing_basis_diagonalizes_p():
-    for dim in (2, 4, 8):
-        s = pairing_basis(dim)
-        assert is_unitary(s)
-        d = s.conj().T @ pair_swap(dim) @ s
-        half = dim // 2
-        expected = np.diag([1.0] * half + [-1.0] * half)
-        np.testing.assert_allclose(d, expected, atol=1e-14)
-
-
-def test_from_eigenblocks_is_block_symmetric():
-    rng = np.random.default_rng(3)
-    a = random_unitary(3, rng)
-    b = random_unitary(3, rng)
-    v = from_eigenblocks(a, b)
-    assert is_unitary(v)
-    assert is_block_symmetric(v)
-
-
-def test_from_eigenblocks_rejects_mismatched_blocks():
-    with pytest.raises(ValueError):
-        from_eigenblocks(np.eye(2), np.eye(3))
 
 
 def test_is_block_symmetric_detects_violations():
@@ -98,10 +74,38 @@ def test_is_block_symmetric_equals_commutation_with_p():
 
 
 def test_seeded_commuting_unitary():
-    v = random_commuting_unitary(4, 7)
-    assert is_block_symmetric(v)
-    assert is_unitary(v, tol=1e-10)
-    np.testing.assert_array_equal(v, random_commuting_unitary(4, 7))
+    for dim in (2, 4, 8, 16):
+        for seed in range(5):
+            v = random_commuting_unitary(dim, seed)
+            assert is_unitary(v, tol=1e-10)
+            assert block_symmetry_dev(v) <= 1e-12
+            np.testing.assert_array_equal(v, random_commuting_unitary(dim, seed))
+
+
+def test_commuting_unitary_is_block_diagonal_in_the_pair_swap_eigenbasis():
+    """The construction, written as a loop over the eigenbasis columns."""
+    r = 1 / math.sqrt(2)
+    for dim in (2, 8, 16):
+        half = dim // 2
+        s = np.zeros((dim, dim), dtype=np.complex128)
+        for i in range(half):
+            s[2 * i, i] = s[2 * i + 1, i] = s[2 * i, half + i] = r
+            s[2 * i + 1, half + i] = -r
+        eigenvalues = np.diag([1.0] * half + [-1.0] * half)
+        np.testing.assert_allclose(s.conj().T @ pair_swap(dim) @ s, eigenvalues, atol=1e-15)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            block = np.zeros((dim, dim), dtype=np.complex128)
+            block[:half, :half] = random_unitary(half, rng)
+            block[half:, half:] = random_unitary(half, rng)
+            np.testing.assert_array_equal(
+                random_commuting_unitary(dim, seed), s @ block @ s.conj().T)
+
+
+def test_commuting_unitary_rejects_odd_dimension():
+    for dim in (0, 1, 3, 5):
+        with pytest.raises(ValueError, match="even dimension"):
+            random_commuting_unitary(dim, 0)
 
 
 def test_companion_product_is_pair_swap():
@@ -113,7 +117,7 @@ def test_companion_product_is_pair_swap():
         assert is_unitary(pair.u)
         # the product is hermitian, involutive, and has zero diagonal
         vu = pair.product
-        assert is_hermitian(vu, tol=1e-12)
+        assert hermitian_dev(vu) <= 1e-12
         np.testing.assert_allclose(vu @ vu, np.eye(dim), atol=1e-12)
         assert np.max(np.abs(np.diagonal(vu))) < 1e-12
 
