@@ -64,6 +64,7 @@ from .pairs import (
     is_block_symmetric,
     pair_swap,
     random_commuting_unitary,
+    zero_diagonal_dev,
 )
 from .oracle import (
     OracleConfig,

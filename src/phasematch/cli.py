@@ -18,6 +18,8 @@ from .engine2d import (
     K_EXACT_MAX,
     AlgorithmParams,
     HoyerParams,
+    TwoDimCoefficients,
+    _peak_of,
     grover_coeffs,
     hoyer_coeffs,
     iterate2,
@@ -44,6 +46,7 @@ from .pairs import (
     hermitian_iff_involution,
     pair_swap,
     random_commuting_unitary,
+    zero_diagonal_dev,
 )
 from .reporting import make_report, render
 
@@ -60,6 +63,11 @@ MAX_RANGE_POINTS = 100_000
 
 #: Largest ``--kmax``; each trajectory holds two complex arrays of kmax + 1 entries.
 MAX_K = 1_000_000
+
+#: Most trajectory entries per array of one batched ``sweep`` recurrence: a
+#: block of SWEEP_BLOCK // (kmax + 1) theta values runs at once, or one theta
+#: at a time when fewer than two fit.
+SWEEP_BLOCK = 2**16
 
 #: Largest ``construct --dim``; the JSON report embeds two N x N matrices (about 46 MB at 512).
 MAX_DIM = 512
@@ -111,9 +119,8 @@ def run_table2(k_max=100):
     rows = []
     for theta, k_listed in TABLE2_CASES:
         params = AlgorithmParams(theta, 0.0, 0.1)
-        coeffs = present_coeffs(params)
-        traj = iterate2(coeffs, max(k_max, k_listed))
-        res = sweep_max(coeffs, k_max)
+        traj = iterate2(present_coeffs(params), max(k_max, k_listed))
+        res = _peak_of(traj.b, k_max)
         rows.append(
             {
                 "theta": theta,
@@ -150,21 +157,42 @@ def run_pyramid(max_k=12):
     return make_report("pyramid", _base_metadata(0, 0.0, max_k=max_k), rows)
 
 
+def _stacked(block):
+    """The coefficients of a block of instances: the one instance itself, or
+    each field as a 1-D array over the block."""
+    if len(block) == 1:
+        return block[0]
+    return TwoDimCoefficients(*(
+        np.array([getattr(c, name) for c in block], dtype=np.complex128)
+        for name in ("alpha", "beta", "lam", "delta")
+    ))
+
+
 def run_sweep(thetas, phi, u, k_max=100):
-    """Optimal iteration count and phase-condition check per theta."""
+    """Optimal iteration count and phase-condition check per theta.
+
+    The recurrences run in blocks of theta values, each block holding at
+    most ``SWEEP_BLOCK`` trajectory entries per array.
+    """
+    params = [AlgorithmParams(theta, phi, u) for theta in thetas]
+    coeffs = [present_coeffs(p) for p in params]
+    width = max(1, SWEEP_BLOCK // (k_max + 1))
+    k_star, max_abs_b = [], []
+    for start in range(0, len(coeffs), width):
+        res = sweep_max(_stacked(coeffs[start : start + width]), k_max)
+        k_star.extend(np.atleast_1d(res.k_star).tolist())
+        max_abs_b.extend(np.atleast_1d(res.max_abs_b).tolist())
     rows = []
-    for theta in thetas:
-        params = AlgorithmParams(theta, phi, u)
-        res = sweep_max(present_coeffs(params), k_max)
-        cond = phase_condition(params)
+    for p, k, m in zip(params, k_star, max_abs_b):
+        cond = phase_condition(p)
         rows.append(
             {
-                "theta": float(theta),
+                "theta": float(p.theta),
                 "phi": float(phi),
-                "u_re": params.u.real,
-                "u_im": params.u.imag,
-                "k_star": res.k_star,
-                "max_abs_b": res.max_abs_b,
+                "u_re": p.u.real,
+                "u_im": p.u.imag,
+                "k_star": k,
+                "max_abs_b": m,
                 "threshold": cond.threshold,
                 "ratio_l": cond.ratio_l,
                 "satisfied": cond.satisfied,
@@ -265,7 +293,7 @@ def _verify_4d_case(case, rng, structural_tol, equivalence_tol):
     run = evolve(build_q(cfg), cfg, VERIFY_K_MAX_4D)
     traj = iterate4(four_dim_coeffs(inputs), VERIFY_K_MAX_4D)
     row, worst = _verify_row("4d", case, matrix_seed, cfg, run, (traj.a, traj.b, traj.c, traj.d))
-    diag_dev = float(np.max(np.abs(np.diagonal(vu))))
+    diag_dev = zero_diagonal_dev(vu)
     flags = hermitian_iff_involution(vu, structural_tol)
     row["product_diag_dev"] = diag_dev
     row["product_hermitian"] = flags.hermitian
@@ -324,7 +352,7 @@ def run_construct(dim, seed=0, structural_tol=STRUCTURAL_TOL):
         ("v_block_symmetric", block_symmetry_dev(v)),
         ("vu_equals_pair_swap", float(np.max(np.abs(vu - p)))),
         ("uv_equals_pair_swap", float(np.max(np.abs(uv - p)))),
-        ("vu_zero_diagonal", float(np.max(np.abs(np.diagonal(vu))))),
+        ("vu_zero_diagonal", zero_diagonal_dev(vu)),
         ("vu_hermitian_dev", hermitian_dev(vu)),
         ("vu_involution_dev", involution_dev(vu)),
     )

@@ -84,7 +84,8 @@ class HoyerParams:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrajectory:
-    """Amplitudes (a_k, b_k) for k = 0..k_max, stored as parallel arrays."""
+    """Amplitudes (a_k, b_k) for k = 0..k_max, stored as parallel arrays
+    indexed by k first (one column per instance for a batch)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -94,12 +95,14 @@ class AmplitudeTrajectory:
 class SweepResult:
     """Outcome of maximizing |b_k| over 1 <= k <= k_max.
 
-    ``k_star`` is the smallest k attaining the maximum. The threshold and
-    ratio of the first-order analysis come from :func:`phase_condition`.
+    ``k_star`` is the smallest k attaining the maximum. For a batch of
+    instances both fields are arrays with one entry per instance. The
+    threshold and ratio of the first-order analysis come from
+    :func:`phase_condition`.
     """
 
-    k_star: int
-    max_abs_b: float
+    k_star: int | np.ndarray
+    max_abs_b: float | np.ndarray
 
 
 class PhaseCondition(NamedTuple):
@@ -173,11 +176,19 @@ def hoyer_coeffs(h: HoyerParams) -> TwoDimCoefficients:
 
 
 def iterate2(c: TwoDimCoefficients, k_max: int) -> AmplitudeTrajectory:
-    """Run the exact recurrence from (a_0, b_0) = (1, 0) up to k_max."""
+    """Run the exact recurrence from (a_0, b_0) = (1, 0) up to k_max.
+
+    With scalar coefficients the steps are Python complex arithmetic and
+    ``a``/``b`` have shape ``(k_max + 1,)``. With the four fields 1-D arrays
+    of n instances the same steps run elementwise in NumPy and ``a``/``b``
+    have shape ``(k_max + 1, n)``: column i is instance i's trajectory, equal
+    to its scalar run up to rounding (NumPy's complex multiply is not
+    bit-identical to Python's).
+    """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    a = np.empty(k_max + 1, dtype=np.complex128)
-    b = np.empty(k_max + 1, dtype=np.complex128)
+    a = np.empty((k_max + 1, *np.shape(c.alpha)), dtype=np.complex128)
+    b = np.empty_like(a)
     ak, bk = 1.0 + 0j, 0j
     a[0], b[0] = ak, bk
     for k in range(1, k_max + 1):
@@ -295,13 +306,30 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     return scale * abs(math.sin(k * gap) / math.sin(gap))
 
 
+def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
+    """The largest |b_k| over 1 <= k <= k_max of a trajectory's ``b`` (smallest k wins ties).
+
+    Reduces over axis 0, so ``b`` may run past k_max: a 1-D ``b`` gives a
+    plain int and float, a batch of n columns two arrays of n.
+    """
+    magnitudes = np.abs(b[1 : k_max + 1])
+    k_star = np.argmax(magnitudes, axis=0) + 1
+    max_abs_b = np.max(magnitudes, axis=0)
+    if k_star.ndim == 0:
+        return SweepResult(k_star=int(k_star), max_abs_b=float(max_abs_b))
+    return SweepResult(k_star=k_star, max_abs_b=max_abs_b)
+
+
 def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
-    """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties)."""
+    """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties).
+
+    Scalar coefficients give a plain int ``k_star`` and float ``max_abs_b``;
+    coefficients stacked as 1-D arrays (see :func:`iterate2`) give one array
+    entry per instance.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    magnitudes = np.abs(iterate2(c, k_max).b[1:])
-    k_star = int(np.argmax(magnitudes)) + 1
-    return SweepResult(k_star=k_star, max_abs_b=float(magnitudes[k_star - 1]))
+    return _peak_of(iterate2(c, k_max).b, k_max)
 
 
 def phase_condition(params: AlgorithmParams) -> PhaseCondition:

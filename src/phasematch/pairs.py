@@ -64,6 +64,11 @@ def block_symmetry_dev(v) -> float:
     ))
 
 
+def zero_diagonal_dev(w) -> float:
+    """Largest ``|W_ii|``: how far W is from an identically zero diagonal."""
+    return float(np.max(np.abs(np.diagonal(w))))
+
+
 def random_commuting_unitary(dim: int, seed) -> np.ndarray:
     """Seeded random unitary commuting with the pair swap (so V = PVP).
 
@@ -88,6 +93,18 @@ def random_commuting_unitary(dim: int, seed) -> np.ndarray:
     return s @ block @ s.conj().T
 
 
+def _require_unitary(w, tol: float, who: str, symbol: str) -> np.ndarray:
+    """``w`` as a complex array, or a ValueError naming ``who`` needs it
+    unitary, with the deviation max|W W+ - I| and the tolerance."""
+    w = np.asarray(w, dtype=np.complex128)
+    if not is_unitary(w, tol):
+        raise ValueError(
+            f"{who} requires a unitary matrix: "
+            f"max|{symbol} {symbol}+ - I| = {unitary_dev(w):.3g} exceeds the tolerance {tol:g}"
+        )
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class CommutingUnitaryPair:
     """A block-symmetric unitary V with its companion U = V+ P.
@@ -106,12 +123,7 @@ class CommutingUnitaryPair:
 
 def companion(v, tol: float = STRUCTURAL_TOL) -> CommutingUnitaryPair:
     """Pair a block-symmetric unitary with U = adjoint(V) P."""
-    v = np.asarray(v, dtype=np.complex128)
-    if not is_unitary(v, tol):
-        raise ValueError(
-            "companion construction requires a unitary matrix: "
-            f"max|V V+ - I| = {unitary_dev(v):.3g} exceeds the tolerance {tol:g}"
-        )
+    v = _require_unitary(v, tol, "companion construction", "V")
     if not is_block_symmetric(v, tol):
         raise ValueError(
             "companion construction requires V = PVP "
@@ -132,10 +144,5 @@ def hermitian_iff_involution(w, tol: float = STRUCTURAL_TOL) -> LemmaFlags:
     For unitary W the two are equivalent (W = W+ = W^-1 iff W^2 = I); the
     premise is enforced, the equivalence is left observable for testing.
     """
-    w = np.asarray(w, dtype=np.complex128)
-    if not is_unitary(w, tol):
-        raise ValueError(
-            "the lemma's premise requires a unitary matrix: "
-            f"max|W W+ - I| = {unitary_dev(w):.3g} exceeds the tolerance {tol:g}"
-        )
+    w = _require_unitary(w, tol, "the lemma's premise", "W")
     return LemmaFlags(hermitian=hermitian_dev(w) <= tol, involution=involution_dev(w) <= tol)

@@ -4,27 +4,30 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasematch import cli
+from phasematch import cli, engine2d
 from phasematch.cli import (
     MAX_CASES,
     MAX_DIM,
     MAX_K,
     MAX_RANGE_POINTS,
+    SWEEP_BLOCK,
     _parse_range,
     main,
+    run_sweep,
     run_table1,
     run_table2,
     run_verify,
 )
-from phasematch.engine2d import K_EXACT_MAX
+from phasematch.engine2d import K_EXACT_MAX, AlgorithmParams, present_coeffs
 from phasematch.linalg import DegenerateBasisError, unitary_dev
 from phasematch.pairs import random_commuting_unitary
-from phasematch.reporting import make_report, render
+from phasematch.reporting import make_report, render, round_sig
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "+inf", "NaN", "-Infinity"])
 
@@ -59,6 +62,62 @@ def test_table2_lists_both_k_semantics(runner):
     assert by_theta[0.01]["k_star"] == 86
     assert by_theta[0.05]["abs_b_k"] == pytest.approx(0.9525, abs=2e-3)
     assert by_theta[0.04]["k_star"] == 100
+
+
+@pytest.fixture()
+def iterate2_calls(monkeypatch):
+    """Every iterate2 call as (shape of its coefficients, shape of its b)."""
+    calls = []
+    original = engine2d.iterate2
+
+    def recording(c, k_max):
+        traj = original(c, k_max)
+        calls.append((np.shape(c.alpha), traj.b.shape))
+        return traj
+
+    monkeypatch.setattr(engine2d, "iterate2", recording)
+    monkeypatch.setattr(cli, "iterate2", recording)
+    return calls
+
+
+def test_table2_runs_each_recurrence_once(iterate2_calls):
+    run_table2()
+    assert len(iterate2_calls) == len(cli.TABLE2_CASES)
+
+
+def _scalar_sweep_rows(thetas, phi, u, k_max):
+    """Per theta: the scalar sweep_max result, and whether its maximum is a tie."""
+    out = []
+    for theta in thetas:
+        coeffs = present_coeffs(AlgorithmParams(theta, phi, u))
+        res = engine2d.sweep_max(coeffs, k_max)
+        mags = np.abs(engine2d.iterate2(coeffs, k_max).b[1:])
+        out.append((res, int(np.sum(mags >= res.max_abs_b - 1e-12)) > 1))
+    return out
+
+
+def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls):
+    k_max = 2000
+    width = SWEEP_BLOCK // (k_max + 1)
+    thetas = list(np.linspace(0.1, 0.5, 2 * width + 11))
+    phi, u = 0.3, 0.1 * np.exp(0.5j)
+    rows = run_sweep(thetas, phi, u, k_max=k_max).rows
+    assert [shape for shape, _ in iterate2_calls] == [(width,), (width,), (11,)]
+    assert all(b[0] * b[1] <= SWEEP_BLOCK for _, b in iterate2_calls)
+    for row, (res, tied) in zip(rows, _scalar_sweep_rows(thetas, phi, u, k_max)):
+        assert type(row["k_star"]) is int and type(row["max_abs_b"]) is float
+        if not tied:
+            assert row["k_star"] == res.k_star
+        assert row["max_abs_b"] == pytest.approx(res.max_abs_b, rel=1e-11)
+
+
+def test_sweep_beyond_one_block_runs_scalar_and_bit_identical(iterate2_calls):
+    thetas, phi, u = [0.0, 0.05, 0.1], 0.05, 0.1
+    rows = run_sweep(thetas, phi, u, k_max=SWEEP_BLOCK).rows
+    assert [shape for shape, _ in iterate2_calls] == [()] * len(thetas)
+    assert all(b == (SWEEP_BLOCK + 1,) for _, b in iterate2_calls)
+    for row, (res, _) in zip(rows, _scalar_sweep_rows(thetas, phi, u, SWEEP_BLOCK)):
+        assert (row["k_star"], row["max_abs_b"]) == (res.k_star, round_sig(res.max_abs_b))
 
 
 def test_table2_respects_kmax(runner):

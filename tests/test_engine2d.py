@@ -154,6 +154,36 @@ def test_iterate2_matches_matrix_power():
         vec = m @ vec
 
 
+def _stack(coeffs):
+    return TwoDimCoefficients(*(
+        np.array([getattr(c, name) for c in coeffs], dtype=np.complex128)
+        for name in ("alpha", "beta", "lam", "delta")
+    ))
+
+
+instances = st.lists(
+    st.tuples(angles, angles, st.floats(0.0, 0.9), st.floats(-math.pi, math.pi)),
+    min_size=2, max_size=6,
+)
+
+
+@given(instances)
+@settings(max_examples=60, deadline=None)
+def test_iterate2_batch_matches_scalar_columns(cases):
+    coeffs = [present_coeffs(AlgorithmParams(t, p, cmath.rect(r, arg)))
+              for t, p, r, arg in cases]
+    batch = iterate2(_stack(coeffs), 50)
+    assert batch.a.shape == batch.b.shape == (51, len(coeffs))
+    for i, c in enumerate(coeffs):
+        scalar = iterate2(c, 50)
+        for got, want in ((batch.a[:, i], scalar.a), (batch.b[:, i], scalar.b)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    res = sweep_max(_stack(coeffs), 50)
+    for i, c in enumerate(coeffs):
+        one = sweep_max(c, 50)
+        assert res.max_abs_b[i] == pytest.approx(one.max_abs_b, rel=1e-11)
+
+
 def test_quadratic_expansion_of_b2():
     for u in (0.05, 0.2 + 0.1j, -0.3j):
         traj = iterate2(grover_coeffs(u), 2)
@@ -336,6 +366,19 @@ def test_sweep_max_ties_resolve_to_smallest_k():
     res = sweep_max(present_coeffs(params), 20)
     assert res.k_star == 1
     assert res.max_abs_b == 0.0
+    batch = sweep_max(_stack([present_coeffs(AlgorithmParams(theta, math.pi / 2, 0.1))
+                              for theta in (-1.0, 0.0, 0.3, 2.0)]), 20)
+    np.testing.assert_array_equal(batch.k_star, [1, 1, 1, 1])
+    np.testing.assert_array_equal(batch.max_abs_b, [0.0, 0.0, 0.0, 0.0])
+
+
+def test_sweep_max_result_types_follow_the_coefficient_shape():
+    c = present_coeffs(AlgorithmParams(0.01, 0.0, 0.1))
+    one = sweep_max(c, 100)
+    assert type(one.k_star) is int and type(one.max_abs_b) is float
+    batch = sweep_max(_stack([c, c]), 100)
+    assert batch.k_star.shape == batch.max_abs_b.shape == (2,)
+    assert batch.k_star.tolist() == [one.k_star] * 2
 
 
 def test_phase_condition():

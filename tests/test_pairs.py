@@ -15,6 +15,7 @@ from phasematch.pairs import (
     is_block_symmetric,
     pair_swap,
     random_commuting_unitary,
+    zero_diagonal_dev,
 )
 
 
@@ -39,6 +40,8 @@ def test_pair_swap_structure():
         assert hermitian_dev(p) == 0
         np.testing.assert_array_equal(p @ p, np.eye(dim))
         assert np.all(np.diagonal(p) == 0)
+        assert zero_diagonal_dev(p) == 0
+    assert zero_diagonal_dev(np.diag([0.5, -2j])) == 2
 
 
 def test_pair_swap_rejects_odd_dimension():
