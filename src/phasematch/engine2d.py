@@ -229,36 +229,40 @@ def _check_closed_form_k(k: int) -> None:
         )
 
 
-def _pyramid_sum(coeff, top: int, alpha: complex, delta: complex, k: int, j: int) -> complex:
-    """sum_{i=0}^{top} coeff(k, i, j) alpha^(top-i) delta^i: c_kj with
-    ``l_coeff`` and top = k-1-2j, d_kj with ``t_coeff`` and top = k-2j."""
-    return sum(
-        coeff(k, i, j) * alpha ** (top - i) * delta**i for i in range(top + 1)
-    )
+def _closed_form(c: TwoDimCoefficients, k: int, coeff, top: int, first_j: int) -> complex:
+    """sum_{j >= first_j} (beta*lambda)^j sum_{i=0}^{top-2j} coeff(k, i, j) alpha^(top-2j-i) delta^i.
+
+    With ``l_coeff``, top = k-1 and first_j = 0 this is b_k / beta; with
+    ``t_coeff``, top = k and first_j = 1 it is a_k, whose j = 0 term alpha^k
+    lies outside the binomial convention and starts the total.
+    """
+    _check_closed_form_k(k)
+    alpha_pow = [c.alpha**n for n in range(k + 1)]
+    delta_pow = [c.delta**n for n in range(k + 1)]
+    bl = c.beta * c.lam
+    total = alpha_pow[k] + 0j if first_j else 0j
+    for j in range(first_j, top // 2 + 1):
+        rest = top - 2 * j
+        total += sum(
+            coeff(k, i, j) * alpha_pow[rest - i] * delta_pow[i] for i in range(rest + 1)
+        ) * bl**j
+    return total
 
 
 def exact_b(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form b_k = beta * sum_j c_kj (beta*lambda)^j.
 
-    Cross-checked against :func:`iterate2` to 1e-9 for k <= 25 whenever
-    |alpha|, |delta| <= 1; refuses k beyond ``K_EXACT_MAX``.
+    Each power of alpha and delta is computed once per call. Cross-checked
+    against :func:`iterate2` to 1e-9 for k <= 25 whenever |alpha|, |delta| <= 1;
+    refuses k beyond ``K_EXACT_MAX``.
     """
-    _check_closed_form_k(k)
-    bl = c.beta * c.lam
-    total = 0j
-    for j in range((k - 1) // 2 + 1):
-        total += _pyramid_sum(l_coeff, k - 1 - 2 * j, c.alpha, c.delta, k, j) * bl**j
-    return c.beta * total
+    return c.beta * _closed_form(c, k, l_coeff, k - 1, 0)
 
 
 def exact_a(c: TwoDimCoefficients, k: int) -> complex:
-    """Closed-form a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j."""
-    _check_closed_form_k(k)
-    bl = c.beta * c.lam
-    total = c.alpha**k + 0j
-    for j in range(1, k // 2 + 1):
-        total += _pyramid_sum(t_coeff, k - 2 * j, c.alpha, c.delta, k, j) * bl**j
-    return total
+    """Closed-form a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j, with each
+    power of alpha and delta computed once per call."""
+    return _closed_form(c, k, t_coeff, k, 1)
 
 
 def approx_b(params: AlgorithmParams, k: int) -> complex:

@@ -109,7 +109,9 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     """Exact recurrence from (1, 0, 0, 0).
 
     a_{k+1} = l1 a + l2 b + l3 c + l4 d, c_{k+1} = p1 a + p2 b + p3 c + p4 d,
-    while b_{k+1} = -a_k and d_{k+1} = -c_k hold as exact negations.
+    while b_{k+1} = -a_k and d_{k+1} = -c_k hold as exact negations. The loop
+    stores a and c only; b and d are set after it as -a and -c shifted by one
+    step, with b_0 = d_0 = 0.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -118,7 +120,7 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     cc = np.empty(k_max + 1, dtype=np.complex128)
     d = np.empty(k_max + 1, dtype=np.complex128)
     ak, bk, ck, dk = 1.0 + 0j, 0j, 0j, 0j
-    a[0], b[0], cc[0], d[0] = ak, bk, ck, dk
+    a[0], cc[0] = ak, ck
     for k in range(1, k_max + 1):
         ak, bk, ck, dk = (
             c.l1 * ak + c.l2 * bk + c.l3 * ck + c.l4 * dk,
@@ -126,7 +128,10 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
             c.p1 * ak + c.p2 * bk + c.p3 * ck + c.p4 * dk,
             -ck,
         )
-        a[k], b[k], cc[k], d[k] = ak, bk, ck, dk
+        a[k], cc[k] = ak, ck
+    b[0] = d[0] = 0j
+    np.negative(a[:-1], out=b[1:])
+    np.negative(cc[:-1], out=d[1:])
     return FourAmplitudes(a, b, cc, d)
 
 

@@ -45,20 +45,16 @@ class OracleConfig:
 
     def __post_init__(self):
         _finite_angles(theta=self.theta, phi=self.phi)
-        object.__setattr__(self, "u_matrix", np.asarray(self.u_matrix, dtype=np.complex128))
-        if self.v_matrix is not None:
-            object.__setattr__(self, "v_matrix", np.asarray(self.v_matrix, dtype=np.complex128))
         if self.dim < 2:
             raise ValueError(f"dimension {self.dim} leaves no room for distinct gamma and tau")
-        if self.u_matrix.shape != (self.dim, self.dim):
-            raise ValueError(f"U has shape {self.u_matrix.shape}, expected ({self.dim}, {self.dim})")
-        if not is_unitary(self.u_matrix, STRUCTURAL_TOL):
-            raise ValueError("U must be unitary")
-        if self.v_matrix is not None:
-            if self.v_matrix.shape != (self.dim, self.dim):
-                raise ValueError(f"V has shape {self.v_matrix.shape}, expected ({self.dim}, {self.dim})")
-            if not is_unitary(self.v_matrix, STRUCTURAL_TOL):
-                raise ValueError("V must be unitary")
+        matrices = (("U", "u_matrix"), ("V", "v_matrix"))
+        for name, field in matrices if self.v_matrix is not None else matrices[:1]:
+            m = np.asarray(getattr(self, field), dtype=np.complex128)
+            object.__setattr__(self, field, m)
+            if m.shape != (self.dim, self.dim):
+                raise ValueError(f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})")
+            if not is_unitary(m, STRUCTURAL_TOL):
+                raise ValueError(f"{name} must be unitary")
 
     @property
     def gamma_index(self) -> int:

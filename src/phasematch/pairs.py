@@ -110,15 +110,12 @@ class CommutingUnitaryPair:
     """A block-symmetric unitary V with its companion U = V+ P.
 
     The product VU = UV equals the pair swap: unitary, hermitian, involutive,
-    zero diagonal.
+    zero diagonal. ``product`` is VU, computed once by :func:`companion`.
     """
 
     v: np.ndarray
     u: np.ndarray
-
-    @property
-    def product(self) -> np.ndarray:
-        return self.v @ self.u
+    product: np.ndarray
 
 
 def companion(v, tol: float = STRUCTURAL_TOL) -> CommutingUnitaryPair:
@@ -130,7 +127,8 @@ def companion(v, tol: float = STRUCTURAL_TOL) -> CommutingUnitaryPair:
             "(2x2 blocks of the form [[a, b], [b, a]]); without it UV != P: "
             f"max|V - PVP| = {block_symmetry_dev(v):.3g} exceeds the tolerance {tol:g}"
         )
-    return CommutingUnitaryPair(v=v, u=adjoint(v) @ pair_swap(v.shape[0]))
+    u = adjoint(v) @ pair_swap(v.shape[0])
+    return CommutingUnitaryPair(v=v, u=u, product=v @ u)
 
 
 class LemmaFlags(NamedTuple):

@@ -79,16 +79,11 @@ def to_csv(report: Report) -> str:
     Columns are the union of row keys in first-seen order; metadata is not
     part of the CSV (it is the plotting hand-off format, rows only).
     """
-    columns: list[str] = []
-    for row in report.rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in report.rows for key in row))
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, restval="", lineterminator="\n")
-    writer.writeheader()
-    for row in report.rows:
-        writer.writerow({k: _cell(v) for k, v in row.items()})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row.get(key)) for key in columns] for row in report.rows)
     return buf.getvalue()
 
 

@@ -291,6 +291,43 @@ def test_closed_form_matches_recurrence():
             assert exact_a(c, k) == pytest.approx(traj.a[k], abs=1e-9)
 
 
+def _paper_double_sum(c, k, coeff, top, first_j, total):
+    """sum_{j >= first_j} (beta*lambda)^j sum_i coeff(k, i, j) alpha^(top-2j-i) delta^i
+    added onto ``total``, with every power computed where its term needs it."""
+    for j in range(first_j, top // 2 + 1):
+        rest = top - 2 * j
+        total += sum(
+            coeff(k, i, j) * c.alpha ** (rest - i) * c.delta**i for i in range(rest + 1)
+        ) * (c.beta * c.lam) ** j
+    return total
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+_unit_disk = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+
+
+@given(st.one_of(
+    st.builds(TwoDimCoefficients, _unit_disk, _unit_disk, _unit_disk, _unit_disk),
+    st.builds(grover_coeffs, _unit_disk),
+))
+@settings(max_examples=20, deadline=None)
+def test_closed_form_is_bit_identical_to_the_paper_double_sum(c):
+    """b_k = beta sum_j c_kj (beta*lambda)^j and a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j.
+
+    Grover's coefficients keep alpha and delta real floats, so both the
+    complex and the mixed float/complex arithmetic are covered.
+    """
+    for k in range(1, K_EXACT_MAX + 1):
+        b_k = c.beta * _paper_double_sum(c, k, l_coeff, k - 1, 0, 0j)
+        a_k = _paper_double_sum(c, k, t_coeff, k, 1, c.alpha**k + 0j)
+        assert _bits(exact_b(c, k)) == _bits(b_k)
+        assert _bits(exact_a(c, k)) == _bits(a_k)
+
+
 def test_closed_form_range_guard():
     c = grover_coeffs(0.1)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasematch.engine4d import (
@@ -59,9 +59,47 @@ def test_exact_negation_channels():
         theta, phi = rng.uniform(-math.pi, math.pi, 2)
         c = four_dim_coeffs(FourDimInputs(float(theta), float(phi), u, v, vu_gg, uv_tt))
         traj = iterate4(c, 25)
-        # b and d lag a and c by exactly one step with a sign flip
+        # b and d start at zero and lag a and c by exactly one step with a sign flip
+        assert traj.b[0] == 0 and traj.d[0] == 0
         np.testing.assert_array_equal(traj.b[1:], -traj.a[:-1])
         np.testing.assert_array_equal(traj.d[1:], -traj.c[:-1])
+
+
+def _four_store_iterate4(c, k_max):
+    """The recurrence with all four channels stored inside the loop."""
+    out = np.empty((4, k_max + 1), dtype=np.complex128)
+    ak, bk, ck, dk = 1.0 + 0j, 0j, 0j, 0j
+    out[:, 0] = ak, bk, ck, dk
+    for k in range(1, k_max + 1):
+        ak, bk, ck, dk = (
+            c.l1 * ak + c.l2 * bk + c.l3 * ck + c.l4 * dk,
+            -ak,
+            c.p1 * ak + c.p2 * bk + c.p3 * ck + c.p4 * dk,
+            -ck,
+        )
+        out[:, k] = ak, bk, ck, dk
+    return out
+
+
+_elements = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+_angles = st.floats(-math.pi, math.pi)
+
+
+@given(
+    st.builds(FourDimInputs, _angles, _angles, _elements, _elements, _elements, _elements),
+    st.integers(0, 2000),
+)
+@settings(max_examples=30, deadline=None)
+def test_iterate4_is_bit_identical_to_the_four_store_loop(inp, k_max):
+    """Filling b and d after the loop changes no bit, signs of zeros included."""
+    c = four_dim_coeffs(inp)
+    for n in (0, 1, k_max):
+        traj = iterate4(c, n)
+        ref = _four_store_iterate4(c, n)
+        for got, want in zip((traj.a, traj.b, traj.c, traj.d), ref):
+            np.testing.assert_array_equal(got, want)
+            for part in (np.real, np.imag):
+                np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 def test_iterate4_matches_row_vector_matrix_power():

@@ -173,10 +173,16 @@ def test_config_validation():
     w = walsh_hadamard(2)
     cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w)
     assert (cfg.gamma_index, cfg.tau_index) == (0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension 1 leaves no room"):
         OracleConfig(dim=1, theta=0.0, phi=0.0, u_matrix=np.eye(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"U has shape \(3, 3\), expected \(4, 4\)"):
+        OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=np.eye(3))
+    with pytest.raises(ValueError, match="U must be unitary"):
         OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=np.ones((4, 4)))
+    with pytest.raises(ValueError, match=r"V has shape \(4, 2\), expected \(4, 4\)"):
+        OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w, v_matrix=np.eye(4, 2))
+    with pytest.raises(ValueError, match="V must be unitary"):
+        OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w, v_matrix=np.ones((4, 4)))
 
 
 @given(slot=st.integers(0, 1), bad=st.sampled_from([math.nan, math.inf, -math.inf]))

@@ -125,6 +125,14 @@ def test_companion_product_is_pair_swap():
         assert np.max(np.abs(np.diagonal(vu))) < 1e-12
 
 
+def test_companion_product_is_computed_once():
+    """``product`` is V @ U bit for bit, and the same array on every read."""
+    for dim, seed in ((2, 3), (8, 1), (64, 9)):
+        pair = companion(random_commuting_unitary(dim, seed))
+        np.testing.assert_array_equal(pair.product, pair.v @ pair.u)
+        assert pair.product is pair.product
+
+
 def test_companion_rejects_plain_unitary():
     w = random_unitary(4, 2)
     with pytest.raises(ValueError, match=rf"V = PVP.* {block_symmetry_dev(w):.3g} .* 1e-10"):
