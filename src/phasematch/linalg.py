@@ -97,6 +97,18 @@ class GramDecomposition:
     residual: float
 
 
+def row_norms(x) -> np.ndarray:
+    """Euclidean norm of each row of a two-dimensional complex array.
+
+    Each row's squared norm is the real-part row dot plus the imaginary-part
+    row dot, the same sum ``np.linalg.norm`` forms for one complex vector,
+    taken here as one stacked 1 x N @ N x 1 product per part.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
 def gram_decompose(states, basis) -> list[GramDecomposition]:
     """Solve the normal equations to expand each of ``states`` over ``basis``.
 
@@ -105,9 +117,14 @@ def gram_decompose(states, basis) -> list[GramDecomposition]:
     (cond(G) above about 4.5e6), or a NaN cond(G), raises
     :class:`DegenerateBasisError` before any state is read. cond(G) is
     scale-free, so the basis vectors need not be orthogonal or normalized.
+
+    ``states`` is a sequence of vectors or an (n, N) array. All n states are
+    solved together: one stacked product forms the right-hand sides, one
+    multi-right-hand-side solve gives the coefficients, and the synthesis and
+    residual norms are broadcast over the states.
     """
-    vecs = [_as_vector(b) for b in basis]
-    duals = [v.conj() for v in vecs]
+    vecs = np.array([_as_vector(b) for b in basis])
+    duals = vecs.conj()
     gram = np.array([[di @ vj for vj in vecs] for di in duals])
     # The SVD behind cond() does not converge on non-finite input.
     cond = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
@@ -116,15 +133,19 @@ def gram_decompose(states, basis) -> list[GramDecomposition]:
             f"basis is numerically dependent: cond(Gram) = {cond:.3e} "
             f"exceeds {_GRAM_COND_MAX:.3e}"
         )
-    decompositions = []
-    for state in states:
-        s = _as_vector(state)
-        coeffs = np.linalg.solve(gram, np.array([di @ s for di in duals]))
-        synth = np.zeros_like(s)
-        for c, v in zip(coeffs, vecs):
-            synth += c * v
-        decompositions.append(GramDecomposition(coeffs, float(np.linalg.norm(s - synth))))
-    return decompositions
+    s = np.asarray(states if isinstance(states, np.ndarray) else list(states), dtype=np.complex128)
+    if len(s) == 0:
+        return []
+    if s.ndim != 2 or s.shape[1] != vecs.shape[1]:
+        raise ValueError(f"expected states of length {vecs.shape[1]}, got shape {s.shape}")
+    rhs = (duals[None, :, None, :] @ s[:, None, :, None])[:, :, 0, 0]
+    coeffs = np.linalg.solve(gram, rhs.T).T
+    synth = np.zeros_like(s)
+    for c, v in zip(coeffs.T, vecs):
+        synth += c[:, None] * v
+    # The synthesis buffer takes the residual vectors: one (n, N) array fewer.
+    residuals = row_norms(np.subtract(s, synth, out=synth)).tolist()
+    return [GramDecomposition(c, r) for c, r in zip(coeffs, residuals)]
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Brute-force full-space simulator, the ground truth for both engines.
 
 Q = -(I_gamma V I_tau U) is built as an explicit N x N matrix (V defaults to
-U^-1, the two-rotation algorithm), |gamma> is evolved step by step, and each
-state is decomposed over the invariant basis by solving the Gram normal
-equations. The decomposition residual doubles as the subspace-preservation
-check: it stays at rounding level when the premise holds and blows up
-visibly when it does not.
+U^-1, the two-rotation algorithm), and |gamma> is evolved step by step into
+one (k_max + 1) x N array of states. All of a run's states are decomposed over
+the invariant basis by one stacked solve of the Gram normal equations. The
+decomposition residual doubles as the subspace-preservation check: it stays
+at rounding level when the premise holds and blows up visibly when it does
+not.
 """
 
 from __future__ import annotations
@@ -74,9 +75,14 @@ class OracleConfig:
 
 @dataclass(frozen=True, eq=False)
 class OracleRun:
-    """States Q^k|gamma> for k = 0..k_max with their basis decompositions."""
+    """States Q^k|gamma> for k = 0..k_max with their basis decompositions.
 
-    states: list[np.ndarray]
+    ``states`` is one (k_max + 1, N) array whose row k is Q^k|gamma>;
+    ``decompositions[k]`` is its expansion over the invariant basis, all of
+    them from one stacked Gram solve.
+    """
+
+    states: np.ndarray
     decompositions: list[GramDecomposition]
 
     @property
@@ -111,22 +117,27 @@ def evolve(q: np.ndarray, cfg: OracleConfig, k_max: int) -> OracleRun:
     """Apply Q repeatedly to |gamma>, then decompose every state over the invariant basis."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    state = basis_state(cfg.dim, cfg.gamma_index)
-    states = [state]
-    for _ in range(k_max):
-        state = q @ state
-        states.append(state)
+    states = np.empty((k_max + 1, cfg.dim), dtype=np.complex128)
+    states[0] = basis_state(cfg.dim, cfg.gamma_index)
+    for prev, nxt in zip(states, states[1:]):
+        np.matmul(q, prev, out=nxt)
     return OracleRun(states=states, decompositions=gram_decompose(states, invariant_basis(cfg)))
 
 
-def target_amplitude(run: OracleRun, cfg: OracleConfig, k: int) -> complex:
+def target_amplitude(run: OracleRun, cfg: OracleConfig, k) -> complex | np.ndarray:
     """The tau-component of U Q^k |gamma>, i.e. a_k u + b_k.
 
     This is the measurable amplitude after mapping the subspace back with U.
+    ``k`` is an int, which gives a complex, or an index array, which gives
+    the array of those amplitudes. Both read one product of the run's
+    states with the tau row of U, so an entry does not depend on which
+    other steps were asked for.
     """
-    if not 0 <= k <= run.k_max:
+    ks = np.asarray(k)
+    if not ((0 <= ks) & (ks <= run.k_max)).all():
         raise IndexError(f"k = {k} outside the run's range 0..{run.k_max}")
-    return complex((cfg.u_matrix @ run.states[k])[cfg.tau_index])
+    amplitudes = (run.states @ cfg.u_matrix[cfg.tau_index])[ks]
+    return complex(amplitudes) if ks.ndim == 0 else amplitudes
 
 
 def walsh_hadamard(n_qubits: int) -> np.ndarray:

@@ -13,7 +13,9 @@ from phasematch.linalg import (
     hermitian_dev,
     is_unitary,
     random_unitary,
+    row_norms,
 )
+from test_goldens import _build
 
 
 def test_basis_state():
@@ -129,3 +131,72 @@ def test_gram_decompose_degenerate_basis_raises():
 
     with pytest.raises(DegenerateBasisError):
         gram_decompose(unread_states(), basis)
+
+
+def _complex_rows(rng, n, dim):
+    return rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64, 900])
+def test_stacked_row_products_match_per_row_kernels(dim):
+    """The premise that lets the oracle batch its runs without a golden change.
+
+    On the build the goldens were made with, a stack of 1 x N @ N x 1
+    products rounds like the 1-D dot of each pair, and the stacked real and
+    imaginary row dots round like ``np.linalg.norm`` of each row.
+    """
+    rng = np.random.default_rng(dim)
+    a, b = _complex_rows(rng, 51, dim), _complex_rows(rng, 51, dim)
+    stacked = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    dots = np.array([x @ y for x, y in zip(a, b)])
+    norms = np.array([np.linalg.norm(x) for x in a])
+    build = f"running {_build()}"
+    assert np.array_equal(stacked, dots), f"stacked matmul differs from the 1-D dot; {build}"
+    assert np.array_equal(row_norms(a), norms), f"row_norms differs from np.linalg.norm; {build}"
+
+
+def _per_state_decomposition(state, basis):
+    """The normal equations of one state, with a Gram matrix of its own.
+
+    This is the per-state loop that the batched ``gram_decompose`` replaced.
+    """
+    gram = np.array([[vi.conj() @ vj for vj in basis] for vi in basis])
+    coeffs = np.linalg.solve(gram, np.array([vi.conj() @ state for vi in basis]))
+    synth = np.zeros_like(state)
+    for c, v in zip(coeffs, basis):
+        synth += c * v
+    return coeffs, float(np.linalg.norm(state - synth))
+
+
+@pytest.mark.parametrize("n_states", [1, 51])
+@pytest.mark.parametrize("n_basis", [2, 4])
+@pytest.mark.parametrize("dim", [4, 9, 16, 64])
+def test_gram_decompose_equals_per_state_loop(dim, n_basis, n_states):
+    rng = np.random.default_rng(100 * dim + 10 * n_basis + n_states)
+    basis = list(_complex_rows(rng, n_basis, dim))
+    states = _complex_rows(rng, n_states, dim)
+    # Half the states lie in the basis span, so both residual regimes are covered.
+    states[::2] = rng.standard_normal((len(states[::2]), n_basis)) @ np.array(basis)
+    for given_states in (states, list(states)):
+        decs = gram_decompose(given_states, basis)
+        assert len(decs) == n_states
+        for dec, state in zip(decs, states):
+            coeffs, residual = _per_state_decomposition(state, basis)
+            assert np.array_equal(dec.coefficients, coeffs)
+            assert dec.residual == residual
+            assert type(dec.residual) is float
+
+
+def test_gram_decompose_rejects_misshaped_states():
+    basis = [basis_state(4, 0), basis_state(4, 1)]
+    for states in ([basis_state(5, 0)], [np.eye(4)], np.ones((2, 3)), np.ones(4),
+                   [basis_state(4, 0), basis_state(3, 0)]):
+        with pytest.raises(ValueError):
+            gram_decompose(states, basis)
+
+
+def test_gram_decompose_of_no_states_is_empty():
+    basis = [basis_state(4, 0), basis_state(4, 1)]
+    assert gram_decompose([], basis) == []
+    assert gram_decompose(iter(()), basis) == []
+    assert gram_decompose(np.empty((0, 4), dtype=np.complex128), basis) == []

@@ -21,6 +21,8 @@ from phasematch.oracle import (
 )
 from phasematch.pairs import companion, random_commuting_unitary
 from phasematch.rotations import build
+from test_goldens import _build
+from test_linalg import _per_state_decomposition
 
 
 def test_walsh_hadamard_two_qubits():
@@ -139,16 +141,6 @@ def test_invariant_basis_modes():
     assert gram_decompose([basis[0]], basis)[0].residual < 1e-12
 
 
-def _per_state_decomposition(state, basis):
-    """The normal equations of one state, with a Gram matrix of its own."""
-    gram = np.array([[vi.conj() @ vj for vj in basis] for vi in basis])
-    coeffs = np.linalg.solve(gram, np.array([vi.conj() @ state for vi in basis]))
-    synth = np.zeros_like(state)
-    for c, v in zip(coeffs, basis):
-        synth += c * v
-    return coeffs, float(np.linalg.norm(state - synth))
-
-
 @pytest.mark.parametrize("mode", ["2d", "4d"])
 def test_evolve_equals_per_state_solves(mode):
     if mode == "2d":
@@ -199,6 +191,28 @@ def test_target_amplitude_range_check():
     run = evolve(build_q(cfg), cfg, 2)
     with pytest.raises(IndexError):
         target_amplitude(run, cfg, 3)
+    for ks in ([0, 1, 3], [-1, 0], np.array([[0, 1], [2, 5]])):
+        with pytest.raises(IndexError, match=r"outside the run's range 0\.\.2"):
+            target_amplitude(run, cfg, np.array(ks))
+    with pytest.raises(IndexError):
+        target_amplitude(run, cfg, -1)
+
+
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_target_amplitude_array_equals_per_k_calls(dim):
+    cfg = OracleConfig(dim=dim, theta=0.7, phi=-1.1, u_matrix=random_unitary(dim, dim))
+    run = evolve(build_q(cfg), cfg, 50)
+    ks = np.array([50, 0, 7, 7, 31])
+    amplitudes = target_amplitude(run, cfg, ks)
+    assert amplitudes.shape == ks.shape
+    for k, amp in zip(ks.tolist(), amplitudes):
+        one = target_amplitude(run, cfg, k)
+        assert type(one) is complex
+        assert one == amp
+        # At the verify dimensions the row product rounds like the full matvec
+        # of U Q^k|gamma>, which keeps the verify golden's amplitude column.
+        assert one == (cfg.u_matrix @ run.states[k])[cfg.tau_index], f"running {_build()}"
+    np.testing.assert_array_equal(target_amplitude(run, cfg, np.arange(51))[ks], amplitudes)
 
 
 def test_unitary_with_overlap_hits_requested_magnitude():
