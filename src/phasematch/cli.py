@@ -365,7 +365,7 @@ def run_construct(dim, seed=0, structural_tol=STRUCTURAL_TOL):
     passed = all(row["ok"] for row in rows)
     meta = _base_metadata(
         seed, structural_tol, dim=dim,
-        v=v.tolist(), u=pair.u.tolist(),
+        v=v, u=pair.u,
     )
     return make_report("construct", meta, rows, passed=passed)
 

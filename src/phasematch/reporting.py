@@ -3,7 +3,8 @@
 Float values are rounded to 12 significant digits when a report is
 assembled, so the two encodings render bit-identical numbers (both go
 through Python's shortest-roundtrip float repr). Non-finite floats become
-the strings "inf"/"-inf"/"nan" in both encodings.
+the strings "inf"/"-inf"/"nan" in both encodings. A 2-D complex array
+becomes nested lists of {re, im} objects, as its ``tolist()`` would.
 """
 
 from __future__ import annotations
@@ -39,7 +40,21 @@ def _normalize(value):
         return {k: _normalize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_normalize(v) for v in value]
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.complex128:
+        return _rounded_matrix(value) if np.isfinite(value).all() else _normalize(value.tolist())
     raise TypeError(f"cannot put a {type(value).__name__} in a report")
+
+
+def _rounded_matrix(m: np.ndarray) -> list[list[dict]]:
+    """``_normalize(m.tolist())`` for a finite complex matrix.
+
+    All the real and imaginary parts are formatted in one string and parsed
+    back, which gives the values of :func:`round_sig` one by one.
+    """
+    parts = np.ascontiguousarray(m).view(np.float64).ravel().tolist()
+    values = iter(map(float, (f"%.{SIG_DIGITS}g " * len(parts) % tuple(parts)).split()))
+    rows, cols = m.shape
+    return [[{"re": next(values), "im": next(values)} for _ in range(cols)] for _ in range(rows)]
 
 
 @dataclass(frozen=True)

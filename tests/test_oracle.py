@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from phasematch.engine2d import AlgorithmParams, iterate2, present_coeffs
 from phasematch.engine4d import FourDimInputs, four_dim_coeffs, iterate4
-from phasematch.linalg import basis_state, gram_decompose, is_unitary, random_unitary
+from phasematch.linalg import adjoint, basis_state, gram_decompose, is_unitary, random_unitary
 from phasematch.oracle import (
     OracleConfig,
     build_q,
@@ -94,6 +94,55 @@ def test_half_pi_target_phase_reduces_q_to_start_rotation():
     np.testing.assert_allclose(q, -i_gamma, atol=1e-12)
 
 
+def _dense_unitary(rng, dim):
+    """A dense complex unitary that is cheap to draw at N = 900: a Householder
+    reflection with its columns multiplied by random phases."""
+    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    w /= np.linalg.norm(w)
+    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, dim))
+    return (np.eye(dim) - 2 * np.outer(w, w.conj())) * phases
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["2d", "4d"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 16, 64, 100, 128, 256, 900])
+def test_build_q_rounds_like_the_three_product_form(dim, mode):
+    """The premise that lets ``build_q`` make one dense product without a golden change.
+
+    On the build the goldens were made with, the 2-row block product gives
+    row gamma of I_gamma V, and the matrix-vector product gives column tau
+    of (I_gamma V) I_tau, bit for bit as the full products do; so Q equals
+    the literal -(I_gamma V I_tau U) in every bit.
+    """
+    rng = np.random.default_rng(10 * dim + (mode == "4d"))
+    build_info = f"running {_build()}"
+    u = _dense_unitary(rng, dim)
+    v = _dense_unitary(rng, dim) if mode == "4d" else None
+    u_before, v_before = u.copy(), None if v is None else v.copy()
+    # The row premise depends on theta only and the column premise on phi
+    # only, so three pairs give each angle each of 0, pi/2 and a random draw.
+    for theta, phi in ((0.0, math.pi / 2), (math.pi / 2, None), (None, 0.0)):
+        theta = float(rng.uniform(-math.pi, math.pi)) if theta is None else theta
+        phi = float(rng.uniform(-math.pi, math.pi)) if phi is None else phi
+        cfg = OracleConfig(dim=dim, theta=theta, phi=phi, u_matrix=u, v_matrix=v)
+        g, t = cfg.gamma_index, cfg.tau_index
+        i_gamma, i_tau = build(g, theta, dim), build(t, phi, dim)
+        v_full = adjoint(u) if v is None else v
+        gamma_v = i_gamma @ v_full
+        gamma_v_tau = gamma_v @ i_tau
+        assert _same_bits((i_gamma[g:g + 2] @ v_full)[0], gamma_v[g]), \
+            f"2-row block differs from the full product in row gamma; {build_info}"
+        assert _same_bits((gamma_v @ i_tau[:, t:t + 1])[:, 0], gamma_v_tau[:, t]), \
+            f"matrix-vector product differs from the full product in column tau; {build_info}"
+        assert _same_bits(build_q(cfg), -(gamma_v_tau @ u)), \
+            f"build_q differs from -(I_gamma V I_tau U) at {theta=}, {phi=}; {build_info}"
+        assert _same_bits(cfg.u_matrix, u_before)
+        assert v is None or _same_bits(cfg.v_matrix, v_before)
+
+
 def test_oracle_matches_engine4d():
     pair = companion(random_commuting_unitary(16, 12))
     cfg = OracleConfig(dim=16, theta=0.35, phi=-1.2, u_matrix=pair.u, v_matrix=pair.v)
@@ -139,6 +188,23 @@ def test_invariant_basis_modes():
     np.testing.assert_array_equal(basis[0], basis_state(4, 0))
     # residual of the start state over its own basis is zero
     assert gram_decompose([basis[0]], basis)[0].residual < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 16, 100, 256])
+def test_invariant_basis_reads_rows_and_columns(dim):
+    """Each vector equals the matrix-vector product that defines it."""
+    u, v = random_unitary(dim, dim), random_unitary(dim, dim + 1)
+    e_gamma, e_tau = basis_state(dim, 0), basis_state(dim, dim - 1)
+    for v_matrix, expected in (
+        (None, [e_gamma, adjoint(u) @ e_tau]),
+        (v, [e_gamma, v @ (u @ e_gamma), v @ e_tau, adjoint(u) @ e_tau]),
+    ):
+        basis = invariant_basis(OracleConfig(dim, 0.3, -0.2, u_matrix=u, v_matrix=v_matrix))
+        assert len(basis) == len(expected)
+        for got, want in zip(basis, expected):
+            assert _same_bits(got, want)
+            assert got.flags.c_contiguous
+            assert not (np.shares_memory(got, u) or np.shares_memory(got, v))
 
 
 @pytest.mark.parametrize("mode", ["2d", "4d"])

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from phasematch.linalg import random_unitary
 from phasematch.reporting import Report, make_report, render, round_sig, to_csv, to_json
 
 
@@ -44,8 +45,32 @@ def test_non_finite_floats_become_strings():
 
 
 def test_unsupported_values_rejected():
-    with pytest.raises(TypeError):
-        make_report("demo", {"seed": 0, "tolerance": 0.0}, [{"x": object()}])
+    for value in (object(), np.zeros((2, 2)), np.zeros(3, dtype=np.complex128),
+                  np.zeros((2, 2), dtype=np.complex64)):
+        with pytest.raises(TypeError):
+            make_report("demo", {"seed": 0, "tolerance": 0.0}, [{"x": value}])
+
+
+def test_complex_matrix_normalizes_like_its_nested_lists():
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    m[0, 0] = complex(-0.0, 5e-324)
+    m[1, 2] = complex(1e300, -0.0)
+    m[2, 4] = complex(0.0, -2.2250738585072014e-308)
+    for matrix in (m, m.T, random_unitary(16, 3), np.zeros((0, 2), dtype=np.complex128)):
+        fast = make_report("demo", {"m": matrix}, [])
+        slow = make_report("demo", {"m": matrix.tolist()}, [])
+        assert fast.metadata == slow.metadata
+        assert to_json(fast) == to_json(slow)
+    cell = make_report("demo", {"m": m}, []).metadata["m"][0][0]
+    assert math.copysign(1.0, cell["re"]) == -1.0 and cell["im"] == 5e-324
+    bad = m.copy()
+    bad[0, 1] = complex(math.nan, math.inf)
+    bad[2, 0] = complex(-math.inf, 0.5)
+    report = make_report("demo", {"m": bad}, [])
+    assert to_json(report) == to_json(make_report("demo", {"m": bad.tolist()}, []))
+    assert report.metadata["m"][0][1] == {"re": "nan", "im": "inf"}
+    assert report.metadata["m"][2][0] == {"re": "-inf", "im": 0.5}
 
 
 def test_json_schema():
