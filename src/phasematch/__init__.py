@@ -13,7 +13,6 @@ from .linalg import (
     EQUIVALENCE_TOL,
     STRUCTURAL_TOL,
     DegenerateBasisError,
-    GramDecomposition,
     adjoint,
     basis_state,
     gram_decompose,

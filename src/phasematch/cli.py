@@ -70,6 +70,10 @@ MAX_K = 1_000_000
 #: at a time when fewer than two fit.
 SWEEP_BLOCK = 2**16
 
+#: Most trajectory entries, theta count x (kmax + 1), of one whole ``sweep``:
+#: the bounds on the two factors alone admit about 10^11, some 12 hours.
+MAX_SWEEP_ENTRIES = 10**8
+
 #: Largest ``construct --dim``; the JSON report embeds two N x N matrices (about 46 MB at 512).
 MAX_DIM = 512
 
@@ -140,8 +144,11 @@ def run_pyramid(max_k=12):
     """Integer coefficient rows l_{k,i} of (beta*lambda)^j for j >= 1.
 
     Emits, for each power j with 2j+1 <= max_k, the first few rows
-    k = 2j+1 .. min(2j+5, max_k) of the Pascal-like pyramid.
+    k = 2j+1 .. min(2j+5, max_k) of the Pascal-like pyramid. The first row
+    is k = 3, so ``max_k`` below 3 is rejected rather than giving no rows.
     """
+    if max_k < 3:
+        raise ValueError(f"max_k = {max_k} is below 3, the first row of the pyramid")
     rows = []
     j = 1
     while 2 * j + 1 <= max_k:
@@ -173,8 +180,15 @@ def run_sweep(thetas, phi, u, k_max=100):
     """Optimal iteration count and phase-condition check per theta.
 
     The recurrences run in blocks of theta values, each block holding at
-    most ``SWEEP_BLOCK`` trajectory entries per array.
+    most ``SWEEP_BLOCK`` trajectory entries per array. More than
+    ``MAX_SWEEP_ENTRIES`` entries in all is rejected before any work.
     """
+    entries = len(thetas) * (k_max + 1)
+    if entries > MAX_SWEEP_ENTRIES:
+        raise ValueError(
+            f"{len(thetas)} theta values x (kmax + 1 = {k_max + 1}) = {entries} trajectory "
+            f"entries exceeds the sweep limit {MAX_SWEEP_ENTRIES}"
+        )
     params = [AlgorithmParams(theta, phi, u) for theta in thetas]
     coeffs = [present_coeffs(p) for p in params]
     width = max(1, SWEEP_BLOCK // (k_max + 1))
@@ -234,11 +248,10 @@ def _verify_row(mode, case, matrix_seed, cfg, run, channels):
     (``channels`` holds one recurrence array per invariant basis vector, in
     the order of the decomposition coefficients), of the decomposition
     residual and of | |Q^k gamma| - 1 |. Each is one array reduction over
-    the run's states and its stacked decompositions.
+    the run's states or a field of its decomposition record array.
     """
-    coeffs = np.array([dec.coefficients for dec in run.decompositions])
-    comp_dev = float(np.max(np.abs(coeffs - np.stack(channels, axis=1))))
-    residual = float(np.max([dec.residual for dec in run.decompositions]))
+    comp_dev = float(np.max(np.abs(run.decompositions.coefficients - np.stack(channels, axis=1))))
+    residual = float(np.max(run.decompositions.residual))
     norm_dev = float(np.max(np.abs(row_norms(run.states) - 1.0)))
     row = {
         "mode": mode,
@@ -491,7 +504,7 @@ def table2_cmd(kmax, fmt, out):
 
 
 @main.command("pyramid")
-@click.option("--max-k", type=click.IntRange(min=1, max=K_EXACT_MAX), default=12,
+@click.option("--max-k", type=click.IntRange(min=3, max=K_EXACT_MAX), default=12,
               show_default=True,
               help="Largest iteration index to print, at most the closed form's range.")
 @_output_options

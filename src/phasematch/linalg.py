@@ -8,7 +8,6 @@ mutated, and randomness enters only through explicitly passed seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +71,18 @@ def unitary_dev(w) -> float:
     return float(np.max(np.abs(w @ w.conj().T - np.eye(w.shape[0]))))
 
 
+def require_unitary(w, tol: float, symbol: str, purpose: str) -> np.ndarray:
+    """``w`` as a complex array, or a ValueError saying ``symbol`` must be
+    unitary for ``purpose``, with the deviation max|W W+ - I| and the tolerance."""
+    w = np.asarray(w, dtype=np.complex128)
+    if not is_unitary(w, tol):
+        raise ValueError(
+            f"{symbol} must be unitary for {purpose}: "
+            f"max|{symbol} {symbol}+ - I| = {unitary_dev(w):.3g} exceeds the tolerance {tol:g}"
+        )
+    return w
+
+
 def hermitian_dev(w) -> float:
     """Largest entry of ``|W - W+|``."""
     w = _as_square(w)
@@ -82,19 +93,6 @@ def involution_dev(w) -> float:
     """Largest entry of ``|W W - I|``."""
     w = _as_square(w)
     return float(np.max(np.abs(w @ w - np.eye(w.shape[0]))))
-
-
-@dataclass(frozen=True, eq=False)
-class GramDecomposition:
-    """Expansion of a state over a (generally non-orthogonal) basis.
-
-    ``residual`` is the Euclidean distance between the state and its
-    projection onto the basis span, so subspace membership reduces to a
-    residual threshold.
-    """
-
-    coefficients: np.ndarray
-    residual: float
 
 
 def row_norms(x) -> np.ndarray:
@@ -109,7 +107,7 @@ def row_norms(x) -> np.ndarray:
     return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
-def gram_decompose(states, basis) -> list[GramDecomposition]:
+def gram_decompose(states, basis) -> np.recarray:
     """Solve the normal equations to expand each of ``states`` over ``basis``.
 
     The Gram matrix ``G[i, j] = <basis_i | basis_j>`` is built once per call
@@ -122,6 +120,11 @@ def gram_decompose(states, basis) -> list[GramDecomposition]:
     solved together: one stacked product forms the right-hand sides, one
     multi-right-hand-side solve gives the coefficients, and the synthesis and
     residual norms are broadcast over the states.
+
+    The result is one record array of length n whose ``coefficients`` field
+    is the (n, m) array of coefficients over the m basis vectors and whose
+    ``residual`` field holds each state's Euclidean distance to the basis
+    span, so subspace membership reduces to a residual threshold.
     """
     vecs = np.array([_as_vector(b) for b in basis])
     duals = vecs.conj()
@@ -134,18 +137,21 @@ def gram_decompose(states, basis) -> list[GramDecomposition]:
             f"exceeds {_GRAM_COND_MAX:.3e}"
         )
     s = np.asarray(states if isinstance(states, np.ndarray) else list(states), dtype=np.complex128)
+    out = np.recarray(len(s), [("coefficients", np.complex128, (len(vecs),)),
+                               ("residual", np.float64)])
     if len(s) == 0:
-        return []
+        return out
     if s.ndim != 2 or s.shape[1] != vecs.shape[1]:
         raise ValueError(f"expected states of length {vecs.shape[1]}, got shape {s.shape}")
     rhs = (duals[None, :, None, :] @ s[:, None, :, None])[:, :, 0, 0]
     coeffs = np.linalg.solve(gram, rhs.T).T
+    out.coefficients = coeffs
     synth = np.zeros_like(s)
     for c, v in zip(coeffs.T, vecs):
         synth += c[:, None] * v
     # The synthesis buffer takes the residual vectors: one (n, N) array fewer.
-    residuals = row_norms(np.subtract(s, synth, out=synth)).tolist()
-    return [GramDecomposition(c, r) for c, r in zip(coeffs, residuals)]
+    out.residual = row_norms(np.subtract(s, synth, out=synth))
+    return out
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -5,9 +5,9 @@ U^-1, the two-rotation algorithm) with one dense product: each rotation
 touches one row or one column of V, and only (I_gamma V I_tau) U costs N^3.
 |gamma> is evolved step by step into one (k_max + 1) x N array of states.
 All of a run's states are decomposed over the invariant basis by one stacked
-solve of the Gram normal equations. The decomposition residual doubles as the
-subspace-preservation check: it stays at rounding level when the premise
-holds and blows up visibly when it does not.
+solve of the Gram normal equations, into one record array. Its residuals
+double as the subspace-preservation check: they stay at rounding level when
+the premise holds and blow up visibly when it does not.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ import numpy as np
 
 from .linalg import (
     STRUCTURAL_TOL,
-    GramDecomposition,
     adjoint,
     basis_state,
     gram_decompose,
-    is_unitary,
     random_unitary,
+    require_unitary,
 )
 from .rotations import _finite_angles, build
 
@@ -52,11 +51,9 @@ class OracleConfig:
         matrices = (("U", "u_matrix"), ("V", "v_matrix"))
         for name, field in matrices if self.v_matrix is not None else matrices[:1]:
             m = np.asarray(getattr(self, field), dtype=np.complex128)
-            object.__setattr__(self, field, m)
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})")
-            if not is_unitary(m, STRUCTURAL_TOL):
-                raise ValueError(f"{name} must be unitary")
+            object.__setattr__(self, field, require_unitary(m, STRUCTURAL_TOL, name, "the oracle"))
 
     @property
     def gamma_index(self) -> int:
@@ -79,12 +76,12 @@ class OracleRun:
     """States Q^k|gamma> for k = 0..k_max with their basis decompositions.
 
     ``states`` is one (k_max + 1, N) array whose row k is Q^k|gamma>;
-    ``decompositions[k]`` is its expansion over the invariant basis, all of
-    them from one stacked Gram solve.
+    ``decompositions`` is the :func:`gram_decompose` record array of their
+    expansions over the invariant basis, from one stacked Gram solve.
     """
 
     states: np.ndarray
-    decompositions: list[GramDecomposition]
+    decompositions: np.recarray
 
     @property
     def k_max(self) -> int:

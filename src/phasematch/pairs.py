@@ -25,9 +25,8 @@ from .linalg import (
     adjoint,
     hermitian_dev,
     involution_dev,
-    is_unitary,
     random_unitary,
-    unitary_dev,
+    require_unitary,
 )
 
 
@@ -93,18 +92,6 @@ def random_commuting_unitary(dim: int, seed) -> np.ndarray:
     return s @ block @ s.conj().T
 
 
-def _require_unitary(w, tol: float, who: str, symbol: str) -> np.ndarray:
-    """``w`` as a complex array, or a ValueError naming ``who`` needs it
-    unitary, with the deviation max|W W+ - I| and the tolerance."""
-    w = np.asarray(w, dtype=np.complex128)
-    if not is_unitary(w, tol):
-        raise ValueError(
-            f"{who} requires a unitary matrix: "
-            f"max|{symbol} {symbol}+ - I| = {unitary_dev(w):.3g} exceeds the tolerance {tol:g}"
-        )
-    return w
-
-
 @dataclass(frozen=True, eq=False)
 class CommutingUnitaryPair:
     """A block-symmetric unitary V with its companion U = V+ P.
@@ -120,7 +107,7 @@ class CommutingUnitaryPair:
 
 def companion(v, tol: float = STRUCTURAL_TOL) -> CommutingUnitaryPair:
     """Pair a block-symmetric unitary with U = adjoint(V) P."""
-    v = _require_unitary(v, tol, "companion construction", "V")
+    v = require_unitary(v, tol, "V", "the companion construction")
     if not is_block_symmetric(v, tol):
         raise ValueError(
             "companion construction requires V = PVP "
@@ -142,5 +129,5 @@ def hermitian_iff_involution(w, tol: float = STRUCTURAL_TOL) -> LemmaFlags:
     For unitary W the two are equivalent (W = W+ = W^-1 iff W^2 = I); the
     premise is enforced, the equivalence is left observable for testing.
     """
-    w = _require_unitary(w, tol, "the lemma's premise", "W")
+    w = require_unitary(w, tol, "W", "the hermitian-iff-involution lemma")
     return LemmaFlags(hermitian=hermitian_dev(w) <= tol, involution=involution_dev(w) <= tol)

@@ -16,9 +16,11 @@ from phasematch.cli import (
     MAX_DIM,
     MAX_K,
     MAX_RANGE_POINTS,
+    MAX_SWEEP_ENTRIES,
     SWEEP_BLOCK,
     _parse_range,
     main,
+    run_pyramid,
     run_sweep,
     run_table1,
     run_table2,
@@ -209,9 +211,34 @@ def test_sweep_bounds_work_before_allocating(runner):
 def test_size_options_are_bounded_before_work(runner):
     for args in (["construct", "--dim", str(MAX_DIM + 2)],
                  ["verify", "--cases", str(MAX_CASES + 1)],
-                 ["pyramid", "--max-k", str(K_EXACT_MAX + 1)]):
+                 ["pyramid", "--max-k", str(K_EXACT_MAX + 1)],
+                 ["pyramid", "--max-k", "2"]):
         _assert_usage_error(runner.invoke(main, args))
     assert runner.invoke(main, ["pyramid", "--max-k", str(K_EXACT_MAX)]).exit_code == 0
+    result = runner.invoke(main, ["pyramid", "--max-k", "3", "--format", "csv"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1:] == ["1,3,1"]
+    for max_k in (1, 2):
+        with pytest.raises(ValueError, match="below 3"):
+            run_pyramid(max_k=max_k)
+
+
+def test_sweep_total_work_is_bounded_before_work(runner, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(params):
+        raise Reached
+
+    # Code without the bound stops here at once instead of running for hours.
+    monkeypatch.setattr(cli, "present_coeffs", reached)
+    _assert_usage_error(runner.invoke(
+        main, ["sweep", "--theta", f"0:{MAX_RANGE_POINTS - 1}:1", "--kmax", str(MAX_K)]))
+    thetas = [0.0] * 100
+    with pytest.raises(Reached):
+        run_sweep(thetas, 0.0, 0.1, k_max=MAX_SWEEP_ENTRIES // len(thetas) - 1)
+    with pytest.raises(ValueError, match="exceeds the sweep limit"):
+        run_sweep(thetas, 0.0, 0.1, k_max=MAX_SWEEP_ENTRIES // len(thetas))
 
 
 @pytest.mark.parametrize("args", [

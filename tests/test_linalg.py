@@ -180,11 +180,14 @@ def test_gram_decompose_equals_per_state_loop(dim, n_basis, n_states):
     for given_states in (states, list(states)):
         decs = gram_decompose(given_states, basis)
         assert len(decs) == n_states
+        assert decs.coefficients.dtype == np.complex128
+        assert decs.coefficients.shape == (n_states, n_basis)
+        assert decs.residual.dtype == np.float64
+        assert decs.residual.shape == (n_states,)
         for dec, state in zip(decs, states):
             coeffs, residual = _per_state_decomposition(state, basis)
             assert np.array_equal(dec.coefficients, coeffs)
             assert dec.residual == residual
-            assert type(dec.residual) is float
 
 
 def test_gram_decompose_rejects_misshaped_states():
@@ -197,6 +200,8 @@ def test_gram_decompose_rejects_misshaped_states():
 
 def test_gram_decompose_of_no_states_is_empty():
     basis = [basis_state(4, 0), basis_state(4, 1)]
-    assert gram_decompose([], basis) == []
-    assert gram_decompose(iter(()), basis) == []
-    assert gram_decompose(np.empty((0, 4), dtype=np.complex128), basis) == []
+    for states in ([], iter(()), np.empty((0, 4), dtype=np.complex128)):
+        decs = gram_decompose(states, basis)
+        assert len(decs) == 0
+        assert decs.coefficients.shape == (0, 2)
+        assert decs.residual.shape == (0,)

@@ -227,6 +227,21 @@ def test_evolve_equals_per_state_solves(mode):
         assert dec.residual == residual
 
 
+@pytest.mark.parametrize("mode", ["2d", "4d"])
+def test_decomposition_fields_equal_the_per_state_records(mode):
+    """Whole-field reads give the arrays that stacking per-state records gives."""
+    if mode == "2d":
+        cfg = OracleConfig(dim=16, theta=0.7, phi=0.2, u_matrix=random_unitary(16, 3))
+    else:
+        pair = companion(random_commuting_unitary(16, 5))
+        cfg = OracleConfig(dim=16, theta=-0.5, phi=1.1, u_matrix=pair.u, v_matrix=pair.v)
+    run = evolve(build_q(cfg), cfg, 20)
+    assert _same_bits(run.decompositions.coefficients,
+                      np.array([d.coefficients for d in run.decompositions]))
+    assert _same_bits(run.decompositions.residual,
+                      np.array([d.residual for d in run.decompositions]))
+
+
 def test_config_validation():
     w = walsh_hadamard(2)
     cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w)
