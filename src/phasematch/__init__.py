@@ -73,7 +73,6 @@ from .oracle import (
     invariant_basis,
     target_amplitude,
     unitary_with_overlap,
-    walsh_hadamard,
 )
 from .reporting import Report, make_report, render, round_sig, to_csv, to_json
 

@@ -12,6 +12,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .engine2d import (
@@ -79,6 +80,14 @@ MAX_DIM = 512
 
 #: Largest ``verify --cases``, per suite.
 MAX_CASES = 1000
+
+#: The ``coeffs`` options each coefficient family reads.
+COEFFS_OPTIONS = {
+    "present": ("theta", "phi", "u"),
+    "grover": ("u",),
+    "long": ("theta", "phi", "u"),
+    "hoyer": ("a", "phi", "varphi"),
+}
 
 #: Steps of each dense simulation in the 2D and 4D verify suites.
 VERIFY_K_MAX_2D = 50
@@ -267,7 +276,7 @@ def _verify_row(mode, case, matrix_seed, cfg, run, channels):
     return row, max(comp_dev, residual, norm_dev)
 
 
-def _verify_2d_case(case, rng, equivalence_tol):
+def _verify_2d_case(case, rng):
     dim = (4, 16, 64)[case % 3]
     matrix_seed = int(rng.integers(_SEED_MAX))
     theta, phi = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
@@ -283,15 +292,15 @@ def _verify_2d_case(case, rng, equivalence_tol):
     amplitudes = target_amplitude(run, cfg, np.arange(VERIFY_K_MAX_2D + 1))
     amp_dev = float(np.max(np.abs(amplitudes - predicted)))
     row["max_amplitude_dev"] = amp_dev
-    row["ok"] = max(worst, amp_dev) <= equivalence_tol
+    row["ok"] = max(worst, amp_dev) <= EQUIVALENCE_TOL
     return row
 
 
-def _verify_4d_case(case, rng, structural_tol, equivalence_tol):
+def _verify_4d_case(case, rng):
     dim = (8, 16)[case % 2]
     matrix_seed = int(rng.integers(_SEED_MAX))
     theta, phi = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
-    pair = companion(random_commuting_unitary(dim, matrix_seed), structural_tol)
+    pair = companion(random_commuting_unitary(dim, matrix_seed))
     cfg = OracleConfig(dim=dim, theta=theta, phi=phi,
                        u_matrix=pair.u, v_matrix=pair.v)
     g, t = cfg.gamma_index, cfg.tau_index
@@ -308,26 +317,26 @@ def _verify_4d_case(case, rng, structural_tol, equivalence_tol):
     traj = iterate4(four_dim_coeffs(inputs), VERIFY_K_MAX_4D)
     row, worst = _verify_row("4d", case, matrix_seed, cfg, run, (traj.a, traj.b, traj.c, traj.d))
     diag_dev = zero_diagonal_dev(vu)
-    flags = hermitian_iff_involution(vu, structural_tol)
+    flags = hermitian_iff_involution(vu)
     row["product_diag_dev"] = diag_dev
     row["product_hermitian"] = flags.hermitian
     row["product_involution"] = flags.involution
     row["ok"] = (
-        worst <= equivalence_tol
-        and diag_dev <= structural_tol
+        worst <= EQUIVALENCE_TOL
+        and diag_dev <= STRUCTURAL_TOL
         and flags.hermitian
         and flags.involution
     )
     return row
 
 
-def run_verify(scope="all", seed=1, n_cases=20,
-               structural_tol=STRUCTURAL_TOL, equivalence_tol=EQUIVALENCE_TOL):
+def run_verify(scope="all", seed=1, n_cases=20):
     """Dense-simulation equivalence suite for the reduced recurrences.
 
     Every case builds a full-space search operator from seeded unitaries,
     decomposes Q^k applied to the start state over the invariant basis,
-    and compares the coefficients against the 2D/4D recurrences.
+    and compares the coefficients against the 2D/4D recurrences, to
+    ``EQUIVALENCE_TOL``; the 4D product's checks use ``STRUCTURAL_TOL``.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
@@ -337,26 +346,27 @@ def run_verify(scope="all", seed=1, n_cases=20,
     rows = []
     if scope in ("2d", "all"):
         for case in range(n_cases):
-            rows.append(_verify_2d_case(case, rng, equivalence_tol))
+            rows.append(_verify_2d_case(case, rng))
     if scope in ("4d", "all"):
         for case in range(n_cases):
-            rows.append(_verify_4d_case(case, rng, structural_tol, equivalence_tol))
+            rows.append(_verify_4d_case(case, rng))
     passed = all(row["ok"] for row in rows)
     meta = _base_metadata(
-        seed, equivalence_tol, structural_tolerance=structural_tol,
+        seed, EQUIVALENCE_TOL, structural_tolerance=STRUCTURAL_TOL,
         scope=scope, cases=n_cases, k_max_2d=VERIFY_K_MAX_2D, k_max_4d=VERIFY_K_MAX_4D,
     )
     return make_report("verify", meta, rows, passed=passed)
 
 
-def run_construct(dim, seed=0, structural_tol=STRUCTURAL_TOL):
-    """Build a commuting pair (V, U) with V U = U V = P and report its checks.
+def run_construct(dim, seed=0):
+    """Build a commuting pair (V, U) with V U = U V = P and report its checks
+    against ``STRUCTURAL_TOL``.
 
     The JSON report embeds both matrices under metadata as nested lists of
     {re, im} objects; the CSV encoding carries the check rows only.
     """
     v = random_commuting_unitary(dim, seed)
-    pair = companion(v, structural_tol)
+    pair = companion(v)
     p = pair_swap(dim)
     vu = pair.product
     uv = pair.u @ pair.v
@@ -371,15 +381,11 @@ def run_construct(dim, seed=0, structural_tol=STRUCTURAL_TOL):
         ("vu_involution_dev", involution_dev(vu)),
     )
     rows = [
-        {"check": name, "deviation": dev, "tol": structural_tol,
-         "ok": dev <= structural_tol}
+        {"check": name, "deviation": dev, "tol": STRUCTURAL_TOL, "ok": dev <= STRUCTURAL_TOL}
         for name, dev in deviations
     ]
     passed = all(row["ok"] for row in rows)
-    meta = _base_metadata(
-        seed, structural_tol, dim=dim,
-        v=v, u=pair.u,
-    )
+    meta = _base_metadata(seed, STRUCTURAL_TOL, dim=dim, v=v, u=pair.u)
     return make_report("construct", meta, rows, passed=passed)
 
 
@@ -407,21 +413,16 @@ def _parse_range(text):
 
 
 class FiniteFloat(click.types.FloatParamType):
-    """Click parameter accepting a finite float, or with ``positive`` one above 0."""
-
-    def __init__(self, positive=False):
-        self.positive = positive
+    """Click parameter accepting a finite float."""
 
     def convert(self, value, param, ctx):
         value = super().convert(value, param, ctx)
-        if not math.isfinite(value) or (self.positive and value <= 0):
-            kind = "finite positive" if self.positive else "finite"
-            self.fail(f"{value!r} is not a {kind} number", param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
         return value
 
 
 FINITE = FiniteFloat()
-POSITIVE = FiniteFloat(positive=True)
 
 
 class ComplexParam(click.ParamType):
@@ -540,7 +541,18 @@ def sweep_cmd(theta_range, phi, u, kmax, fmt, out):
               help="Extra phase angle (hoyer family only).")
 @_output_options
 def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
-    """Reduced iteration-matrix entries for one coefficient family."""
+    """Reduced iteration-matrix entries for one coefficient family.
+
+    present and long read --theta --phi --u; grover reads --u; hoyer reads
+    --a --phi --varphi. Giving any other of these options is a usage error.
+    """
+    ctx = click.get_current_context()
+    for name in ("theta", "phi", "u", "a", "varphi"):
+        if (name not in COEFFS_OPTIONS[family]
+                and ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE):
+            raise click.UsageError(
+                f"--{name} is not read by the {family} family, which reads "
+                + " ".join(f"--{n}" for n in COEFFS_OPTIONS[family]), ctx)
     _emit(run_coeffs(family, theta=theta, phi=phi, u=u, a=a, varphi=varphi), fmt, out)
 
 
@@ -550,29 +562,22 @@ def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--cases", type=click.IntRange(min=1, max=MAX_CASES), default=20,
               show_default=True, help="Random cases per suite.")
-@click.option("--structural-tol", type=POSITIVE, default=STRUCTURAL_TOL,
-              show_default=True, help="Tolerance for structural matrix checks.")
-@click.option("--equiv-tol", type=POSITIVE, default=EQUIVALENCE_TOL,
-              show_default=True, help="Tolerance for recurrence equivalence.")
 @_output_options
-def verify_cmd(scope, seed, cases, structural_tol, equiv_tol, fmt, out):
+def verify_cmd(scope, seed, cases, fmt, out):
     """Compare the reduced recurrences against dense simulation."""
-    _emit(run_verify(scope=scope, seed=seed, n_cases=cases,
-                     structural_tol=structural_tol, equivalence_tol=equiv_tol), fmt, out)
+    _emit(run_verify(scope=scope, seed=seed, n_cases=cases), fmt, out)
 
 
 @main.command("construct")
 @click.option("--dim", type=click.IntRange(min=2, max=MAX_DIM), default=8, show_default=True,
               help="Even matrix dimension.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--structural-tol", type=POSITIVE, default=STRUCTURAL_TOL,
-              show_default=True, help="Tolerance for the emitted checks.")
 @_output_options
-def construct_cmd(dim, seed, structural_tol, fmt, out):
+def construct_cmd(dim, seed, fmt, out):
     """Emit a commuting unitary pair whose product is the pair swap."""
     if dim % 2:
         raise click.BadParameter("--dim must be even")
-    _emit(run_construct(dim, seed=seed, structural_tol=structural_tol), fmt, out)
+    _emit(run_construct(dim, seed=seed), fmt, out)
 
 
 if __name__ == "__main__":

@@ -297,15 +297,16 @@ def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:
 def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     """|approx_b| in closed form.
 
-    ``2 k |cos(phi)| |u|`` in the degenerate direction theta = phi (detected
-    by |sin(gap)| < 1e-12, substituting the limit explicitly), else
-    ``2 |cos(phi)| |u| |sin(k gap) / sin(gap)|``, with the gap theta - phi
-    reduced modulo pi by :func:`_threshold_and_gap`.
+    ``2 k |cos(phi)| |u|``, the limit, where the gap theta - phi reduced
+    modulo pi by :func:`_threshold_and_gap` is exactly 0, else
+    ``2 |cos(phi)| |u| |sin(k gap) / sin(gap)|``. The ratio needs no floor:
+    for a tiny nonzero gap, sin rounds to the gap itself with full relative
+    accuracy, down to the smallest subnormal.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     scale, gap = _threshold_and_gap(params)
-    if abs(math.sin(gap)) < 1e-12:
+    if gap == 0:
         return k * scale
     return scale * abs(math.sin(k * gap) / math.sin(gap))
 
@@ -316,6 +317,8 @@ def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
     Reduces over axis 0, so ``b`` may run past k_max: a 1-D ``b`` gives a
     plain int and float, a batch of n columns two arrays of n.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     magnitudes = np.abs(b[1 : k_max + 1])
     k_star = np.argmax(magnitudes, axis=0) + 1
     max_abs_b = np.max(magnitudes, axis=0)
@@ -331,8 +334,6 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     coefficients stacked as 1-D arrays (see :func:`iterate2`) give one array
     entry per instance.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     return _peak_of(iterate2(c, k_max).b, k_max)
 
 

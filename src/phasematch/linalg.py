@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-#: Default tolerance for structural checks (unitarity, hermiticity, zero diagonals).
+#: Tolerance of every structural check (unitarity, hermiticity, zero diagonals).
 STRUCTURAL_TOL = 1e-10
-#: Default tolerance for cross-validation of independent computation paths.
+#: Tolerance of every cross-validation of independent computation paths.
 EQUIVALENCE_TOL = 1e-9
 
 #: A Gram matrix with cond(G) * eps above EQUIVALENCE_TOL is degenerate.
@@ -52,17 +52,9 @@ def adjoint(w) -> np.ndarray:
     return _as_square(w).conj().T.copy()
 
 
-def is_unitary(w, tol: float = STRUCTURAL_TOL) -> bool:
-    """Check ``W W+ = I`` in the entrywise max norm.
-
-    Parameters
-    ----------
-    w : array_like
-        Square complex matrix.
-    tol : float
-        Largest allowed deviation of any entry of ``W W+`` from the identity.
-    """
-    return unitary_dev(w) <= tol
+def is_unitary(w) -> bool:
+    """Whether no entry of ``W W+`` deviates from the identity by more than ``STRUCTURAL_TOL``."""
+    return unitary_dev(w) <= STRUCTURAL_TOL
 
 
 def unitary_dev(w) -> float:
@@ -71,14 +63,15 @@ def unitary_dev(w) -> float:
     return float(np.max(np.abs(w @ w.conj().T - np.eye(w.shape[0]))))
 
 
-def require_unitary(w, tol: float, symbol: str, purpose: str) -> np.ndarray:
+def require_unitary(w, symbol: str, purpose: str) -> np.ndarray:
     """``w`` as a complex array, or a ValueError saying ``symbol`` must be
-    unitary for ``purpose``, with the deviation max|W W+ - I| and the tolerance."""
+    unitary for ``purpose``, with the deviation max|W W+ - I| and ``STRUCTURAL_TOL``."""
     w = np.asarray(w, dtype=np.complex128)
-    if not is_unitary(w, tol):
+    if not is_unitary(w):
         raise ValueError(
             f"{symbol} must be unitary for {purpose}: "
-            f"max|{symbol} {symbol}+ - I| = {unitary_dev(w):.3g} exceeds the tolerance {tol:g}"
+            f"max|{symbol} {symbol}+ - I| = {unitary_dev(w):.3g} "
+            f"exceeds the tolerance {STRUCTURAL_TOL:g}"
         )
     return w
 

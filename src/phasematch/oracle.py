@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    STRUCTURAL_TOL,
     adjoint,
     basis_state,
     gram_decompose,
@@ -53,7 +52,7 @@ class OracleConfig:
             m = np.asarray(getattr(self, field), dtype=np.complex128)
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})")
-            object.__setattr__(self, field, require_unitary(m, STRUCTURAL_TOL, name, "the oracle"))
+            object.__setattr__(self, field, require_unitary(m, name, "the oracle"))
 
     @property
     def gamma_index(self) -> int:
@@ -147,21 +146,6 @@ def target_amplitude(run: OracleRun, cfg: OracleConfig, k) -> complex | np.ndarr
         raise IndexError(f"k = {k} outside the run's range 0..{run.k_max}")
     amplitudes = (run.states @ cfg.u_matrix[cfg.tau_index])[ks]
     return complex(amplitudes) if ks.ndim == 0 else amplitudes
-
-
-def walsh_hadamard(n_qubits: int) -> np.ndarray:
-    """The 2^n-dimensional transform with entries (-1)^popcount(i & j) / sqrt(N).
-
-    Built directly from the sign pattern rather than by kron powers, so the
-    entries are exactly +-1/sqrt(N).
-    """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    dim = 1 << n_qubits
-    idx = np.arange(dim)
-    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    signs = 1.0 - 2.0 * parity.astype(np.float64)
-    return (signs / math.sqrt(dim)).astype(np.complex128)
 
 
 def unitary_with_overlap(dim: int, seed, magnitude: float) -> np.ndarray:

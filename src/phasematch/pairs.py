@@ -41,9 +41,9 @@ def pair_swap(dim: int) -> np.ndarray:
     return p
 
 
-def is_block_symmetric(v, tol: float = STRUCTURAL_TOL) -> bool:
-    """Whether every aligned 2x2 block of v has the form [[a, b], [b, a]]."""
-    return block_symmetry_dev(v) <= tol
+def is_block_symmetric(v) -> bool:
+    """Whether every aligned 2x2 block of v has the form [[a, b], [b, a]], to ``STRUCTURAL_TOL``."""
+    return block_symmetry_dev(v) <= STRUCTURAL_TOL
 
 
 def block_symmetry_dev(v) -> float:
@@ -105,16 +105,18 @@ class CommutingUnitaryPair:
     product: np.ndarray
 
 
-def companion(v, tol: float = STRUCTURAL_TOL) -> CommutingUnitaryPair:
+def companion(v) -> CommutingUnitaryPair:
     """Pair a block-symmetric unitary with U = adjoint(V) P."""
-    v = require_unitary(v, tol, "V", "the companion construction")
-    if not is_block_symmetric(v, tol):
+    v = require_unitary(v, "V", "the companion construction")
+    if not is_block_symmetric(v):
         raise ValueError(
             "companion construction requires V = PVP "
             "(2x2 blocks of the form [[a, b], [b, a]]); without it UV != P: "
-            f"max|V - PVP| = {block_symmetry_dev(v):.3g} exceeds the tolerance {tol:g}"
+            f"max|V - PVP| = {block_symmetry_dev(v):.3g} "
+            f"exceeds the tolerance {STRUCTURAL_TOL:g}"
         )
-    u = adjoint(v) @ pair_swap(v.shape[0])
+    # Right-multiplying by P swaps columns 2i and 2i+1.
+    u = adjoint(v)[:, np.arange(v.shape[0]) ^ 1]
     return CommutingUnitaryPair(v=v, u=u, product=v @ u)
 
 
@@ -123,11 +125,12 @@ class LemmaFlags(NamedTuple):
     involution: bool
 
 
-def hermitian_iff_involution(w, tol: float = STRUCTURAL_TOL) -> LemmaFlags:
-    """Independently computed flags (W hermitian?, W^2 = I?).
+def hermitian_iff_involution(w) -> LemmaFlags:
+    """Independently computed flags (W hermitian?, W^2 = I?), each to ``STRUCTURAL_TOL``.
 
     For unitary W the two are equivalent (W = W+ = W^-1 iff W^2 = I); the
     premise is enforced, the equivalence is left observable for testing.
     """
-    w = require_unitary(w, tol, "W", "the hermitian-iff-involution lemma")
-    return LemmaFlags(hermitian=hermitian_dev(w) <= tol, involution=involution_dev(w) <= tol)
+    w = require_unitary(w, "W", "the hermitian-iff-involution lemma")
+    return LemmaFlags(hermitian=hermitian_dev(w) <= STRUCTURAL_TOL,
+                      involution=involution_dev(w) <= STRUCTURAL_TOL)

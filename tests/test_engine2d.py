@@ -377,6 +377,23 @@ def test_matched_phases_magnitude_is_linear_in_k():
         assert closed_form_magnitude(params, k) == pytest.approx(expected, abs=1e-14)
 
 
+def test_closed_form_magnitude_at_tiny_gaps():
+    """The ratio form holds for any nonzero gap, checked against 50-digit arithmetic.
+
+    A floor on |sin(gap)| that substitutes the limit k * scale is off by a
+    relative (k gap)^2 / 6, which is 1.3e-13 at gap 9e-13 and k = 10^6.
+    """
+    import mpmath
+
+    for gap in (5e-324, 1e-310, 1e-200, 1e-20, 1e-13, 9e-13, -9e-13):
+        params = AlgorithmParams(gap, 0.0, 0.1)
+        for k in (1, 2, 7, 1000, 50_000, 1_000_000):
+            with mpmath.workdps(50):
+                g = mpmath.mpf(gap)
+                exact = mpmath.mpf(2 * 0.1) * abs(mpmath.sin(k * g) / mpmath.sin(g))
+            assert closed_form_magnitude(params, k) == pytest.approx(float(exact), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # sweeps and the phase condition
 
@@ -456,5 +473,5 @@ def test_phase_condition_degenerate_threshold():
 
 
 def test_sweep_rejects_empty_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
         sweep_max(grover_coeffs(0.1), 0)

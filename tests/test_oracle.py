@@ -17,7 +17,6 @@ from phasematch.oracle import (
     invariant_basis,
     target_amplitude,
     unitary_with_overlap,
-    walsh_hadamard,
 )
 from phasematch.pairs import companion, random_commuting_unitary
 from phasematch.rotations import build
@@ -25,36 +24,9 @@ from test_goldens import _build
 from test_linalg import _per_state_decomposition
 
 
-def test_walsh_hadamard_two_qubits():
-    h = walsh_hadamard(2)
-    expected = 0.5 * np.array(
-        [
-            [1, 1, 1, 1],
-            [1, -1, 1, -1],
-            [1, 1, -1, -1],
-            [1, -1, -1, 1],
-        ],
-        dtype=np.complex128,
-    )
-    np.testing.assert_array_equal(h, expected)
-
-
-def test_walsh_hadamard_properties():
-    for n in (1, 3, 5):
-        h = walsh_hadamard(n)
-        assert is_unitary(h, tol=1e-12)
-        np.testing.assert_array_equal(h, h.T)
-        np.testing.assert_allclose(h @ h, np.eye(1 << n), atol=1e-12)
-
-
-def test_walsh_hadamard_rejects_zero_qubits():
-    with pytest.raises(ValueError):
-        walsh_hadamard(0)
-
-
 def test_four_state_search_succeeds_in_one_step():
-    """The classic N=4 instance: one inversion iteration reaches the target."""
-    cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=walsh_hadamard(2))
+    """The classic N=4 instance, |u| = 1/2: one inversion iteration reaches the target."""
+    cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=unitary_with_overlap(4, 0, 0.5))
     run = evolve(build_q(cfg), cfg, 1)
     amp = target_amplitude(run, cfg, 1)
     assert abs(amp) == pytest.approx(1.0, abs=1e-12)
@@ -179,7 +151,7 @@ def test_generic_v_leaks_out_of_the_four_dim_subspace():
 
 
 def test_invariant_basis_modes():
-    cfg2 = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=walsh_hadamard(2))
+    cfg2 = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=random_unitary(4, 1))
     assert len(invariant_basis(cfg2)) == 2
     pair = companion(random_commuting_unitary(4, 1))
     cfg4 = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=pair.u, v_matrix=pair.v)
@@ -243,7 +215,7 @@ def test_decomposition_fields_equal_the_per_state_records(mode):
 
 
 def test_config_validation():
-    w = walsh_hadamard(2)
+    w = random_unitary(4, 2)
     cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w)
     assert (cfg.gamma_index, cfg.tau_index) == (0, 3)
     with pytest.raises(ValueError, match="dimension 1 leaves no room"):
@@ -261,14 +233,14 @@ def test_config_validation():
 @given(slot=st.integers(0, 1), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_config_rejects_non_finite_angles(slot, bad):
     angles = [0.3, 0.1]
-    OracleConfig(4, *angles, u_matrix=walsh_hadamard(2))
+    OracleConfig(4, *angles, u_matrix=random_unitary(4, 3))
     angles[slot] = bad
     with pytest.raises(ValueError, match="non-finite angles"):
-        OracleConfig(4, *angles, u_matrix=walsh_hadamard(2))
+        OracleConfig(4, *angles, u_matrix=random_unitary(4, 3))
 
 
 def test_target_amplitude_range_check():
-    cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=walsh_hadamard(2))
+    cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=random_unitary(4, 4))
     run = evolve(build_q(cfg), cfg, 2)
     with pytest.raises(IndexError):
         target_amplitude(run, cfg, 3)
@@ -299,7 +271,7 @@ def test_target_amplitude_array_equals_per_k_calls(dim):
 def test_unitary_with_overlap_hits_requested_magnitude():
     for dim, mag in ((10, 0.3), (100, 0.1), (7, 1 / math.sqrt(7))):
         w = unitary_with_overlap(dim, seed=6, magnitude=mag)
-        assert is_unitary(w, tol=1e-10)
+        assert is_unitary(w)
         assert abs(w[dim - 1, 0]) == pytest.approx(mag, abs=1e-13)
 
 

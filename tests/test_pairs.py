@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasematch.linalg import hermitian_dev, is_unitary, random_unitary
+from phasematch.linalg import adjoint, hermitian_dev, is_unitary, random_unitary
 from phasematch.pairs import (
     block_symmetry_dev,
     companion,
@@ -80,7 +80,7 @@ def test_seeded_commuting_unitary():
     for dim in (2, 4, 8, 16):
         for seed in range(5):
             v = random_commuting_unitary(dim, seed)
-            assert is_unitary(v, tol=1e-10)
+            assert is_unitary(v)
             assert block_symmetry_dev(v) <= 1e-12
             np.testing.assert_array_equal(v, random_commuting_unitary(dim, seed))
 
@@ -133,6 +133,14 @@ def test_companion_product_is_computed_once():
         assert pair.product is pair.product
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 128, 256])
+def test_companion_permutes_columns_like_the_pair_swap_product(dim):
+    """U is adjoint(V) @ pair_swap(N) bit for bit at the verify, construct and bench dims."""
+    for seed in range(3):
+        v = random_commuting_unitary(dim, seed)
+        np.testing.assert_array_equal(companion(v).u, adjoint(v) @ pair_swap(dim))
+
+
 def test_companion_rejects_plain_unitary():
     w = random_unitary(4, 2)
     with pytest.raises(ValueError, match=rf"V = PVP.* {block_symmetry_dev(w):.3g} .* 1e-10"):
@@ -140,8 +148,8 @@ def test_companion_rejects_plain_unitary():
 
 
 def test_companion_rejects_non_unitary():
-    with pytest.raises(ValueError, match=r"unitary.* 4 exceeds the tolerance 1e-07"):
-        companion(np.ones((4, 4)), tol=1e-7)
+    with pytest.raises(ValueError, match=r"unitary.* 4 exceeds the tolerance 1e-10"):
+        companion(np.ones((4, 4)))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
