@@ -6,13 +6,11 @@ JSON report with a small reproducibility header (seed, tolerances,
 version).
 """
 
-import cmath
 import math
 import sys
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import __version__
 from .engine2d import (
@@ -50,7 +48,7 @@ from .pairs import (
     random_commuting_unitary,
     zero_diagonal_dev,
 )
-from .reporting import make_report, render
+from .reporting import FORMATS, make_report, render
 
 #: (N, k) rows of the fixed-point table; u = 1/sqrt(N), theta = phi = 0.
 TABLE1_CASES = ((100, 6), (400, 12), (625, 14), (900, 17))
@@ -81,17 +79,30 @@ MAX_DIM = 512
 #: Largest ``verify --cases``, per suite.
 MAX_CASES = 1000
 
-#: The ``coeffs`` options each coefficient family reads.
-COEFFS_OPTIONS = {
-    "present": ("theta", "phi", "u"),
-    "grover": ("u",),
-    "long": ("theta", "phi", "u"),
-    "hoyer": ("a", "phi", "varphi"),
+#: Per coefficient family: the ``run_coeffs`` parameters it reads, and its builder
+#: from them. A lambda calls the builder this module binds when it runs, patched or not.
+COEFFS_FAMILIES = {
+    "present": (("theta", "phi", "u"), lambda t, p, u: present_coeffs(AlgorithmParams(t, p, u))),
+    "grover": (("u",), lambda u: grover_coeffs(u)),
+    "long": (("theta", "phi", "u"), lambda t, p, u: long_coeffs(t, p, u)),
+    "hoyer": (("a", "phi", "varphi"), lambda a, p, v: hoyer_coeffs(HoyerParams(a, p, v))),
 }
+
+#: The value of each ``run_coeffs`` parameter the caller does not give.
+COEFFS_DEFAULTS = {"theta": 0.0, "phi": 0.0, "u": 0.1, "a": 0.01, "varphi": 0.0}
+
+#: The ``run_verify`` scopes: one suite, or both.
+VERIFY_SCOPES = ("2d", "4d", "all")
 
 #: Steps of each dense simulation in the 2D and 4D verify suites.
 VERIFY_K_MAX_2D = 50
 VERIFY_K_MAX_4D = 30
+
+
+def _check_bound(name, value, low, high):
+    """Raise ``ValueError`` unless low <= value <= high."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} = {value} is outside [{low}, {high}]")
 
 
 def _base_metadata(seed, tolerance, **extra):
@@ -128,8 +139,9 @@ def run_table2(k_max=100):
 
     Each row reports both the tabulated iteration count and the true
     argmax of |b_k| so that disagreements between the two are visible in
-    the output instead of silently absorbed.
+    the output instead of silently absorbed. ``k_max`` is at most ``MAX_K``.
     """
+    _check_bound("k_max", k_max, 1, MAX_K)
     rows = []
     for theta, k_listed in TABLE2_CASES:
         params = AlgorithmParams(theta, 0.0, 0.1)
@@ -153,11 +165,10 @@ def run_pyramid(max_k=12):
     """Integer coefficient rows l_{k,i} of (beta*lambda)^j for j >= 1.
 
     Emits, for each power j with 2j+1 <= max_k, the first few rows
-    k = 2j+1 .. min(2j+5, max_k) of the Pascal-like pyramid. The first row
-    is k = 3, so ``max_k`` below 3 is rejected rather than giving no rows.
+    k = 2j+1 .. min(2j+5, max_k) of the Pascal-like pyramid. ``max_k`` lies
+    in [3, ``K_EXACT_MAX``]: the first row is k = 3, the last the closed form's.
     """
-    if max_k < 3:
-        raise ValueError(f"max_k = {max_k} is below 3, the first row of the pyramid")
+    _check_bound("max_k", max_k, 3, K_EXACT_MAX)
     rows = []
     j = 1
     while 2 * j + 1 <= max_k:
@@ -189,9 +200,12 @@ def run_sweep(thetas, phi, u, k_max=100):
     """Optimal iteration count and phase-condition check per theta.
 
     The recurrences run in blocks of theta values, each block holding at
-    most ``SWEEP_BLOCK`` trajectory entries per array. More than
-    ``MAX_SWEEP_ENTRIES`` entries in all is rejected before any work.
+    most ``SWEEP_BLOCK`` trajectory entries per array. No theta, or more
+    than ``MAX_SWEEP_ENTRIES`` entries in all, is rejected before any work.
     """
+    if len(thetas) == 0:
+        raise ValueError("a sweep needs at least one theta")
+    _check_bound("k_max", k_max, 1, MAX_K)
     entries = len(thetas) * (k_max + 1)
     if entries > MAX_SWEEP_ENTRIES:
         raise ValueError(
@@ -226,26 +240,31 @@ def run_sweep(thetas, phi, u, k_max=100):
     return make_report("sweep", meta, rows)
 
 
-def run_coeffs(family, theta=0.0, phi=0.0, u=0.1, a=0.01, varphi=0.0):
-    """Matrix elements (alpha, beta, lambda, delta) for one coefficient family."""
-    if family == "present":
-        coeffs = present_coeffs(AlgorithmParams(theta, phi, u))
-    elif family == "grover":
-        coeffs = grover_coeffs(u)
-    elif family == "long":
-        coeffs = long_coeffs(theta, phi, u)
-    elif family == "hoyer":
-        coeffs = hoyer_coeffs(HoyerParams(a, phi, varphi))
-    else:
+def run_coeffs(family, theta=None, phi=None, u=None, a=None, varphi=None):
+    """Matrix elements (alpha, beta, lambda, delta) for one coefficient family.
+
+    ``None`` means not given: the parameter takes its ``COEFFS_DEFAULTS``
+    value. Giving a parameter the family does not read is rejected.
+    """
+    if family not in COEFFS_FAMILIES:
         raise ValueError(f"unknown coefficient family {family!r}")
+    reads, build = COEFFS_FAMILIES[family]
+    given = {"theta": theta, "phi": phi, "u": u, "a": a, "varphi": varphi}
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"--{name} is not read by the {family} family, which reads "
+                             + " ".join(f"--{n}" for n in reads))
+    values = {**COEFFS_DEFAULTS, **{n: v for n, v in given.items() if v is not None}}
+    coeffs = build(*(values[name] for name in reads))
     row = {"family": family, "provenance": family}
     for name in ("alpha", "beta", "lam", "delta"):
         value = getattr(coeffs, name)
         row[f"{name}_re"] = value.real
         row[f"{name}_im"] = value.imag
+    u = complex(values["u"])
     meta = _base_metadata(
-        0, 0.0, theta=theta, phi=phi, u_re=complex(u).real, u_im=complex(u).imag,
-        a=a, varphi=varphi,
+        0, 0.0, theta=values["theta"], phi=values["phi"], u_re=u.real, u_im=u.imag,
+        a=values["a"], varphi=values["varphi"],
     )
     return make_report("coeffs", meta, [row])
 
@@ -337,10 +356,10 @@ def run_verify(scope="all", seed=1, n_cases=20):
     decomposes Q^k applied to the start state over the invariant basis,
     and compares the coefficients against the 2D/4D recurrences, to
     ``EQUIVALENCE_TOL``; the 4D product's checks use ``STRUCTURAL_TOL``.
+    ``n_cases`` per suite is at most ``MAX_CASES``.
     """
-    if n_cases < 1:
-        raise ValueError("n_cases must be >= 1")
-    if scope not in ("2d", "4d", "all"):
+    _check_bound("n_cases", n_cases, 1, MAX_CASES)
+    if scope not in VERIFY_SCOPES:
         raise ValueError(f"unknown verify scope {scope!r}")
     rng = np.random.default_rng(seed)
     rows = []
@@ -360,11 +379,12 @@ def run_verify(scope="all", seed=1, n_cases=20):
 
 def run_construct(dim, seed=0):
     """Build a commuting pair (V, U) with V U = U V = P and report its checks
-    against ``STRUCTURAL_TOL``.
+    against ``STRUCTURAL_TOL``. ``dim`` is even and at most ``MAX_DIM``.
 
     The JSON report embeds both matrices under metadata as nested lists of
     {re, im} objects; the CSV encoding carries the check rows only.
     """
+    _check_bound("dim", dim, 2, MAX_DIM)
     v = random_commuting_unitary(dim, seed)
     pair = companion(v)
     p = pair_swap(dim)
@@ -412,21 +432,8 @@ def _parse_range(text):
     return [start + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
-class FiniteFloat(click.types.FloatParamType):
-    """Click parameter accepting a finite float."""
-
-    def convert(self, value, param, ctx):
-        value = super().convert(value, param, ctx)
-        if not math.isfinite(value):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        return value
-
-
-FINITE = FiniteFloat()
-
-
 class ComplexParam(click.ParamType):
-    """Click parameter accepting any finite number python's complex() parses."""
+    """Click parameter accepting any number python's complex() parses."""
 
     name = "complex"
 
@@ -434,12 +441,9 @@ class ComplexParam(click.ParamType):
         if isinstance(value, complex):
             return value
         try:
-            z = complex(str(value).replace(" ", ""))
+            return complex(str(value).replace(" ", ""))
         except ValueError:
             self.fail(f"{value!r} is not a complex number", param, ctx)
-        if not cmath.isfinite(z):
-            self.fail(f"{value!r} is not finite", param, ctx)
-        return z
 
 
 COMPLEX = ComplexParam()
@@ -459,7 +463,7 @@ def _emit(report, fmt, out):
 
 def _output_options(func):
     func = click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
+        "--format", "fmt", type=click.Choice(FORMATS), default="json",
         show_default=True, help="Report encoding.")(func)
     func = click.option(
         "--out", type=click.Path(dir_okay=False, writable=True), default=None,
@@ -496,8 +500,8 @@ def table1_cmd(fmt, out):
 
 
 @main.command("table2")
-@click.option("--kmax", type=click.IntRange(min=1, max=MAX_K), default=100,
-              show_default=True, help="Upper iteration bound for the argmax.")
+@click.option("--kmax", type=int, default=100, show_default=True,
+              help=f"Upper iteration bound for the argmax, 1 to {MAX_K}.")
 @_output_options
 def table2_cmd(kmax, fmt, out):
     """Small mismatched-angle amplitudes at phi=0, u=0.1."""
@@ -505,9 +509,8 @@ def table2_cmd(kmax, fmt, out):
 
 
 @main.command("pyramid")
-@click.option("--max-k", type=click.IntRange(min=3, max=K_EXACT_MAX), default=12,
-              show_default=True,
-              help="Largest iteration index to print, at most the closed form's range.")
+@click.option("--max-k", type=int, default=12, show_default=True,
+              help=f"Largest iteration index to print, 3 to {K_EXACT_MAX} (the closed form's range).")
 @_output_options
 def pyramid_cmd(max_k, fmt, out):
     """Integer coefficient pyramids of the closed-form expansion."""
@@ -517,12 +520,12 @@ def pyramid_cmd(max_k, fmt, out):
 @main.command("sweep")
 @click.option("--theta", "theta_range", default="0.0", show_default=True,
               help="Rotation angle of the start-state phase, X or A:B:STEP.")
-@click.option("--phi", type=FINITE, default=0.0, show_default=True,
+@click.option("--phi", type=float, default=0.0, show_default=True,
               help="Rotation angle of the target-state phase.")
 @click.option("--u", type=COMPLEX, default="0.1", show_default=True,
               help="Matrix element U_tau_gamma (complex accepted).")
-@click.option("--kmax", type=click.IntRange(min=1, max=MAX_K), default=100,
-              show_default=True, help="Upper iteration bound.")
+@click.option("--kmax", type=int, default=100, show_default=True,
+              help=f"Upper iteration bound, 1 to {MAX_K}.")
 @_output_options
 def sweep_cmd(theta_range, phi, u, kmax, fmt, out):
     """Optimal iteration count over a range of theta."""
@@ -530,14 +533,14 @@ def sweep_cmd(theta_range, phi, u, kmax, fmt, out):
 
 
 @main.command("coeffs")
-@click.option("--family", type=click.Choice(["present", "grover", "long", "hoyer"]),
+@click.option("--family", type=click.Choice(list(COEFFS_FAMILIES)),
               required=True, help="Which reduced 2x2 coefficient family.")
-@click.option("--theta", type=FINITE, default=0.0, show_default=True)
-@click.option("--phi", type=FINITE, default=0.0, show_default=True)
-@click.option("--u", type=COMPLEX, default="0.1", show_default=True)
-@click.option("--a", type=FINITE, default=0.01, show_default=True,
+@click.option("--theta", type=float, show_default=str(COEFFS_DEFAULTS["theta"]))
+@click.option("--phi", type=float, show_default=str(COEFFS_DEFAULTS["phi"]))
+@click.option("--u", type=COMPLEX, show_default=str(COEFFS_DEFAULTS["u"]))
+@click.option("--a", type=float, show_default=str(COEFFS_DEFAULTS["a"]),
               help="Initial success probability (hoyer family only).")
-@click.option("--varphi", type=FINITE, default=0.0, show_default=True,
+@click.option("--varphi", type=float, show_default=str(COEFFS_DEFAULTS["varphi"]),
               help="Extra phase angle (hoyer family only).")
 @_output_options
 def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
@@ -546,22 +549,15 @@ def coeffs_cmd(family, theta, phi, u, a, varphi, fmt, out):
     present and long read --theta --phi --u; grover reads --u; hoyer reads
     --a --phi --varphi. Giving any other of these options is a usage error.
     """
-    ctx = click.get_current_context()
-    for name in ("theta", "phi", "u", "a", "varphi"):
-        if (name not in COEFFS_OPTIONS[family]
-                and ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE):
-            raise click.UsageError(
-                f"--{name} is not read by the {family} family, which reads "
-                + " ".join(f"--{n}" for n in COEFFS_OPTIONS[family]), ctx)
     _emit(run_coeffs(family, theta=theta, phi=phi, u=u, a=a, varphi=varphi), fmt, out)
 
 
 @main.command("verify")
-@click.option("--scope", type=click.Choice(["2d", "4d", "all"]), default="all",
+@click.option("--scope", type=click.Choice(VERIFY_SCOPES), default="all",
               show_default=True, help="Which equivalence suites to run.")
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--cases", type=click.IntRange(min=1, max=MAX_CASES), default=20,
-              show_default=True, help="Random cases per suite.")
+@click.option("--cases", type=int, default=20, show_default=True,
+              help=f"Random cases per suite, 1 to {MAX_CASES}.")
 @_output_options
 def verify_cmd(scope, seed, cases, fmt, out):
     """Compare the reduced recurrences against dense simulation."""
@@ -569,14 +565,12 @@ def verify_cmd(scope, seed, cases, fmt, out):
 
 
 @main.command("construct")
-@click.option("--dim", type=click.IntRange(min=2, max=MAX_DIM), default=8, show_default=True,
-              help="Even matrix dimension.")
+@click.option("--dim", type=int, default=8, show_default=True,
+              help=f"Even matrix dimension, 2 to {MAX_DIM}.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
 def construct_cmd(dim, seed, fmt, out):
     """Emit a commuting unitary pair whose product is the pair swap."""
-    if dim % 2:
-        raise click.BadParameter("--dim must be even")
     _emit(run_construct(dim, seed=seed), fmt, out)
 
 

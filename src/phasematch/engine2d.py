@@ -314,11 +314,9 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
 def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
     """The largest |b_k| over 1 <= k <= k_max of a trajectory's ``b`` (smallest k wins ties).
 
-    Reduces over axis 0, so ``b`` may run past k_max: a 1-D ``b`` gives a
-    plain int and float, a batch of n columns two arrays of n.
+    Reduces over axis 0, so ``b`` may run past k_max (>= 1, checked by the callers):
+    a 1-D ``b`` gives a plain int and float, a batch of n columns two arrays of n.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     magnitudes = np.abs(b[1 : k_max + 1])
     k_star = np.argmax(magnitudes, axis=0) + 1
     max_abs_b = np.max(magnitudes, axis=0)
@@ -334,6 +332,8 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     coefficients stacked as 1-D arrays (see :func:`iterate2`) give one array
     entry per instance.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     return _peak_of(iterate2(c, k_max).b, k_max)
 
 

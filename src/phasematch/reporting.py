@@ -112,9 +112,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+#: The report encodings :func:`render` accepts.
+FORMATS = ("csv", "json")
+
+
 def render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return to_json(report)
-    if fmt == "csv":
-        return to_csv(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return to_json(report) if fmt == "json" else to_csv(report)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import functools
 import io
 import json
 
@@ -20,6 +21,8 @@ from phasematch.cli import (
     SWEEP_BLOCK,
     _parse_range,
     main,
+    run_coeffs,
+    run_construct,
     run_pyramid,
     run_sweep,
     run_table1,
@@ -130,7 +133,7 @@ def test_table2_respects_kmax(runner):
 
 def test_table2_rejects_kmax_below_one():
     for k_max in (0, -1):
-        with pytest.raises(ValueError, match="k_max must be >= 1"):
+        with pytest.raises(ValueError, match=rf"k_max = {k_max} is outside \[1, {MAX_K}\]"):
             run_table2(k_max=k_max)
 
 
@@ -226,7 +229,7 @@ def test_size_options_are_bounded_before_work(runner):
     assert result.exit_code == 0
     assert result.output.splitlines()[1:] == ["1,3,1"]
     for max_k in (1, 2):
-        with pytest.raises(ValueError, match="below 3"):
+        with pytest.raises(ValueError, match=rf"max_k = {max_k} is outside \[3, {K_EXACT_MAX}\]"):
             run_pyramid(max_k=max_k)
 
 
@@ -246,6 +249,71 @@ def test_sweep_total_work_is_bounded_before_work(runner, monkeypatch):
         run_sweep(thetas, 0.0, 0.1, k_max=MAX_SWEEP_ENTRIES // len(thetas) - 1)
     with pytest.raises(ValueError, match="exceeds the sweep limit"):
         run_sweep(thetas, 0.0, 0.1, k_max=MAX_SWEEP_ENTRIES // len(thetas))
+
+
+class Reached(Exception):
+    """Raised by a stub in place of a run's first expensive call."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+@pytest.mark.parametrize("run, name, low, high, first_call", [
+    (run_table2, "k_max", 1, MAX_K, "present_coeffs"),
+    (run_pyramid, "max_k", 3, K_EXACT_MAX, "l_coeff"),
+    (functools.partial(run_sweep, [0.0], 0.0, 0.1), "k_max", 1, MAX_K, "present_coeffs"),
+    (run_verify, "n_cases", 1, MAX_CASES, "_verify_2d_case"),
+    (run_construct, "dim", 2, MAX_DIM, "random_commuting_unitary"),
+], ids=["table2", "pyramid", "sweep", "verify", "construct"])
+def test_run_bounds_hold_before_work(monkeypatch, run, name, low, high, first_call):
+    # The stub stands for work that, past a bound, could take hours or
+    # gigabytes: a run without its bound fails here at once.
+    monkeypatch.setattr(cli, first_call, _reached)
+    for value in (low - 1, high + 1):
+        with pytest.raises(ValueError, match=rf"{name} = {value} is outside \[{low}, {high}\]"):
+            run(**{name: value})
+    for value in (low, high):
+        with pytest.raises(Reached):
+            run(**{name: value})
+
+
+@pytest.mark.parametrize("family, builder, unread", [
+    ("present", "present_coeffs", "a"),
+    ("grover", "grover_coeffs", "theta"),
+    ("long", "long_coeffs", "varphi"),
+    ("hoyer", "hoyer_coeffs", "u"),
+])
+def test_run_coeffs_rejects_a_parameter_its_family_does_not_read(monkeypatch, family, builder,
+                                                                  unread):
+    # The builder is looked up in the module when called, so a patched binding runs.
+    monkeypatch.setattr(cli, builder, _reached)
+    with pytest.raises(ValueError, match=f"--{unread} is not read by the {family} family"):
+        run_coeffs(family, **{unread: 0.0})
+    with pytest.raises(Reached):
+        run_coeffs(family)
+
+
+def test_sweep_rejects_no_theta():
+    with pytest.raises(ValueError, match="at least one theta"):
+        run_sweep([], 0.0, 0.1)
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_help_names_each_bound(runner, command):
+    limits = {
+        ("table2", "kmax"): MAX_K,
+        ("sweep", "kmax"): MAX_K,
+        ("pyramid", "max_k"): K_EXACT_MAX,
+        ("verify", "cases"): MAX_CASES,
+        ("construct", "dim"): MAX_DIM,
+    }
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    params = {param.name: param for param in main.commands[command].params}
+    for (bounded, name), limit in limits.items():
+        if bounded == command:
+            assert str(limit) in params[name].help and str(limit) in result.output
 
 
 @pytest.mark.parametrize("args", [

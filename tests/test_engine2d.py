@@ -473,5 +473,6 @@ def test_phase_condition_degenerate_threshold():
 
 
 def test_sweep_rejects_empty_range():
-    with pytest.raises(ValueError, match="k_max must be >= 1"):
-        sweep_max(grover_coeffs(0.1), 0)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            sweep_max(grover_coeffs(0.1), k_max)
