@@ -49,6 +49,7 @@ from .pairs import (
     zero_diagonal_dev,
 )
 from .reporting import FORMATS, make_report, render
+from .rotations import _check_bound
 
 #: (N, k) rows of the fixed-point table; u = 1/sqrt(N), theta = phi = 0.
 TABLE1_CASES = ((100, 6), (400, 12), (625, 14), (900, 17))
@@ -97,12 +98,6 @@ VERIFY_SCOPES = ("2d", "4d", "all")
 #: Steps of each dense simulation in the 2D and 4D verify suites.
 VERIFY_K_MAX_2D = 50
 VERIFY_K_MAX_4D = 30
-
-
-def _check_bound(name, value, low, high):
-    """Raise ``ValueError`` unless low <= value <= high."""
-    if not low <= value <= high:
-        raise ValueError(f"{name} = {value} is outside [{low}, {high}]")
 
 
 def _base_metadata(seed, tolerance, **extra):

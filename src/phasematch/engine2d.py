@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .rotations import _finite_angles, phase_scale, snapped_cos
+from .rotations import _check_bound, _finite_angles, phase_scale, snapped_cos
 
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
@@ -35,12 +36,12 @@ class ClosedFormRangeError(ValueError):
     """Closed-form evaluation refused because the polynomial is ill-conditioned."""
 
 
-def _bounded(name: str, z, slack: float = 1e-12) -> complex:
-    """The matrix element ``z`` as a complex number, checked to be finite with |z| <= 1 + slack."""
+def _bounded(name: str, z) -> complex:
+    """The matrix element ``z`` as a complex number, checked to be finite with |z| <= 1 + 1e-12."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"{name} = {z} is not finite")
-    if abs(z) > 1 + slack:
+    if abs(z) > 1 + 1e-12:
         raise ValueError(f"|{name}| = {abs(z)} exceeds 1")
     return z
 
@@ -77,8 +78,7 @@ class HoyerParams:
     varphi: float
 
     def __post_init__(self):
-        if not 0 <= self.a <= 1:
-            raise ValueError(f"a = {self.a} outside [0, 1]")
+        _check_bound("a", self.a, 0, 1)
         _finite_angles(phi=self.phi, varphi=self.varphi)
 
 
@@ -185,8 +185,7 @@ def iterate2(c: TwoDimCoefficients, k_max: int) -> AmplitudeTrajectory:
     to its scalar run up to rounding (NumPy's complex multiply is not
     bit-identical to Python's).
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    _check_bound("k_max", k_max, 0)
     a = np.empty((k_max + 1, *np.shape(c.alpha)), dtype=np.complex128)
     b = np.empty_like(a)
     ak, bk = 1.0 + 0j, 0j
@@ -197,30 +196,18 @@ def iterate2(c: TwoDimCoefficients, k_max: int) -> AmplitudeTrajectory:
     return AmplitudeTrajectory(a, b)
 
 
-def binom(n: int, r: int) -> int:
-    """Binomial coefficient with the convention that out-of-support values are 0.
-
-    Returns ``math.comb(n, r)`` for 0 <= r <= n and 0 whenever r < 0, n < 0,
-    or r > n. The closed-form sums below rely on vanishing out-of-range terms.
-    """
-    if r < 0 or n < 0 or r > n:
-        return 0
-    return math.comb(n, r)
-
-
 def l_coeff(k: int, i: int, j: int) -> int:
     """Integer coefficient of alpha^(k-1-2j-i) delta^i inside c_kj: C(i+j, j) C(k-i-j-1, j)."""
-    return binom(i + j, j) * binom(k - i - j - 1, j)
+    return math.comb(i + j, j) * math.comb(k - i - j - 1, j)
 
 
 def t_coeff(k: int, i: int, j: int) -> int:
     """Integer coefficient of alpha^(k-2j-i) delta^i inside d_kj: C(i+j-1, j-1) C(k-i-j, j)."""
-    return binom(i + j - 1, j - 1) * binom(k - i - j, j)
+    return math.comb(i + j - 1, j - 1) * math.comb(k - i - j, j)
 
 
 def _check_closed_form_k(k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_bound("k", k, 1)
     if k > K_EXACT_MAX:
         raise ClosedFormRangeError(
             f"closed-form evaluation is limited to k <= {K_EXACT_MAX}: the integer "
@@ -234,7 +221,7 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, top: int, first_j: int) -
 
     With ``l_coeff``, top = k-1 and first_j = 0 this is b_k / beta; with
     ``t_coeff``, top = k and first_j = 1 it is a_k, whose j = 0 term alpha^k
-    lies outside the binomial convention and starts the total.
+    has no ``t_coeff`` (its C(i-1, -1) is undefined) and starts the total.
     """
     _check_closed_form_k(k)
     alpha_pow = [c.alpha**n for n in range(k + 1)]
@@ -274,8 +261,7 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     O(k^2 |u|^2) relative to the exact recurrence; its modulus in closed form
     is :func:`closed_form_magnitude`.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_bound("k", k, 1)
     sigma = cmath.exp(2j * params.theta)
     delta1 = cmath.exp(2j * params.phi)
     beta = phase_scale(params.phi) * params.u
@@ -303,8 +289,8 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     for a tiny nonzero gap, sin rounds to the gap itself with full relative
     accuracy, down to the smallest subnormal.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = operator.index(k)
+    _check_bound("k", k, 1)
     scale, gap = _threshold_and_gap(params)
     if gap == 0:
         return k * scale
@@ -332,8 +318,7 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     coefficients stacked as 1-D arrays (see :func:`iterate2`) give one array
     entry per instance.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_bound("k_max", k_max, 1)
     return _peak_of(iterate2(c, k_max).b, k_max)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine2d import AlgorithmParams, _bounded, approx_b
-from .rotations import _finite_angles, phase_scale
+from .rotations import _check_bound, _finite_angles, phase_scale
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class FourDimInputs:
     def __post_init__(self):
         _finite_angles(theta=self.theta, phi=self.phi)
         for name in ("u", "v", "vu_gg", "uv_tt"):
-            object.__setattr__(self, name, _bounded(name, getattr(self, name), 1e-9))
+            object.__setattr__(self, name, _bounded(name, getattr(self, name)))
 
     @classmethod
     def idealized(cls, theta: float, phi: float, u: complex) -> "FourDimInputs":
@@ -113,8 +113,7 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     stores a and c only; b and d are set after it as -a and -c shifted by one
     step, with b_0 = d_0 = 0.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    _check_bound("k_max", k_max, 0)
     a = np.empty(k_max + 1, dtype=np.complex128)
     b = np.empty(k_max + 1, dtype=np.complex128)
     cc = np.empty(k_max + 1, dtype=np.complex128)
@@ -149,8 +148,7 @@ def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, comp
     share the same sum length; the signs were verified against the exact
     recurrence at small |u| before being hard-coded here.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_bound("k", k, 1)
     m = k // 2
     if k % 2:
         a_k = 0j

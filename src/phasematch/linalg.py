@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .rotations import _check_bound
+
 #: Tolerance of every structural check (unitarity, hermiticity, zero diagonals).
 STRUCTURAL_TOL = 1e-10
 #: Tolerance of every cross-validation of independent computation paths.
@@ -40,8 +42,7 @@ def _as_vector(v) -> np.ndarray:
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector with a 1 at ``index``."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
+    _check_bound("index", index, 0, dim - 1)
     e = np.zeros(dim, dtype=np.complex128)
     e[index] = 1.0
     return e
@@ -156,8 +157,7 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     passing a generator draws from it, which lets callers derive several
     matrices from one seed.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_bound("dim", dim, 1)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     z /= math.sqrt(2)

@@ -25,7 +25,7 @@ from .linalg import (
     random_unitary,
     require_unitary,
 )
-from .rotations import _finite_angles, build
+from .rotations import _check_bound, _finite_angles, build
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +45,7 @@ class OracleConfig:
 
     def __post_init__(self):
         _finite_angles(theta=self.theta, phi=self.phi)
-        if self.dim < 2:
-            raise ValueError(f"dimension {self.dim} leaves no room for distinct gamma and tau")
+        _check_bound("dim", self.dim, 2)
         matrices = (("U", "u_matrix"), ("V", "v_matrix"))
         for name, field in matrices if self.v_matrix is not None else matrices[:1]:
             m = np.asarray(getattr(self, field), dtype=np.complex128)
@@ -123,8 +122,7 @@ def invariant_basis(cfg: OracleConfig) -> list[np.ndarray]:
 
 def evolve(q: np.ndarray, cfg: OracleConfig, k_max: int) -> OracleRun:
     """Apply Q repeatedly to |gamma>, then decompose every state over the invariant basis."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    _check_bound("k_max", k_max, 0)
     states = np.empty((k_max + 1, cfg.dim), dtype=np.complex128)
     states[0] = basis_state(cfg.dim, cfg.gamma_index)
     for prev, nxt in zip(states, states[1:]):
@@ -158,10 +156,8 @@ def unitary_with_overlap(dim: int, seed, magnitude: float) -> np.ndarray:
     table-scale instances with |u| = 1/sqrt(N) are produced at dimensions
     that are not powers of two.
     """
-    if not 0 <= magnitude <= 1:
-        raise ValueError(f"magnitude {magnitude} outside [0, 1]")
-    if dim < 2:
-        raise ValueError(f"dimension {dim} leaves no room for distinct gamma and tau")
+    _check_bound("magnitude", magnitude, 0, 1)
+    _check_bound("dim", dim, 2)
     w = random_unitary(dim, seed)
     tau_row = w[dim - 1]
     # Column gamma = 0 is excluded; np.argmax takes the first maximum.

@@ -30,10 +30,15 @@ from .linalg import (
 )
 
 
+def _check_even_dim(dim: int) -> None:
+    """Raise ``ValueError`` unless ``dim`` is an even number >= 2."""
+    if dim < 2 or dim % 2:
+        raise ValueError(f"dim = {dim} is not an even dimension >= 2")
+
+
 def pair_swap(dim: int) -> np.ndarray:
     """The block-diagonal of 2x2 swaps: entries (2i, 2i+1) and (2i+1, 2i) are 1."""
-    if dim < 2 or dim % 2:
-        raise ValueError(f"pair swap needs an even dimension >= 2, got {dim}")
+    _check_even_dim(dim)
     p = np.zeros((dim, dim), dtype=np.complex128)
     even = np.arange(0, dim, 2)
     p[even, even + 1] = 1.0
@@ -54,8 +59,7 @@ def block_symmetry_dev(v) -> float:
     """
     v = _as_square(v)
     n = v.shape[0]
-    if n % 2:
-        raise ValueError(f"block symmetry needs an even dimension, got {n}")
+    _check_even_dim(n)
     blocks = v.reshape(n // 2, 2, n // 2, 2).transpose(0, 2, 1, 3)
     return float(max(
         np.max(np.abs(blocks[:, :, 0, 0] - blocks[:, :, 1, 1])),
@@ -77,8 +81,7 @@ def random_commuting_unitary(dim: int, seed) -> np.ndarray:
     involution, V = PVP is the same as VP = PV, which holds exactly when V is
     block-diagonal in P's eigenbasis; so this spans the whole admissible set.
     """
-    if dim < 2 or dim % 2:
-        raise ValueError(f"need an even dimension >= 2, got {dim}")
+    _check_even_dim(dim)
     rng = np.random.default_rng(seed)
     half = dim // 2
     i = np.arange(half)

@@ -5,8 +5,9 @@ Its target entry is ``-e^(2i*angle)``, so it has unit modulus for every
 angle; at angle 0 it is the plain inversion. Long's rotation (Long, PRA 64,
 022307 (2001)) multiplies the target amplitude by ``e^(i*t)``, so the
 rotation at ``angle`` is Long's at ``t = 2*angle + pi``. Long's reduced
-coefficients are :func:`phasematch.engine2d.long_coeffs`. ``_finite_angles``
-is the one check the engines and the oracle run on every angle they accept.
+coefficients are :func:`phasematch.engine2d.long_coeffs`. This module imports
+nothing from the package, so it holds the input checks every module shares:
+``_finite_angles`` of every angle, ``_check_bound`` of every size, count and index.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ def _finite_angles(**angles: float) -> None:
     if not all(math.isfinite(value) for value in angles.values()):
         listed = ", ".join(f"{name}={value}" for name, value in angles.items())
         raise ValueError(f"non-finite angles {listed}")
+
+
+def _check_bound(name: str, value, low, high=math.inf) -> None:
+    """Raise ``ValueError`` naming ``value`` and the bounds unless low <= value <= high."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} = {value} is outside [{low}, {high}]")
 
 
 def snapped_cos(angle: float) -> float:
@@ -52,8 +59,7 @@ def phase_scale(angle: float) -> complex:
 def build(index: int, angle: float, dim: int) -> np.ndarray:
     """Dense matrix of the rotation: the identity with ``(index, index)``
     entry ``1 - 2 cos(angle) e^(i*angle)``."""
-    if not 0 <= index < dim:
-        raise ValueError(f"target index {index} out of range for dimension {dim}")
+    _check_bound("index", index, 0, dim - 1)
     m = np.eye(dim, dtype=np.complex128)
     m[index, index] = 1 - phase_scale(angle)
     return m

@@ -472,7 +472,19 @@ def test_phase_condition_degenerate_threshold():
     assert not cond.satisfied
 
 
+@pytest.mark.parametrize("call", [
+    closed_form_magnitude, approx_b,
+    lambda params, k: exact_b(present_coeffs(params), k),
+    lambda params, k: exact_a(present_coeffs(params), k),
+    lambda params, k: iterate2(present_coeffs(params), k),
+    lambda params, k: sweep_max(present_coeffs(params), k),
+], ids=["closed_form_magnitude", "approx_b", "exact_b", "exact_a", "iterate2", "sweep_max"])
+def test_a_fractional_step_count_is_a_type_error(call):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        call(AlgorithmParams(0.05, 0.0, 0.1), 2.5)
+
+
 def test_sweep_rejects_empty_range():
     for k_max in (0, -1):
-        with pytest.raises(ValueError, match="k_max must be >= 1"):
+        with pytest.raises(ValueError, match=rf"k_max = {k_max} is outside \[1, inf\]"):
             sweep_max(grover_coeffs(0.1), k_max)

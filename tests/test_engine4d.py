@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasematch.engine2d import AlgorithmParams
 from phasematch.engine4d import (
     FourDimInputs,
     approx4,
@@ -123,6 +124,20 @@ def test_idealized_inputs():
 def test_inputs_reject_oversized_elements():
     with pytest.raises(ValueError):
         FourDimInputs(0.0, 0.0, 1.5, 0.0)
+
+
+def test_inputs_bound_every_element_as_the_two_dim_engine_bounds_u():
+    """|x| <= 1 + 1e-12 for each of u, v, vu_gg and uv_tt, as for u in AlgorithmParams."""
+    over = 1 + 1e-11
+    with pytest.raises(ValueError, match=r"\|u\| = .* exceeds 1"):
+        AlgorithmParams(0.0, 0.0, over)
+    for slot, name in enumerate(("u", "v", "vu_gg", "uv_tt")):
+        elements = [0j] * 4
+        elements[slot] = over
+        with pytest.raises(ValueError, match=rf"\|{name}\| = .* exceeds 1"):
+            FourDimInputs(0.0, 0.0, *elements)
+        elements[slot] = 1.0
+        FourDimInputs(0.0, 0.0, *elements)
 
 
 @given(st.integers(0, 9), st.sampled_from([math.nan, math.inf, -math.inf]))

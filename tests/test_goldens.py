@@ -12,12 +12,15 @@ the build the files were made with, and a failure names both builds.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_goldens.py``,
 and only in a commit that changes no file under ``src/``: a commit that
-changes the program and its goldens together shows nothing.
+changes the program and its goldens together shows nothing. ``regenerate``
+refuses to write while ``git status`` lists a change under ``src/``.
 """
 
 import itertools
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from click.testing import CliRunner
 
 from phasematch.cli import main
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
+ROOT = pathlib.Path(__file__).parent.parent
+GOLDEN_DIR = ROOT / "tests" / "goldens"
 MANIFEST = GOLDEN_DIR / "MANIFEST.json"
 
 #: (golden stem, CLI arguments without --format).
@@ -86,7 +90,21 @@ def test_golden(name, args):
         pytest.fail(f"{name}: output differs at {_first_difference(golden, output)}; {builds}")
 
 
+def _src_changes():
+    """The ``git status --porcelain`` lines of ``src/``; SystemExit when git cannot tell."""
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                                capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError) as err:
+        raise SystemExit(f"cannot tell whether src/ has changes ({err}); no golden written")
+    return status.stdout.splitlines()
+
+
 def regenerate():
+    changed = _src_changes()
+    if changed:
+        raise SystemExit("goldens are regenerated only in a commit that changes no file under "
+                         f"src/; commit or stash these first: {', '.join(line[3:] for line in changed)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     exit_codes = {}
     for name, args in GOLDENS:
@@ -94,6 +112,48 @@ def regenerate():
         (GOLDEN_DIR / name).write_bytes(output)
     manifest = {"build": _build(), "exit_codes": exit_codes}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+
+
+def _fake_git(monkeypatch, stdout="", error=None):
+    def run(args, **kwargs):
+        assert args[:2] == ["git", "status"] and args[-2:] == ["--", "src"]
+        if error is not None:
+            raise error
+        return subprocess.CompletedProcess(args, 0, stdout=stdout)
+    monkeypatch.setattr(subprocess, "run", run)
+
+
+@pytest.fixture
+def scratch_goldens(tmp_path, monkeypatch):
+    """GOLDEN_DIR and MANIFEST under ``tmp_path``, with each command's output stubbed."""
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(module, "MANIFEST", tmp_path / "MANIFEST.json")
+    monkeypatch.setattr(module, "_run", lambda args: (0, b"stub\n"))
+    return tmp_path
+
+
+def test_regenerate_refuses_while_src_has_changes(scratch_goldens, monkeypatch):
+    _fake_git(monkeypatch, stdout=" M src/phasematch/cli.py\n?? src/phasematch/new.py\n")
+    with pytest.raises(SystemExit, match="first: src/phasematch/cli.py, src/phasematch/new.py$"):
+        regenerate()
+    assert list(scratch_goldens.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [FileNotFoundError("git"), subprocess.CalledProcessError(128, "git")],
+                         ids=["no-git", "not-a-repository"])
+def test_regenerate_refuses_when_git_cannot_tell(scratch_goldens, monkeypatch, error):
+    _fake_git(monkeypatch, error=error)
+    with pytest.raises(SystemExit, match="cannot tell whether src/ has changes"):
+        regenerate()
+    assert list(scratch_goldens.iterdir()) == []
+
+
+def test_regenerate_writes_every_golden_when_src_is_clean(scratch_goldens, monkeypatch):
+    _fake_git(monkeypatch)
+    regenerate()
+    assert sorted(path.name for path in scratch_goldens.iterdir()) == sorted(
+        [name for name, _ in GOLDENS] + ["MANIFEST.json"])
 
 
 if __name__ == "__main__":

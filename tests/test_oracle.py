@@ -218,7 +218,7 @@ def test_config_validation():
     w = random_unitary(4, 2)
     cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w)
     assert (cfg.gamma_index, cfg.tau_index) == (0, 3)
-    with pytest.raises(ValueError, match="dimension 1 leaves no room"):
+    with pytest.raises(ValueError, match=r"dim = 1 is outside \[2, inf\]"):
         OracleConfig(dim=1, theta=0.0, phi=0.0, u_matrix=np.eye(1))
     with pytest.raises(ValueError, match=r"U has shape \(3, 3\), expected \(4, 4\)"):
         OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=np.eye(3))

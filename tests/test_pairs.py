@@ -111,6 +111,18 @@ def test_commuting_unitary_rejects_odd_dimension():
             random_commuting_unitary(dim, 0)
 
 
+@pytest.mark.parametrize("call", [
+    pair_swap,
+    lambda dim: block_symmetry_dev(np.eye(dim)),
+    lambda dim: random_commuting_unitary(dim, 0),
+], ids=["pair_swap", "block_symmetry_dev", "random_commuting_unitary"])
+def test_even_dimension_check_names_the_value(call):
+    for dim in (0, 1, 3):
+        with pytest.raises(ValueError, match=rf"dim = {dim} is not an even dimension >= 2"):
+            call(dim)
+    call(2)
+
+
 def test_companion_product_is_pair_swap():
     for dim, seed in ((2, 0), (4, 7), (8, 1), (16, 5)):
         pair = companion(random_commuting_unitary(dim, seed))

@@ -2,12 +2,27 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasematch.engine2d import (
+    AlgorithmParams,
+    HoyerParams,
+    approx_b,
+    closed_form_magnitude,
+    exact_a,
+    exact_b,
+    grover_coeffs,
+    iterate2,
+    sweep_max,
+)
+from phasematch.engine4d import FourDimInputs, approx4, four_dim_coeffs, iterate4
+from phasematch.linalg import basis_state, random_unitary
+from phasematch.oracle import OracleConfig, build_q, evolve, unitary_with_overlap
 from phasematch.rotations import build, phase_scale, snapped_cos
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi,
@@ -49,3 +64,48 @@ def test_families_are_unitary(theta):
 def test_build_rejects_bad_index():
     with pytest.raises(ValueError):
         build(4, 0.1, 4)
+
+
+_C2 = grover_coeffs(0.1)
+_PARAMS = AlgorithmParams(0.05, 0.0, 0.1)
+_C4 = four_dim_coeffs(FourDimInputs.idealized(0.1, 0.2, 0.05))
+_CFG = OracleConfig(2, 0.1, 0.2, random_unitary(2, 0))
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+_BELOW_ZERO = -math.ulp(0.0)
+
+#: (site, call of the bounded value, name, low, high, a value just outside,
+#: the bound next to it, or None where another check may refuse the bound itself).
+BOUNDS = (
+    ("HoyerParams.a-low", lambda a: HoyerParams(a, 0.0, 0.0), "a", 0, 1, _BELOW_ZERO, 0.0),
+    ("HoyerParams.a-high", lambda a: HoyerParams(a, 0.0, 0.0), "a", 0, 1, _ABOVE_ONE, 1.0),
+    ("iterate2", lambda k: iterate2(_C2, k), "k_max", 0, math.inf, -1, 0),
+    ("exact_b", lambda k: exact_b(_C2, k), "k", 1, math.inf, 0, 1),
+    ("exact_a", lambda k: exact_a(_C2, k), "k", 1, math.inf, 0, 1),
+    ("approx_b", lambda k: approx_b(_PARAMS, k), "k", 1, math.inf, 0, 1),
+    ("closed_form_magnitude", lambda k: closed_form_magnitude(_PARAMS, k), "k", 1, math.inf, 0, 1),
+    ("sweep_max", lambda k: sweep_max(_C2, k), "k_max", 1, math.inf, 0, 1),
+    ("iterate4", lambda k: iterate4(_C4, k), "k_max", 0, math.inf, -1, 0),
+    ("approx4", lambda k: approx4(0.1, 0.2, 0.05, k), "k", 1, math.inf, 0, 1),
+    ("basis_state-low", lambda i: basis_state(4, i), "index", 0, 3, -1, 0),
+    ("basis_state-high", lambda i: basis_state(4, i), "index", 0, 3, 4, 3),
+    ("random_unitary", lambda d: random_unitary(d, 0), "dim", 1, math.inf, 0, 1),
+    ("OracleConfig", lambda d: OracleConfig(d, 0.1, 0.2, np.eye(d)), "dim", 2, math.inf, 1, 2),
+    ("evolve", lambda k: evolve(build_q(_CFG), _CFG, k), "k_max", 0, math.inf, -1, 0),
+    ("unitary_with_overlap-magnitude-low", lambda m: unitary_with_overlap(4, 0, m),
+     "magnitude", 0, 1, _BELOW_ZERO, 0.0),
+    # Magnitude 1 itself is refused unless the seed's tau row can reach it.
+    ("unitary_with_overlap-magnitude-high", lambda m: unitary_with_overlap(4, 0, m),
+     "magnitude", 0, 1, _ABOVE_ONE, None),
+    ("unitary_with_overlap-dim", lambda d: unitary_with_overlap(d, 0, 0.5), "dim", 2, math.inf, 1, 2),
+    ("build-low", lambda i: build(i, 0.1, 4), "index", 0, 3, -1, 0),
+    ("build-high", lambda i: build(i, 0.1, 4), "index", 0, 3, 4, 3),
+)
+
+
+@pytest.mark.parametrize("call,name,low,high,outside,at_bound",
+                         [site[1:] for site in BOUNDS], ids=[site[0] for site in BOUNDS])
+def test_every_bound_names_the_value_and_the_range(call, name, low, high, outside, at_bound):
+    with pytest.raises(ValueError, match=re.escape(f"{name} = {outside} is outside [{low}, {high}]")):
+        call(outside)
+    if at_bound is not None:
+        call(at_bound)
