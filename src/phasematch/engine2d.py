@@ -30,6 +30,8 @@ from .rotations import _check_bound, _finite_angles, phase_scale, snapped_cos
 
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
+#: Terms of the first-order sum of :func:`approx_b` held in memory at once.
+_APPROX_BLOCK = 2**14
 
 
 class ClosedFormRangeError(ValueError):
@@ -260,15 +262,27 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     arbitrary-phase sum of Hoyer, PRA 62, 052304 (2000). Accurate to
     O(k^2 |u|^2) relative to the exact recurrence; its modulus in closed form
     is :func:`closed_form_magnitude`.
+
+    Evaluated as beta sigma^(k-1) sum_{i<k} e^(-2i gap i): one power of
+    sigma, and the gap theta - phi reduced modulo pi by
+    :func:`_threshold_and_gap`. The terms are summed in NumPy blocks of
+    ``_APPROX_BLOCK`` (pairwise within a block, in sequence across blocks),
+    so memory stays bounded for any k. Rounding error: the reduced gap is off
+    by up to about (|theta - phi| + 1) eps and sigma^(k-1) by a phase of about
+    2k eps, so the result is off by at most about
+    (|theta - phi| + 3) k^2 eps |beta|. That worst case needs the terms
+    nearly in phase (|gap| below about 1/k); otherwise the error is far
+    smaller.
     """
+    k = operator.index(k)
     _check_bound("k", k, 1)
-    sigma = cmath.exp(2j * params.theta)
-    delta1 = cmath.exp(2j * params.phi)
-    beta = phase_scale(params.phi) * params.u
+    _, gap = _threshold_and_gap(params)
     total = 0j
-    for i in range(k):
-        total += sigma ** (k - 1 - i) * delta1**i
-    return beta * total
+    for start in range(0, k, _APPROX_BLOCK):
+        phases = (2 * gap) * np.arange(start, min(start + _APPROX_BLOCK, k), dtype=np.float64)
+        total += complex(np.cos(phases).sum(), -np.sin(phases).sum())
+    sigma = cmath.exp(2j * params.theta)
+    return phase_scale(params.phi) * params.u * sigma ** (k - 1) * total
 
 
 def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:

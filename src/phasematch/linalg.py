@@ -8,6 +8,7 @@ mutated, and randomness enters only through explicitly passed seeds.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -42,6 +43,7 @@ def _as_vector(v) -> np.ndarray:
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector with a 1 at ``index``."""
+    index = operator.index(index)
     _check_bound("index", index, 0, dim - 1)
     e = np.zeros(dim, dtype=np.complex128)
     e[index] = 1.0

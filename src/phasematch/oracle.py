@@ -164,12 +164,14 @@ def unitary_with_overlap(dim: int, seed, magnitude: float) -> np.ndarray:
     other = 1 + int(np.argmax(np.abs(tau_row[1:])))
     r1, r2 = complex(tau_row[0]), complex(tau_row[other])
     reach = math.hypot(abs(r1), abs(r2))
-    if magnitude > reach:
+    # The reach may fall a few ulps short of a magnitude it attains: at dim 2 it
+    # is the norm of the whole tau row, 1 up to rounding.
+    if magnitude - reach > 4 * math.ulp(reach):
         raise ValueError(
             f"requested magnitude {magnitude} exceeds the reachable {reach:.6f} "
             f"for this seed; try another seed or a smaller magnitude"
         )
-    t = math.atan2(abs(r2), abs(r1)) + math.acos(magnitude / reach)
+    t = math.atan2(abs(r2), abs(r1)) + math.acos(min(magnitude / reach, 1.0))
     psi = cmath.phase(r1) - cmath.phase(r2)
     col_gamma, col_other = w[:, 0].copy(), w[:, other].copy()
     w[:, 0] = math.cos(t) * col_gamma + cmath.exp(1j * psi) * math.sin(t) * col_other

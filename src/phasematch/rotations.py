@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -59,6 +60,7 @@ def phase_scale(angle: float) -> complex:
 def build(index: int, angle: float, dim: int) -> np.ndarray:
     """Dense matrix of the rotation: the identity with ``(index, index)``
     entry ``1 - 2 cos(angle) e^(i*angle)``."""
+    index = operator.index(index)
     _check_bound("index", index, 0, dim - 1)
     m = np.eye(dim, dtype=np.complex128)
     m[index, index] = 1 - phase_scale(angle)

@@ -28,6 +28,8 @@ from phasematch.engine2d import (
     sweep_max,
     t_coeff,
 )
+from phasematch.linalg import basis_state
+from phasematch.rotations import build, phase_scale
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi,
                    allow_nan=False, allow_infinity=False)
@@ -394,6 +396,55 @@ def test_closed_form_magnitude_at_tiny_gaps():
             assert closed_form_magnitude(params, k) == pytest.approx(float(exact), rel=1e-15)
 
 
+#: Step counts for the first-order sum: 3 * 2**14 + 5 ends three terms into a fourth block.
+_APPROX_KS = (1, 2, 7, 64, 3 * 2**14 + 5, 50_000)
+
+
+def _approx_b_cases():
+    rng = np.random.default_rng(2024)
+    drawn = [(float(t), float(p)) for t, p in rng.uniform(-math.pi, math.pi, (12, 2))]
+    # Terms nearly in phase, the worst case of the error model: theta - phi
+    # near 0, near pi (2.1052 + 1.0362 = 3.1414) and near 2 pi.
+    in_phase = [(0.7, 0.7 - 3e-7), (2.1052, -1.0362), (3.1, 3.1 - 2 * math.pi + 2e-7)]
+    return drawn + in_phase
+
+
+@pytest.mark.parametrize("theta,phi", _approx_b_cases())
+def test_approx_b_matches_a_40_digit_geometric_sum(theta, phi):
+    """approx_b against beta (sigma^k - delta1^k) / (sigma - delta1) at 40 digits.
+
+    The bound is approx_b's error model, (|theta - phi| + 3) k^2 eps |beta|:
+    the reduced gap's rounding and the one power sigma^(k-1) each move a
+    phase by O(eps) per step.
+    """
+    import mpmath
+
+    params = AlgorithmParams(theta, phi, 0.05)
+    beta = phase_scale(phi) * params.u
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(40):
+        sigma = mpmath.exp(2j * mpmath.mpf(theta))
+        delta1 = mpmath.exp(2j * mpmath.mpf(phi))
+        for k in _APPROX_KS:
+            exact = mpmath.mpc(beta) * (sigma**k - delta1**k) / (sigma - delta1)
+            bound = (abs(theta - phi) + 3) * k * k * eps * abs(beta)
+            assert abs(approx_b(params, k) - complex(exact)) <= bound, k
+
+
+def test_approx_b_memory_is_bounded_by_its_block():
+    """k = 10^6 in one array would trace about 24 MB; blocks of 2^14 keep the peak below 0.5 MB."""
+    import tracemalloc
+
+    params = AlgorithmParams(0.3, -0.4, 0.05)
+    tracemalloc.start()
+    try:
+        approx_b(params, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # sweeps and the phase condition
 
@@ -478,7 +529,10 @@ def test_phase_condition_degenerate_threshold():
     lambda params, k: exact_a(present_coeffs(params), k),
     lambda params, k: iterate2(present_coeffs(params), k),
     lambda params, k: sweep_max(present_coeffs(params), k),
-], ids=["closed_form_magnitude", "approx_b", "exact_b", "exact_a", "iterate2", "sweep_max"])
+    lambda params, index: basis_state(4, index),
+    lambda params, index: build(index, params.theta, 4),
+], ids=["closed_form_magnitude", "approx_b", "exact_b", "exact_a", "iterate2", "sweep_max",
+        "basis_state", "build"])
 def test_a_fractional_step_count_is_a_type_error(call):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         call(AlgorithmParams(0.05, 0.0, 0.1), 2.5)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasematch.engine2d import AlgorithmParams
+from phasematch.engine2d import AlgorithmParams, approx_b
 from phasematch.engine4d import (
     FourDimInputs,
     approx4,
@@ -195,6 +195,14 @@ def test_approx4_sum_structure():
         expected = sign * 2 * math.cos(phi) * cmath.exp(1j * phi) * u * total
         _, c_next = approx4(theta, phi, u, k)
         assert c_next == pytest.approx(expected, abs=1e-15)
+
+
+def test_approx4_c_channel_is_the_two_dim_sum():
+    """Both parities of k = 2m, 2m + 1 reuse approx_b at step m + 1, with opposite signs."""
+    theta, phi, u = 0.4, -1.3, 0.02
+    first_order = approx_b(AlgorithmParams(theta, phi, u), 25_001)
+    assert approx4(theta, phi, u, 50_000)[1] == first_order
+    assert approx4(theta, phi, u, 50_001)[1] == -first_order
 
 
 def test_approx4_rejects_k_zero():

@@ -292,6 +292,16 @@ def test_unitary_with_overlap_validation():
         unitary_with_overlap(1, seed=0, magnitude=0.1)
 
 
+def test_unitary_with_overlap_reaches_magnitude_one_at_dim_two():
+    """At dim 2 the reach is the tau row's norm, 1 up to its last bits: 1 is attained, not refused."""
+    for seed in range(20):
+        w = unitary_with_overlap(2, seed, 1.0)
+        assert is_unitary(w)
+        assert abs(abs(w[1, 0]) - 1) <= 1e-15
+    with pytest.raises(ValueError):
+        unitary_with_overlap(2, 0, 1 + 1e-9)
+
+
 def test_table_scale_instance_through_the_oracle():
     """N = 100 with |u| forced to 1/sqrt(N) reproduces the printed |b_6|."""
     w = unitary_with_overlap(100, seed=17, magnitude=0.1)
