@@ -165,8 +165,7 @@ def run_pyramid(max_k=12):
     """
     _check_bound("max_k", max_k, 3, K_EXACT_MAX)
     rows = []
-    j = 1
-    while 2 * j + 1 <= max_k:
+    for j in range(1, (max_k - 1) // 2 + 1):
         for k in range(2 * j + 1, min(2 * j + 5, max_k) + 1):
             values = [l_coeff(k, i, j) for i in range(k - 2 * j)]
             rows.append(
@@ -176,7 +175,6 @@ def run_pyramid(max_k=12):
                     "values": " ".join(str(v) for v in values),
                 }
             )
-        j += 1
     return make_report("pyramid", _base_metadata(0, 0.0, max_k=max_k), rows)
 
 
@@ -198,8 +196,7 @@ def run_sweep(thetas, phi, u, k_max=100):
     most ``SWEEP_BLOCK`` trajectory entries per array. No theta, or more
     than ``MAX_SWEEP_ENTRIES`` entries in all, is rejected before any work.
     """
-    if len(thetas) == 0:
-        raise ValueError("a sweep needs at least one theta")
+    _check_bound("theta count", len(thetas), 1)
     _check_bound("k_max", k_max, 1, MAX_K)
     entries = len(thetas) * (k_max + 1)
     if entries > MAX_SWEEP_ENTRIES:

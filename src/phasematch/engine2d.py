@@ -41,10 +41,9 @@ class ClosedFormRangeError(ValueError):
 def _bounded(name: str, z) -> complex:
     """The matrix element ``z`` as a complex number, checked to be finite with |z| <= 1 + 1e-12."""
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{name} = {z} is not finite")
-    if abs(z) > 1 + 1e-12:
-        raise ValueError(f"|{name}| = {abs(z)} exceeds 1")
+    # abs() of a complex with a nan or inf part is nan or inf, which fails the comparison.
+    if not abs(z) <= 1 + 1e-12:
+        raise ValueError(f"|{name}| = {abs(z)} exceeds 1 or is not finite")
     return z
 
 
@@ -208,16 +207,6 @@ def t_coeff(k: int, i: int, j: int) -> int:
     return math.comb(i + j - 1, j - 1) * math.comb(k - i - j, j)
 
 
-def _check_closed_form_k(k: int) -> None:
-    _check_bound("k", k, 1)
-    if k > K_EXACT_MAX:
-        raise ClosedFormRangeError(
-            f"closed-form evaluation is limited to k <= {K_EXACT_MAX}: the integer "
-            f"coefficients grow combinatorially and the polynomial becomes "
-            f"ill-conditioned in double precision; use iterate2 for k = {k}"
-        )
-
-
 def _closed_form(c: TwoDimCoefficients, k: int, coeff, top: int, first_j: int) -> complex:
     """sum_{j >= first_j} (beta*lambda)^j sum_{i=0}^{top-2j} coeff(k, i, j) alpha^(top-2j-i) delta^i.
 
@@ -225,7 +214,13 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, top: int, first_j: int) -
     ``t_coeff``, top = k and first_j = 1 it is a_k, whose j = 0 term alpha^k
     has no ``t_coeff`` (its C(i-1, -1) is undefined) and starts the total.
     """
-    _check_closed_form_k(k)
+    _check_bound("k", k, 1)
+    if k > K_EXACT_MAX:
+        raise ClosedFormRangeError(
+            f"closed-form evaluation is limited to k <= {K_EXACT_MAX}: the integer "
+            f"coefficients grow combinatorially and the polynomial becomes "
+            f"ill-conditioned in double precision; use iterate2 for k = {k}"
+        )
     alpha_pow = [c.alpha**n for n in range(k + 1)]
     delta_pow = [c.delta**n for n in range(k + 1)]
     bl = c.beta * c.lam

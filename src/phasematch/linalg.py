@@ -34,13 +34,6 @@ def _as_square(w) -> np.ndarray:
     return w
 
 
-def _as_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    return v
-
-
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector with a 1 at ``index``."""
     index = operator.index(index)
@@ -122,7 +115,9 @@ def gram_decompose(states, basis) -> np.recarray:
     ``residual`` field holds each state's Euclidean distance to the basis
     span, so subspace membership reduces to a residual threshold.
     """
-    vecs = np.array([_as_vector(b) for b in basis])
+    vecs = np.asarray(basis, dtype=np.complex128)
+    if vecs.ndim != 2:
+        raise ValueError(f"expected a basis of vectors of one length, got shape {vecs.shape}")
     duals = vecs.conj()
     gram = np.array([[di @ vj for vj in vecs] for di in duals])
     # The SVD behind cond() does not converge on non-finite input.

@@ -21,16 +21,14 @@ SIG_DIGITS = 12
 
 
 def round_sig(x: float) -> float:
-    """Round to 12 significant digits."""
-    if x == 0 or not math.isfinite(x):
-        return float(x)
+    """Round to 12 significant digits; zeros (with their sign), infinities and nan pass through."""
     return float(f"{x:.{SIG_DIGITS}g}")
 
 
 def _normalize(value):
     if isinstance(value, np.generic):
         value = value.item()
-    if isinstance(value, bool) or isinstance(value, (int, str)) or value is None:
+    if isinstance(value, (int, str)) or value is None:
         return value
     if isinstance(value, float):
         return round_sig(value) if math.isfinite(value) else str(value)
@@ -107,8 +105,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

@@ -127,17 +127,21 @@ def test_inputs_reject_oversized_elements():
 
 
 def test_inputs_bound_every_element_as_the_two_dim_engine_bounds_u():
-    """|x| <= 1 + 1e-12 for each of u, v, vu_gg and uv_tt, as for u in AlgorithmParams."""
-    over = 1 + 1e-11
-    with pytest.raises(ValueError, match=r"\|u\| = .* exceeds 1"):
-        AlgorithmParams(0.0, 0.0, over)
-    for slot, name in enumerate(("u", "v", "vu_gg", "uv_tt")):
-        elements = [0j] * 4
-        elements[slot] = over
-        with pytest.raises(ValueError, match=rf"\|{name}\| = .* exceeds 1"):
-            FourDimInputs(0.0, 0.0, *elements)
-        elements[slot] = 1.0
-        FourDimInputs(0.0, 0.0, *elements)
+    """|x| <= 1 + 1e-12 for each of u, v, vu_gg and uv_tt, as for u in AlgorithmParams;
+    one comparison refuses both a modulus above the bound and a nan or inf part."""
+    assert AlgorithmParams(0.0, 0.0, 1 + 1e-12).u == 1 + 1e-12
+    for over in (1 + 1e-11, 1 + 2e-12, complex(math.nan, 0), complex(0, math.inf),
+                 complex(math.inf, math.nan)):
+        with pytest.raises(ValueError, match=r"\|u\| = .* exceeds 1"):
+            AlgorithmParams(0.0, 0.0, over)
+        for slot, name in enumerate(("u", "v", "vu_gg", "uv_tt")):
+            elements = [0j] * 4
+            elements[slot] = over
+            with pytest.raises(ValueError, match=rf"\|{name}\| = .* exceeds 1"):
+                FourDimInputs(0.0, 0.0, *elements)
+            for edge in (1.0, 1 + 1e-12):
+                elements[slot] = edge
+                FourDimInputs(0.0, 0.0, *elements)
 
 
 @given(st.integers(0, 9), st.sampled_from([math.nan, math.inf, -math.inf]))

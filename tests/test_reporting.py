@@ -17,11 +17,14 @@ def test_round_sig_twelve_digits():
     assert round_sig(1.0) == 1.0
     assert round_sig(-2.5e-17) == -2.5e-17
     assert round_sig(123456789012345.0) == 123456789012000.0
+    assert round_sig(0.0) == 0.0 and math.copysign(1, round_sig(0.0)) == 1
+    assert round_sig(-0.0) == 0.0 and math.copysign(1, round_sig(-0.0)) == -1
 
 
 def test_round_sig_passes_non_finite_through():
     assert math.isnan(round_sig(math.nan))
     assert round_sig(math.inf) == math.inf
+    assert round_sig(-math.inf) == -math.inf
 
 
 def test_make_report_normalizes_values():
@@ -100,7 +103,7 @@ def test_csv_encoding():
 
 def test_csv_and_json_numbers_render_identically():
     rows = [{"value": v} for v in
-            (0.1, 2 / 3, 1.003405056579, 9.87654321e-13, 1e300)]
+            (0.1, 2 / 3, 1.003405056579, 9.87654321e-13, 1e300, 0.0, -0.0, 5e-324)]
     report = make_report("demo", {"seed": 0, "tolerance": 1e-9}, rows)
     json_numbers = [
         json.dumps(row["value"]) for row in json.loads(to_json(report))["rows"]
@@ -108,6 +111,8 @@ def test_csv_and_json_numbers_render_identically():
     reader = csv.DictReader(io.StringIO(to_csv(report)))
     csv_numbers = [row["value"] for row in reader]
     assert json_numbers == csv_numbers
+    # A CSV cell of a float is its repr.
+    assert csv_numbers == [repr(row["value"]) for row in report.rows]
 
 
 def test_render_dispatch_and_determinism():
