@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rotations import _check_bound, _finite_angles, phase_scale, snapped_cos
+from .rotations import _bounded, _check_bound, _finite_angles, phase_scale, snapped_cos
 
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
@@ -36,15 +36,6 @@ _APPROX_BLOCK = 2**14
 
 class ClosedFormRangeError(ValueError):
     """Closed-form evaluation refused because the polynomial is ill-conditioned."""
-
-
-def _bounded(name: str, z) -> complex:
-    """The matrix element ``z`` as a complex number, checked to be finite with |z| <= 1 + 1e-12."""
-    z = complex(z)
-    # abs() of a complex with a nan or inf part is nan or inf, which fails the comparison.
-    if not abs(z) <= 1 + 1e-12:
-        raise ValueError(f"|{name}| = {abs(z)} exceeds 1 or is not finite")
-    return z
 
 
 @dataclass(frozen=True)

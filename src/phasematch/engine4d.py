@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import AlgorithmParams, _bounded, approx_b
-from .rotations import _check_bound, _finite_angles, phase_scale
+from .engine2d import AlgorithmParams, approx_b
+from .rotations import _bounded, _check_bound, _finite_angles, phase_scale
 
 
 @dataclass(frozen=True)

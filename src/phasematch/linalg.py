@@ -133,7 +133,7 @@ def gram_decompose(states, basis) -> np.recarray:
     if len(s) == 0:
         return out
     if s.ndim != 2 or s.shape[1] != vecs.shape[1]:
-        raise ValueError(f"expected states of length {vecs.shape[1]}, got shape {s.shape}")
+        raise ValueError(f"expected an (n, {vecs.shape[1]}) array of states, got shape {s.shape}")
     rhs = (duals[None, :, None, :] @ s[:, None, :, None])[:, :, 0, 0]
     coeffs = np.linalg.solve(gram, rhs.T).T
     out.coefficients = coeffs

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ class OracleConfig:
 
     def __post_init__(self):
         _finite_angles(theta=self.theta, phi=self.phi)
+        object.__setattr__(self, "dim", operator.index(self.dim))
         _check_bound("dim", self.dim, 2)
         matrices = (("U", "u_matrix"), ("V", "v_matrix"))
         for name, field in matrices if self.v_matrix is not None else matrices[:1]:
@@ -134,12 +136,15 @@ def target_amplitude(run: OracleRun, cfg: OracleConfig, k) -> complex | np.ndarr
     """The tau-component of U Q^k |gamma>, i.e. a_k u + b_k.
 
     This is the measurable amplitude after mapping the subspace back with U.
-    ``k`` is an int, which gives a complex, or an index array, which gives
-    the array of those amplitudes. Both read one product of the run's
+    ``k`` is an int, which gives a complex, or an integer array, which gives
+    the array of those amplitudes; any other dtype, bool included, is a
+    ``TypeError``. Both read one product of the run's
     states with the tau row of U, so an entry does not depend on which
     other steps were asked for.
     """
     ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
+        raise TypeError(f"k = {k!r} is not an integer or an integer array")
     if not ((0 <= ks) & (ks <= run.k_max)).all():
         raise IndexError(f"k = {k} outside the run's range 0..{run.k_max}")
     amplitudes = (run.states @ cfg.u_matrix[cfg.tau_index])[ks]

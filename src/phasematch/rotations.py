@@ -7,7 +7,9 @@ angle; at angle 0 it is the plain inversion. Long's rotation (Long, PRA 64,
 rotation at ``angle`` is Long's at ``t = 2*angle + pi``. Long's reduced
 coefficients are :func:`phasematch.engine2d.long_coeffs`. This module imports
 nothing from the package, so it holds the input checks every module shares:
-``_finite_angles`` of every angle, ``_check_bound`` of every size, count and index.
+``_finite_angles`` of every angle, ``_bounded`` of every matrix element, and
+``_check_bound`` of every size, count and index and of the two real
+parameters ``a`` and ``magnitude``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ def _check_bound(name: str, value, low, high=math.inf) -> None:
     """Raise ``ValueError`` naming ``value`` and the bounds unless low <= value <= high."""
     if not low <= value <= high:
         raise ValueError(f"{name} = {value} is outside [{low}, {high}]")
+
+
+def _bounded(name: str, z) -> complex:
+    """The matrix element ``z`` as a complex number, checked to be finite with |z| <= 1 + 1e-12."""
+    z = complex(z)
+    # abs() of a complex with a nan or inf part is nan or inf, which fails the comparison.
+    if not abs(z) <= 1 + 1e-12:
+        raise ValueError(f"|{name}| = {abs(z)} exceeds 1 or is not finite")
+    return z
 
 
 def snapped_cos(angle: float) -> float:

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -103,16 +104,19 @@ def _scalar_sweep_rows(thetas, phi, u, k_max):
 def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls):
     k_max = 2000
     width = SWEEP_BLOCK // (k_max + 1)
-    thetas = list(np.linspace(0.1, 0.5, 2 * width + 11))
     phi, u = 0.3, 0.1 * np.exp(0.5j)
-    rows = run_sweep(thetas, phi, u, k_max=k_max).rows
-    assert [shape for shape, _ in iterate2_calls] == [(width,), (width,), (11,)]
-    assert all(b[0] * b[1] <= SWEEP_BLOCK for _, b in iterate2_calls)
-    for row, (res, tied) in zip(rows, _scalar_sweep_rows(thetas, phi, u, k_max)):
-        assert type(row["k_star"]) is int and type(row["max_abs_b"]) is float
-        if not tied:
-            assert row["k_star"] == res.k_star
-        assert row["max_abs_b"] == pytest.approx(res.max_abs_b, rel=1e-11)
+    # A trailing block of one theta runs on scalars, as a lone theta does.
+    for trailing, last_shape in ((11, (11,)), (1, ())):
+        iterate2_calls.clear()
+        thetas = list(np.linspace(0.1, 0.5, 2 * width + trailing))
+        rows = run_sweep(thetas, phi, u, k_max=k_max).rows
+        assert [shape for shape, _ in iterate2_calls] == [(width,), (width,), last_shape]
+        assert all(math.prod(b) <= SWEEP_BLOCK for _, b in iterate2_calls)
+        for row, (res, tied) in zip(rows, _scalar_sweep_rows(thetas, phi, u, k_max)):
+            assert type(row["k_star"]) is int and type(row["max_abs_b"]) is float
+            if not tied:
+                assert row["k_star"] == res.k_star
+            assert row["max_abs_b"] == pytest.approx(res.max_abs_b, rel=1e-11)
 
 
 def test_sweep_beyond_one_block_runs_scalar_and_bit_identical(iterate2_calls):

@@ -196,6 +196,8 @@ def test_gram_decompose_rejects_misshaped_states():
                    [basis_state(4, 0), basis_state(3, 0)]):
         with pytest.raises(ValueError):
             gram_decompose(states, basis)
+    with pytest.raises(ValueError, match=r"expected an \(n, 4\) array of states, got shape \(4,\)"):
+        gram_decompose(np.ones(4), basis)
 
 
 def test_gram_decompose_of_no_states_is_empty():

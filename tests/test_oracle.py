@@ -230,6 +230,15 @@ def test_config_validation():
         OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=w, v_matrix=np.ones((4, 4)))
 
 
+def test_config_takes_dim_as_an_integer():
+    """A float dim equal to an int would pass the shape check and fail later, in indexing."""
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        OracleConfig(dim=4.0, theta=0.0, phi=0.0, u_matrix=np.eye(4))
+    cfg = OracleConfig(dim=np.int64(4), theta=0.0, phi=0.0, u_matrix=random_unitary(4, 2))
+    assert type(cfg.dim) is int
+    assert cfg.tau_index == 3 and cfg.u_element == cfg.u_matrix[3, 0]
+
+
 @given(slot=st.integers(0, 1), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_config_rejects_non_finite_angles(slot, bad):
     angles = [0.3, 0.1]
@@ -249,6 +258,17 @@ def test_target_amplitude_range_check():
             target_amplitude(run, cfg, np.array(ks))
     with pytest.raises(IndexError):
         target_amplitude(run, cfg, -1)
+
+
+def test_target_amplitude_takes_integer_steps_only():
+    cfg = OracleConfig(dim=4, theta=0.0, phi=0.0, u_matrix=random_unitary(4, 4))
+    run = evolve(build_q(cfg), cfg, 2)
+    for k in (2.5, True, np.array([0.0, 1.0]), np.array([True, False, True])):
+        with pytest.raises(TypeError, match="is not an integer"):
+            target_amplitude(run, cfg, k)
+    states_at = run.states @ cfg.u_matrix[cfg.tau_index]
+    assert target_amplitude(run, cfg, np.int64(2)) == states_at[2]
+    np.testing.assert_array_equal(target_amplitude(run, cfg, np.array([2, 0])), states_at[[2, 0]])
 
 
 @pytest.mark.parametrize("dim", [4, 16, 64])
