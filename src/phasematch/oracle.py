@@ -138,9 +138,9 @@ def target_amplitude(run: OracleRun, cfg: OracleConfig, k) -> complex | np.ndarr
     This is the measurable amplitude after mapping the subspace back with U.
     ``k`` is an int, which gives a complex, or an integer array, which gives
     the array of those amplitudes; any other dtype, bool included, is a
-    ``TypeError``. Both read one product of the run's
-    states with the tau row of U, so an entry does not depend on which
-    other steps were asked for.
+    ``TypeError``. Both read one product of the run's states with the tau
+    row of U, so an entry does not depend on which other steps were asked
+    for.
     """
     ks = np.asarray(k)
     if ks.dtype.kind not in "iu":
