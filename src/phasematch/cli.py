@@ -348,9 +348,10 @@ def run_verify(scope="all", seed=1, n_cases=20):
     decomposes Q^k applied to the start state over the invariant basis,
     and compares the coefficients against the 2D/4D recurrences, to
     ``EQUIVALENCE_TOL``; the 4D product's checks use ``STRUCTURAL_TOL``.
-    ``n_cases`` per suite is at most ``MAX_CASES``.
+    ``n_cases`` per suite is at most ``MAX_CASES``; ``seed`` is non-negative.
     """
     _check_bound("n_cases", n_cases, 1, MAX_CASES)
+    _check_bound("seed", seed, 0)
     if scope not in VERIFY_SCOPES:
         raise ValueError(f"unknown verify scope {scope!r}")
     rng = np.random.default_rng(seed)
@@ -371,12 +372,14 @@ def run_verify(scope="all", seed=1, n_cases=20):
 
 def run_construct(dim, seed=0):
     """Build a commuting pair (V, U) with V U = U V = P and report its checks
-    against ``STRUCTURAL_TOL``. ``dim`` is even and at most ``MAX_DIM``.
+    against ``STRUCTURAL_TOL``. ``dim`` is even and at most ``MAX_DIM``;
+    ``seed`` is non-negative.
 
     The JSON report embeds both matrices under metadata as nested lists of
     {re, im} objects; the CSV encoding carries the check rows only.
     """
     _check_bound("dim", dim, 2, MAX_DIM)
+    _check_bound("seed", seed, 0)
     v = random_commuting_unitary(dim, seed)
     pair = companion(v)
     p = pair_swap(dim)

@@ -2,8 +2,10 @@
 
 Float values are rounded to 12 significant digits when a report is
 assembled, so the two encodings render bit-identical numbers (both go
-through Python's shortest-roundtrip float repr). Non-finite floats become
-the strings "inf"/"-inf"/"nan" in both encodings. A 2-D complex array
+through Python's shortest-roundtrip float repr). All floats of a report are
+formatted in one ``"%.12g"`` string and parsed back, which gives
+:func:`round_sig` of each. A non-finite float keeps its text, so it becomes
+the string "inf", "-inf" or "nan" in both encodings. A 2-D complex array
 becomes nested lists of {re, im} objects, as its ``tolist()`` would.
 """
 
@@ -12,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,34 +26,44 @@ def round_sig(x: float) -> float:
     return float(f"{x:.{SIG_DIGITS}g}")
 
 
-def _normalize(value):
+#: The value types a report holds as they are, its floats once rounded.
+_SCALARS = frozenset({str, int, bool, float, type(None)})
+#: JSON's names of the non-finite floats, and the text a report holds for each.
+_NAMES = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
+
+def _normalize(value, floats: list, fills: list):
+    """A copy of ``value`` with numpy scalars unwrapped and complex values as
+    {re, im} objects. Its floats go to ``floats``; ``fills`` gets functions
+    that write them back, rounded, in order from an iterator (a copied list
+    or matrix stays empty until then)."""
+    if isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        out = {k: v if type(v) in _SCALARS else _normalize(v, floats, fills) for k, v in items}
+        keys = [k for k, v in out.items() if type(v) is float]
+        floats += map(out.__getitem__, keys)
+        fills.append(lambda rounded: out.update(zip(keys, rounded)))
+        if isinstance(value, dict):
+            return out
+        listed = []
+        fills.append(lambda rounded: listed.extend(out.values()))
+        return listed
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, (int, str)) or value is None:
         return value
     if isinstance(value, float):
-        return round_sig(value) if math.isfinite(value) else str(value)
+        return float(value)
     if isinstance(value, complex):
-        return {"re": _normalize(value.real), "im": _normalize(value.imag)}
-    if isinstance(value, dict):
-        return {k: _normalize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
+        return _normalize({"re": value.real, "im": value.imag}, floats, fills)
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.complex128:
-        return _rounded_matrix(value) if np.isfinite(value).all() else _normalize(value.tolist())
+        floats += np.ascontiguousarray(value).view(np.float64).ravel().tolist()
+        matrix, (rows, cols) = [], value.shape
+        fills.append(lambda rounded: matrix.extend([
+            [{"re": next(rounded), "im": next(rounded)} for _ in range(cols)] for _ in range(rows)
+        ]))
+        return matrix
     raise TypeError(f"cannot put a {type(value).__name__} in a report")
-
-
-def _rounded_matrix(m: np.ndarray) -> list[list[dict]]:
-    """``_normalize(m.tolist())`` for a finite complex matrix.
-
-    All the real and imaginary parts are formatted in one string and parsed
-    back, which gives the values of :func:`round_sig` one by one.
-    """
-    parts = np.ascontiguousarray(m).view(np.float64).ravel().tolist()
-    values = iter(map(float, (f"%.{SIG_DIGITS}g " * len(parts) % tuple(parts)).split()))
-    rows, cols = m.shape
-    return [[{"re": next(values), "im": next(values)} for _ in range(cols)] for _ in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -67,45 +78,60 @@ class Report:
 
 def make_report(command: str, metadata: dict, rows: list[dict], passed: bool | None = None) -> Report:
     """Assemble a report, normalizing every value for stable rendering."""
-    return Report(
-        command=command,
-        metadata=_normalize(metadata),
-        rows=[_normalize(row) for row in rows],
-        passed=passed,
-    )
+    floats, fills = [], []
+    metadata = _normalize(metadata, floats, fills)
+    rows = [_normalize(row, floats, fills) for row in rows]
+    # Parsed back as one JSON array, so that no list of texts is held: an
+    # integral text ("1", "-0") stays a float, a non-finite one gets its name.
+    text = ("[" + ",".join([f"%.{SIG_DIGITS}g"] * len(floats)) + "]") % tuple(floats)
+    del floats  # a matrix's unrounded parts go before its rounded ones come
+    text = text.replace("inf", "Infinity").replace("nan", "NaN")
+    rounded = iter(json.loads(text, parse_int=float, parse_constant=_NAMES.__getitem__))
+    for fill in fills:
+        fill(rounded)
+    return Report(command=command, metadata=metadata, rows=rows, passed=passed)
+
+
+#: Encodes flat rows as ``json.dumps(..., indent=2)`` lays them out in a
+#: report, but with the C encoder, which ``indent`` turns off.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def to_json(report: Report) -> str:
-    doc = {
-        "command": report.command,
-        "metadata": report.metadata,
-        "rows": report.rows,
-    }
+    """``json.dumps`` of the report with ``indent=2``, plus a newline.
+
+    Rows of scalars only go through the C encoder in one call. It separates
+    rows by ``},`` and a newline, which no string holds: JSON escapes newlines.
+    """
+    head = {"command": report.command, "metadata": report.metadata}
+    doc = {**head, "rows": report.rows}
     if report.passed is not None:
         doc["pass"] = report.passed
-    return json.dumps(doc, indent=2) + "\n"
+    rows = report.rows
+    if not (rows and all(rows) and _SCALARS.issuperset(type(v) for row in rows for v in row.values())):
+        return json.dumps(doc, indent=2) + "\n"
+    body = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    verdict = "" if report.passed is None else f',\n  "pass": {json.dumps(report.passed)}'
+    # The head's text ends in "\n}", the close of its object.
+    return f'{json.dumps(head, indent=2)[:-2]},\n  "rows": [\n    {{\n      {body}\n    }}\n  ]{verdict}\n}}\n'
 
 
 def to_csv(report: Report) -> str:
     """Header row then records; UTF-8, LF line endings, '.' decimal separator.
 
     Columns are the union of row keys in first-seen order; metadata is not
-    part of the CSV (it is the plotting hand-off format, rows only).
+    part of the CSV (it is the plotting hand-off format, rows only). The csv
+    module writes None as "" and a float as its repr; bools become true/false.
     """
     columns = list(dict.fromkeys(key for row in report.rows for key in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_cell(row.get(key)) for key in columns] for row in report.rows)
+    writer.writerows(
+        [("true" if v else "false") if isinstance(v, bool) else v for v in map(row.get, columns)]
+        for row in report.rows
+    )
     return buf.getvalue()
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 #: The report encodings :func:`render` accepts.

@@ -282,6 +282,29 @@ def test_run_bounds_hold_before_work(monkeypatch, run, name, low, high, first_ca
             run(**{name: value})
 
 
+@pytest.mark.parametrize("run, first_call", [
+    (run_verify, "_verify_2d_case"),
+    (functools.partial(run_construct, 8), "random_commuting_unitary"),
+], ids=["verify", "construct"])
+def test_seed_is_bounded_before_work(monkeypatch, run, first_call):
+    monkeypatch.setattr(cli, first_call, _reached)
+    for seed in (-1, -3):
+        with pytest.raises(ValueError, match=rf"seed = {seed} is outside \[0, inf\]"):
+            run(seed=seed)
+    with pytest.raises(Reached):
+        run(seed=0)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--seed", "-1"],
+    ["construct", "--seed", "-3"],
+], ids=" ".join)
+def test_negative_seed_is_a_usage_error_naming_the_seed(runner, args):
+    result = runner.invoke(main, args)
+    _assert_usage_error(result)
+    assert f"seed = {args[2]} is outside [0, inf]" in result.stderr
+
+
 @pytest.mark.parametrize("family, builder, unread", [
     ("present", "present_coeffs", "a"),
     ("grover", "grover_coeffs", "theta"),

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from phasematch import reporting
 from phasematch.linalg import random_unitary
 from phasematch.reporting import Report, make_report, render, round_sig, to_csv, to_json
 
@@ -129,3 +134,115 @@ def test_report_is_frozen():
     with pytest.raises(AttributeError):
         report.command = "other"
     assert isinstance(report, Report)
+
+
+def _rounded(value):
+    """The report form of ``value``, with :func:`round_sig` as the rounding."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float):
+        return round_sig(value) if math.isfinite(value) else str(value)
+    if isinstance(value, complex):
+        return {"re": _rounded(value.real), "im": _rounded(value.imag)}
+    if isinstance(value, np.ndarray):
+        return _rounded(value.tolist())
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return value
+
+
+# Rounds up into the next decade, a subnormal, the extremes and the non-finite values.
+EDGE_FLOATS = [9.9999999999995e-5, 9.99999999999951, -9.9999999999995e-300, 5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0,
+               math.inf, -math.inf, math.nan]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+MATRICES = arrays(np.complex128, st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                  elements=COMPLEXES)
+
+
+@given(st.lists(FLOATS, min_size=1, max_size=6), st.lists(COMPLEXES, max_size=4),
+       st.lists(MATRICES, max_size=2))
+@settings(max_examples=150, deadline=None)
+@example(EDGE_FLOATS, [complex(f, g) for f, g in zip(EDGE_FLOATS, EDGE_FLOATS[::-1])],
+         [np.array([EDGE_FLOATS[:4], EDGE_FLOATS[4:8]], dtype=np.complex128)])
+def test_batched_rounding_is_round_sig_of_every_value(floats, complexes, matrices):
+    metadata = {"f": floats[0], "np": np.float64(floats[-1]), "fs": floats, "z": complexes,
+                "m": matrices, "nested": {"inner": [floats, complexes]}}
+    rows = [{"f": f, "z": z, "n": i, "s": "x", "b": True, "none": None}
+            for i, (f, z) in enumerate(zip(floats, complexes))]
+    rows += [{"m": m, "f": floats[0]} for m in matrices]
+    report = make_report("demo", metadata, rows)
+    # repr tells -0.0 from 0.0, 1 from 1.0 and "nan" from nan; == does not.
+    assert repr(report.metadata) == repr(_rounded(metadata))
+    assert repr(report.rows) == repr(_rounded(rows))
+
+
+def _reference_json(report):
+    doc = {"command": report.command, "metadata": report.metadata, "rows": report.rows}
+    if report.passed is not None:
+        doc["pass"] = report.passed
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class _CountingEncoder:
+    """Stands in for the row encoder and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.encoder = reporting._ROW_ENCODER
+
+    def encode(self, rows):
+        self.calls += 1
+        return self.encoder.encode(rows)
+
+
+def _to_json_counting(report):
+    encoder = _CountingEncoder()
+    with mock.patch.object(reporting, "_ROW_ENCODER", encoder):
+        return to_json(report), encoder.calls
+
+
+TRICKY = ['"', "\\", "\n", "\r\t", "é", "\u2603", "\U0001f600", "},\n      {",
+          '"},\n      {"', "\n    },\n    {\n      ", "]", "rows"]
+TEXT = st.lists(st.sampled_from(TRICKY) | st.text(max_size=4), max_size=4).map("".join)
+SCALARS = (TEXT | st.integers() | st.integers(2**63, 2**70) | FLOATS | st.booleans()
+           | st.none())
+
+
+@given(TEXT, st.dictionaries(TEXT, SCALARS, max_size=3),
+       st.lists(st.dictionaries(TEXT, SCALARS, min_size=1, max_size=5), min_size=1, max_size=5),
+       st.none() | st.booleans())
+@settings(max_examples=150, deadline=None)
+@example("c", {}, [{"-0": -0.0, "tiny": 5e-324, "huge": 1e300, "big": 2**64 + 1}], None)
+def test_scalar_rows_encode_as_json_dumps_does(command, metadata, rows, passed):
+    report = Report(command, metadata, rows, passed)
+    text, calls = _to_json_counting(report)
+    assert text == _reference_json(report)
+    assert calls == 1  # one encoder call for all rows
+
+
+@pytest.mark.parametrize("report", [
+    Report("c", {"seed": 1}, []),
+    Report("c", {"seed": 1}, [], True),
+    Report("c", {}, [{"a": 1}, {}], False),
+    Report("c", {}, [{}]),
+    make_report("c", {}, [{"a": 1.5}, {"z": 1 + 2j}]),
+    make_report("c", {}, [{"m": np.eye(2, dtype=np.complex128)}]),
+], ids=["no rows", "no rows with verdict", "a row with no keys", "only a row with no keys",
+        "a complex row value", "a matrix row value"])
+def test_other_rows_take_json_dumps_whole(report):
+    text, calls = _to_json_counting(report)
+    assert text == _reference_json(report)
+    assert calls == 0
+
+
+def test_metadata_holding_the_rows_text_does_not_move_the_splice():
+    metadata = {"rows": [], "copy": {"rows": [{"a": 1}]}, "x": '"rows": [\n    {', "y": "\n}"}
+    for passed in (None, True, False):
+        report = make_report("c", metadata, [{"a": 1, "b": "rows"}, {"rows": 2}], passed)
+        text, calls = _to_json_counting(report)
+        assert text == _reference_json(report)
+        assert calls == 1
