@@ -19,6 +19,7 @@ orthogonal; values are reported raw, never clamped.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -198,13 +199,89 @@ def t_coeff(k: int, i: int, j: int) -> int:
     return math.comb(i + j - 1, j - 1) * math.comb(k - i - j, j)
 
 
-def _closed_form(c: TwoDimCoefficients, k: int, coeff, top: int, first_j: int) -> complex:
-    """sum_{j >= first_j} (beta*lambda)^j sum_{i=0}^{top-2j} coeff(k, i, j) alpha^(top-2j-i) delta^i.
+def _exponent_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the exponents of alpha and delta in term i of a row
+    whose exponents add up to ``rest``: [rest, i] holds rest - i and i where
+    i <= rest, and 0 and 0 (a padding cell) where i > rest."""
+    rest, i = np.ogrid[:size, :size]
+    tables = np.where(i <= rest, rest - i, 0), np.where(i <= rest, i, 0)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    With ``l_coeff``, top = k-1 and first_j = 0 this is b_k / beta; with
-    ``t_coeff``, top = k and first_j = 1 it is a_k, whose j = 0 term alpha^k
-    has no ``t_coeff`` (its C(i-1, -1) is undefined) and starts the total.
+
+_ALPHA_EXP, _DELTA_EXP = _exponent_tables(K_EXACT_MAX + 1)
+
+
+@functools.cache
+def _pyramid_grid(coeff, k: int, first_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inner sums of :func:`_closed_form` as one grid, a row per j = first_j..top//2
+    with top = k - 1 + first_j.
+
+    Row j holds ``float(coeff(k, i, j))`` for i = 0..top-2j, then 0.0 up to a
+    common width, and beside it the exponents of alpha (top-2j-i) and delta
+    (i), 0 for both in a padding cell, so that a padding term is +0.0. The
+    exponents are views of rows top-2j of ``_ALPHA_EXP`` and ``_DELTA_EXP``,
+    so a cached grid holds only its coefficients. All three arrays are
+    read-only, as every caller shares them.
     """
+    top = k - 1 + first_j
+    js = range(first_j, top // 2 + 1)
+    width = max(top + 1 - 2 * first_j, 1)
+    coef = np.zeros((len(js), width))
+    for row, j in enumerate(js):
+        terms = range(top - 2 * j + 1)
+        coef[row, : len(terms)] = [float(coeff(k, i, j)) for i in terms]
+    coef.flags.writeable = False
+    # [: len(js)] leaves no row for a_1, whose first row top - 2 first_j is -1.
+    return coef, *(table[top - 2 * first_j :: -2][: len(js), :width]
+                   for table in (_ALPHA_EXP, _DELTA_EXP))
+
+
+def _gathered(powers: list, exponents: np.ndarray) -> tuple:
+    """``powers[exponents]`` as (real, imag) arrays, imag None when the powers are real."""
+    table = np.array(powers)
+    if table.dtype.kind == "c":
+        return table.real[exponents], table.imag[exponents]
+    return table[exponents], None
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    """The product of two (real, imag) pairs as Python 3.11 multiplies numbers.
+
+    Two reals (imag None) multiply as floats. Otherwise a real is
+    complex(x, 0.0) and the product is (xr yr - xi yi, xr yi + xi yr), each
+    operation rounded on its own and the 0.0 terms kept: they set the sign of
+    a zero and make nan of an inf or nan part as Python does. NumPy's complex
+    multiply may fuse operations and round differently.
+    """
+    (xr, xi), (yr, yi) = x, y
+    if xi is None and yi is None:
+        return xr * yr, None
+    xi, yi = (0.0 if part is None else part for part in (xi, yi))
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _closed_form(c: TwoDimCoefficients, k: int, coeff, first_j: int) -> complex:
+    """sum_{j >= first_j} (beta*lambda)^j sum_{i=0}^{top-2j} coeff(k, i, j) alpha^(top-2j-i) delta^i,
+    with top = k - 1 + first_j.
+
+    With ``l_coeff`` and first_j = 0 (top = k-1) this is b_k / beta; with
+    ``t_coeff`` and first_j = 1 (top = k) it is a_k, whose j = 0 term
+    alpha^k has no ``t_coeff`` (its C(i-1, -1) is undefined) and starts the
+    total.
+
+    The inner sums over i come from :func:`_pyramid_grid`, built once per
+    (coeff, k) and cached. A call takes the powers of alpha and delta with
+    Python's ``**``, gathers them into the grid, forms every term with
+    :func:`_times` and adds up each row in sequence, as ``sum()`` does; the
+    ``+ 0.0`` stands for ``sum()``'s int 0 start, so no row sum is -0.0. That
+    is a fixed number of NumPy operations; the short loop over j stays in
+    Python. Each row sum, and so the result, is bit-identical to the double
+    sum of Python terms with ``sum()`` over i (CPython 3.11; from 3.12
+    ``sum()`` compensates float sums).
+    """
+    k = operator.index(k)
     _check_bound("k", k, 1)
     if k > K_EXACT_MAX:
         raise ClosedFormRangeError(
@@ -212,32 +289,41 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, top: int, first_j: int) -
             f"coefficients grow combinatorially and the polynomial becomes "
             f"ill-conditioned in double precision; use iterate2 for k = {k}"
         )
+    coef, alpha_exp, delta_exp = _pyramid_grid(coeff, k, first_j)
     alpha_pow = [c.alpha**n for n in range(k + 1)]
     delta_pow = [c.delta**n for n in range(k + 1)]
+    # Python's float arithmetic makes inf and nan without a warning, and so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _times(_times((coef, None), _gathered(alpha_pow, alpha_exp)),
+                       _gathered(delta_pow, delta_exp))
+        re, im = [None if part is None else (np.add.accumulate(part, axis=1)[:, -1] + 0.0).tolist()
+                  for part in terms]
     bl = c.beta * c.lam
     total = alpha_pow[k] + 0j if first_j else 0j
-    for j in range(first_j, top // 2 + 1):
-        rest = top - 2 * j
-        total += sum(
-            coeff(k, i, j) * alpha_pow[rest - i] * delta_pow[i] for i in range(rest + 1)
-        ) * bl**j
+    for j, row in enumerate(re if im is None else map(complex, re, im), first_j):
+        total += row * bl**j
     return total
 
 
 def exact_b(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form b_k = beta * sum_j c_kj (beta*lambda)^j.
 
-    Each power of alpha and delta is computed once per call. Cross-checked
-    against :func:`iterate2` to 1e-9 for k <= 25 whenever |alpha|, |delta| <= 1;
-    refuses k beyond ``K_EXACT_MAX``.
+    Evaluated by :func:`_closed_form` on the cached ``l_coeff`` grid of k,
+    bit-identical to the double sum taken term by term. Cross-checked
+    against :func:`iterate2` to 1e-9 for k <= 25 whenever |alpha|,
+    |delta| <= 1; refuses k beyond ``K_EXACT_MAX``.
     """
-    return c.beta * _closed_form(c, k, l_coeff, k - 1, 0)
+    return c.beta * _closed_form(c, k, l_coeff, 0)
 
 
 def exact_a(c: TwoDimCoefficients, k: int) -> complex:
-    """Closed-form a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j, with each
-    power of alpha and delta computed once per call."""
-    return _closed_form(c, k, t_coeff, k, 1)
+    """Closed-form a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j.
+
+    Evaluated by :func:`_closed_form` on the cached ``t_coeff`` grid of k,
+    bit-identical to the double sum taken term by term; refuses k beyond
+    ``K_EXACT_MAX``.
+    """
+    return _closed_form(c, k, t_coeff, 1)
 
 
 def approx_b(params: AlgorithmParams, k: int) -> complex:

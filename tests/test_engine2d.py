@@ -27,6 +27,7 @@ from phasematch.engine2d import (
     present_coeffs,
     sweep_max,
     t_coeff,
+    _pyramid_grid,
 )
 from phasematch.linalg import basis_state
 from phasematch.rotations import build, phase_scale
@@ -316,6 +317,17 @@ _unit_disk = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math
     st.builds(TwoDimCoefficients, _unit_disk, _unit_disk, _unit_disk, _unit_disk),
     st.builds(grover_coeffs, _unit_disk),
 ))
+# beta = lambda = 0, so every j >= 1 term is a zero times a power.
+@example(grover_coeffs(0))
+# alpha = delta = 0j: 0j**0 is the power in every padding cell.
+@example(TwoDimCoefficients(0j, 0.6 + 0.2j, -0.3j, 0j))
+# A nan part, compared by float.hex; beta is a real float.
+@example(TwoDimCoefficients(0.6j, 0.5, -0.5j, complex(0.1, math.nan)))
+# An inf alpha: inf * 0 makes nan, in Python without a warning.
+@example(TwoDimCoefficients(math.inf, 0.5j, 0.3, 0.5j))
+# The two inputs least accurate at k = 64: 1.4e-9 and 2.3e-9 from iterate2.
+@example(present_coeffs(AlgorithmParams(2, 2.9, 0.3)))
+@example(hoyer_coeffs(HoyerParams(0.05, 3.1, 0.0)))
 @settings(max_examples=20, deadline=None)
 def test_closed_form_is_bit_identical_to_the_paper_double_sum(c):
     """b_k = beta sum_j c_kj (beta*lambda)^j and a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j.
@@ -336,6 +348,48 @@ def test_closed_form_range_guard():
         exact_b(c, 0)
     with pytest.raises(ClosedFormRangeError):
         exact_b(c, K_EXACT_MAX + 1)
+
+
+def test_closed_form_caches_one_grid_per_form_and_k():
+    """A refused or fractional k never reaches the grid cache; an integer
+    type's k shares the int's entry."""
+    c = grover_coeffs(0.1)
+    _pyramid_grid.cache_clear()
+    for k in (0, K_EXACT_MAX + 1):
+        for form in (exact_b, exact_a):
+            with pytest.raises(ValueError):
+                form(c, k)
+    for form in (exact_b, exact_a):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            form(c, 2.0)
+    info = _pyramid_grid.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
+    assert _bits(exact_b(c, np.int64(3))) == _bits(exact_b(c, 3))
+    assert _pyramid_grid.cache_info().currsize == 1
+    for k in range(1, K_EXACT_MAX + 1):
+        exact_b(c, k)
+        exact_a(c, k)
+    assert _pyramid_grid.cache_info().currsize == 2 * K_EXACT_MAX
+
+
+@pytest.mark.parametrize("coeff,first_j", [(l_coeff, 0), (t_coeff, 1)], ids=["l_coeff", "t_coeff"])
+def test_pyramid_grid_rows_are_the_printed_integers(coeff, first_j):
+    """Row j of k's grid: coeff(k, i, j) as floats for i = 0..top-2j (for
+    l_coeff, the integers ``pyramid`` prints), then padding with coefficient
+    0.0 and both exponents 0."""
+    for k in range(1, K_EXACT_MAX + 1):
+        coef, alpha_exp, delta_exp = _pyramid_grid(coeff, k, first_j)
+        top = k - 1 + first_j
+        js = range(first_j, top // 2 + 1)
+        width = max(top + 1 - 2 * first_j, 1)
+        assert coef.shape == alpha_exp.shape == delta_exp.shape == (len(js), width)
+        assert not any(grid.flags.writeable for grid in (coef, alpha_exp, delta_exp))
+        for row, j in enumerate(js):
+            rest = top - 2 * j
+            pad = [0] * (coef.shape[1] - rest - 1)
+            assert coef[row].tolist() == [float(coeff(k, i, j)) for i in range(rest + 1)] + pad
+            assert alpha_exp[row].tolist() == [*range(rest, -1, -1), *pad]
+            assert delta_exp[row].tolist() == [*range(rest + 1), *pad]
 
 
 # ---------------------------------------------------------------------------
