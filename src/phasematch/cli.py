@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .engine2d import (
     K_EXACT_MAX,
+    SWEEP_BLOCK,
     AlgorithmParams,
     HoyerParams,
     TwoDimCoefficients,
@@ -64,11 +65,6 @@ MAX_RANGE_POINTS = 100_000
 
 #: Largest ``--kmax``; each trajectory holds two complex arrays of kmax + 1 entries.
 MAX_K = 1_000_000
-
-#: Most trajectory entries per array of one batched ``sweep`` recurrence: a
-#: block of SWEEP_BLOCK // (kmax + 1) theta values runs at once, or one theta
-#: at a time when fewer than two fit.
-SWEEP_BLOCK = 2**16
 
 #: Most trajectory entries, theta count x (kmax + 1), of one whole ``sweep``:
 #: the bounds on the two factors alone admit about 10^11, some 12 hours.
@@ -192,9 +188,13 @@ def _stacked(block):
 def run_sweep(thetas, phi, u, k_max=100):
     """Optimal iteration count and phase-condition check per theta.
 
-    The recurrences run in blocks of theta values, each block holding at
-    most ``SWEEP_BLOCK`` trajectory entries per array. No theta, or more
-    than ``MAX_SWEEP_ENTRIES`` entries in all, is rejected before any work.
+    All theta values run as one batch of stacked coefficients, split into
+    equal blocks only beyond ``SWEEP_BLOCK // 2`` of them; :func:`sweep_max`
+    cuts each batch into chunks of k, so no array holds more than
+    ``SWEEP_BLOCK`` entries. A lone theta, and every theta when
+    ``SWEEP_BLOCK // (k_max + 1)`` is below 2, runs on Python scalars. No
+    theta, or more than ``MAX_SWEEP_ENTRIES`` entries in all, is rejected
+    before any work.
     """
     _check_bound("theta count", len(thetas), 1)
     _check_bound("k_max", k_max, 1, MAX_K)
@@ -206,7 +206,10 @@ def run_sweep(thetas, phi, u, k_max=100):
         )
     params = [AlgorithmParams(theta, phi, u) for theta in thetas]
     coeffs = [present_coeffs(p) for p in params]
-    width = max(1, SWEEP_BLOCK // (k_max + 1))
+    most = SWEEP_BLOCK // 2 if SWEEP_BLOCK // (k_max + 1) >= 2 else 1
+    # Blocks of equal width (up to one), so none is a lone theta unless all are.
+    blocks = -(-len(coeffs) // most)
+    width = -(-len(coeffs) // blocks)
     k_star, max_abs_b = [], []
     for start in range(0, len(coeffs), width):
         res = sweep_max(_stacked(coeffs[start : start + width]), k_max)

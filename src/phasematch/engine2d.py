@@ -33,6 +33,9 @@ from .rotations import _bounded, _check_bound, _finite_angles, phase_scale, snap
 K_EXACT_MAX = 64
 #: Terms of the first-order sum of :func:`approx_b` held in memory at once.
 _APPROX_BLOCK = 2**14
+#: Most trajectory entries per array of one :func:`iterate2` call in
+#: :func:`sweep_max`: n instances run SWEEP_BLOCK // n - 1 steps per call.
+SWEEP_BLOCK = 2**16
 
 
 class ClosedFormRangeError(ValueError):
@@ -168,20 +171,25 @@ def hoyer_coeffs(h: HoyerParams) -> TwoDimCoefficients:
     )
 
 
-def iterate2(c: TwoDimCoefficients, k_max: int) -> AmplitudeTrajectory:
-    """Run the exact recurrence from (a_0, b_0) = (1, 0) up to k_max.
+def iterate2(
+    c: TwoDimCoefficients, k_max: int, start: tuple = (1.0 + 0j, 0j)
+) -> AmplitudeTrajectory:
+    """Run the exact recurrence from (a_0, b_0) = ``start``, by default (1, 0), up to k_max.
 
     With scalar coefficients the steps are Python complex arithmetic and
     ``a``/``b`` have shape ``(k_max + 1,)``. With the four fields 1-D arrays
     of n instances the same steps run elementwise in NumPy and ``a``/``b``
     have shape ``(k_max + 1, n)``: column i is instance i's trajectory, equal
     to its scalar run up to rounding (NumPy's complex multiply is not
-    bit-identical to Python's).
+    bit-identical to Python's). A ``start`` given as the last row of an
+    earlier run continues it bit for bit: Python complex numbers for scalar
+    coefficients (an ``np.complex128`` would switch the steps to NumPy
+    arithmetic), arrays of n for a batch.
     """
     _check_bound("k_max", k_max, 0)
     a = np.empty((k_max + 1, *np.shape(c.alpha)), dtype=np.complex128)
     b = np.empty_like(a)
-    ak, bk = 1.0 + 0j, 0j
+    ak, bk = start
     a[0], b[0] = ak, bk
     for k in range(1, k_max + 1):
         ak, bk = c.alpha * ak + c.lam * bk, c.beta * ak + c.delta * bk
@@ -397,15 +405,46 @@ def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
     return SweepResult(k_star=k_star, max_abs_b=max_abs_b)
 
 
+def _chunk_peak(c: TwoDimCoefficients, steps: int, start) -> tuple[SweepResult, tuple]:
+    """The peak of ``steps`` steps of the recurrence from ``start`` (k counted
+    from 1 within the chunk), and the chunk's last row to start the next one.
+    The chunk's ``a`` is dropped before |b| is taken."""
+    traj = iterate2(c, steps, start)
+    if traj.a.ndim == 1:
+        last = complex(traj.a[-1]), complex(traj.b[-1])
+    else:
+        last = traj.a[-1].copy(), traj.b[-1].copy()
+    b = traj.b
+    del traj
+    return _peak_of(b, steps), last
+
+
 def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties).
 
     Scalar coefficients give a plain int ``k_star`` and float ``max_abs_b``;
-    coefficients stacked as 1-D arrays (see :func:`iterate2`) give one array
-    entry per instance.
+    coefficients stacked as 1-D arrays of n instances (see :func:`iterate2`)
+    give one array entry per instance. The steps run in chunks of
+    ``SWEEP_BLOCK // n - 1`` (n = 1 for scalars, at least 1 step), each
+    continuing the last row of the one before, so for n up to
+    ``SWEEP_BLOCK // 2`` no array of a chunk holds more than ``SWEEP_BLOCK``
+    entries, and only one chunk is held at a time. The result is
+    bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``: a later chunk
+    takes over only where its peak is strictly greater, or is the first NaN,
+    as argmax sees the whole trajectory.
     """
     _check_bound("k_max", k_max, 1)
-    return _peak_of(iterate2(c, k_max).b, k_max)
+    steps = max(1, SWEEP_BLOCK // np.size(c.alpha) - 1)
+    row = (1.0 + 0j, 0j)
+    k_star, max_abs_b = 0, -math.inf
+    for done in range(0, k_max, steps):
+        peak, row = _chunk_peak(c, min(steps, k_max - done), row)
+        later = (peak.max_abs_b > max_abs_b) | (np.isnan(peak.max_abs_b) & ~np.isnan(max_abs_b))
+        k_star = np.where(later, done + peak.k_star, k_star)
+        max_abs_b = np.where(later, peak.max_abs_b, max_abs_b)
+    if k_star.ndim == 0:
+        return SweepResult(k_star=int(k_star), max_abs_b=float(max_abs_b))
+    return SweepResult(k_star=k_star, max_abs_b=max_abs_b)
 
 
 def phase_condition(params: AlgorithmParams) -> PhaseCondition:

@@ -92,28 +92,52 @@ def make_report(command: str, metadata: dict, rows: list[dict], passed: bool | N
     return Report(command=command, metadata=metadata, rows=rows, passed=passed)
 
 
-#: Encodes flat rows as ``json.dumps(..., indent=2)`` lays them out in a
-#: report, but with the C encoder, which ``indent`` turns off.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+#: Encodes a list of flat objects with the C encoder, which ``indent`` turns
+#: off. Every separator ends in a newline, which no string holds (JSON escapes
+#: newlines), so the indentation can be put in after.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n", ": "))
+
+
+def _flat_objects(value) -> bool:
+    """Whether ``value`` is a non-empty list of non-empty objects of scalars."""
+    return (isinstance(value, (list, tuple)) and bool(value)
+            and all(isinstance(v, dict) and v and _SCALARS.issuperset(map(type, v.values()))
+                    for v in value))
+
+
+def _layout(value, level: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads ``level`` levels deep.
+
+    A list of flat objects, such as a report's rows or a matrix row of
+    {re, im} cells, goes through the C encoder in one call; the containers
+    around them are laid out here, their scalars by ``json.dumps``.
+    """
+    pad = "\n" + "  " * level
+    outer, inner = pad + "  ", pad + "    "
+    if _flat_objects(value):
+        body = _ROW_ENCODER.encode(value)[2:-2].replace("\n", inner)
+        body = body.replace(f"}},{inner}{{", f"{outer}}},{outer}{{{inner}")
+        return f"[{outer}{{{inner}{body}{outer}}}{pad}]"
+    if isinstance(value, dict) and value:
+        # A one-key object gives the key as json writes it, a non-string one too.
+        items = [f"{json.dumps({k: 0})[1:-4]}: {_layout(v, level + 1)}" for k, v in value.items()]
+        return f"{{{outer}{f',{outer}'.join(items)}{pad}}}"
+    if isinstance(value, (list, tuple)) and value:
+        return f"[{outer}{f',{outer}'.join(_layout(v, level + 1) for v in value)}{pad}]"
+    return json.dumps(value)
 
 
 def to_json(report: Report) -> str:
     """``json.dumps`` of the report with ``indent=2``, plus a newline.
 
-    Rows of scalars only go through the C encoder in one call. It separates
-    rows by ``},`` and a newline, which no string holds: JSON escapes newlines.
+    Each list of flat objects in it, the rows of scalars or a matrix row of
+    a ``construct`` report, goes through the C encoder in one call (see
+    :func:`_layout`).
     """
-    head = {"command": report.command, "metadata": report.metadata}
-    doc = {**head, "rows": report.rows}
+    doc = {"command": report.command, "metadata": report.metadata, "rows": report.rows}
     if report.passed is not None:
         doc["pass"] = report.passed
-    rows = report.rows
-    if not (rows and all(rows) and _SCALARS.issuperset(type(v) for row in rows for v in row.values())):
-        return json.dumps(doc, indent=2) + "\n"
-    body = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    verdict = "" if report.passed is None else f',\n  "pass": {json.dumps(report.passed)}'
-    # The head's text ends in "\n}", the close of its object.
-    return f'{json.dumps(head, indent=2)[:-2]},\n  "rows": [\n    {{\n      {body}\n    }}\n  ]{verdict}\n}}\n'
+    return _layout(doc, 0) + "\n"
 
 
 def to_csv(report: Report) -> str:

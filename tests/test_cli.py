@@ -75,8 +75,8 @@ def iterate2_calls(monkeypatch):
     calls = []
     original = engine2d.iterate2
 
-    def recording(c, k_max):
-        traj = original(c, k_max)
+    def recording(c, k_max, *start):
+        traj = original(c, k_max, *start)
         calls.append((np.shape(c.alpha), traj.b.shape))
         return traj
 
@@ -91,26 +91,25 @@ def test_table2_runs_each_recurrence_once(iterate2_calls):
 
 
 def _scalar_sweep_rows(thetas, phi, u, k_max):
-    """Per theta: the scalar sweep_max result, and whether its maximum is a tie."""
+    """Per theta: the peak of its whole scalar trajectory, and whether its maximum is a tie."""
     out = []
     for theta in thetas:
-        coeffs = present_coeffs(AlgorithmParams(theta, phi, u))
-        res = engine2d.sweep_max(coeffs, k_max)
-        mags = np.abs(engine2d.iterate2(coeffs, k_max).b[1:])
-        out.append((res, int(np.sum(mags >= res.max_abs_b - 1e-12)) > 1))
+        b = engine2d.iterate2(present_coeffs(AlgorithmParams(theta, phi, u)), k_max).b
+        res = engine2d._peak_of(b, k_max)
+        out.append((res, int(np.sum(np.abs(b[1:]) >= res.max_abs_b - 1e-12)) > 1))
     return out
 
 
 def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls):
     k_max = 2000
-    width = SWEEP_BLOCK // (k_max + 1)
     phi, u = 0.3, 0.1 * np.exp(0.5j)
-    # A trailing block of one theta runs on scalars, as a lone theta does.
-    for trailing, last_shape in ((11, (11,)), (1, ())):
+    # The whole grid runs as one batch in chunks of k, whatever its size.
+    for count in (75, 65):
         iterate2_calls.clear()
-        thetas = list(np.linspace(0.1, 0.5, 2 * width + trailing))
+        thetas = list(np.linspace(0.1, 0.5, count))
         rows = run_sweep(thetas, phi, u, k_max=k_max).rows
-        assert [shape for shape, _ in iterate2_calls] == [(width,), (width,), last_shape]
+        assert {shape for shape, _ in iterate2_calls} == {(count,)}
+        assert sum(b[0] - 1 for _, b in iterate2_calls) == k_max
         assert all(math.prod(b) <= SWEEP_BLOCK for _, b in iterate2_calls)
         for row, (res, tied) in zip(rows, _scalar_sweep_rows(thetas, phi, u, k_max)):
             assert type(row["k_star"]) is int and type(row["max_abs_b"]) is float
@@ -122,10 +121,42 @@ def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls):
 def test_sweep_beyond_one_block_runs_scalar_and_bit_identical(iterate2_calls):
     thetas, phi, u = [0.0, 0.05, 0.1], 0.05, 0.1
     rows = run_sweep(thetas, phi, u, k_max=SWEEP_BLOCK).rows
-    assert [shape for shape, _ in iterate2_calls] == [()] * len(thetas)
-    assert all(b == (SWEEP_BLOCK + 1,) for _, b in iterate2_calls)
+    # Per theta, one chunk of SWEEP_BLOCK - 1 steps and one of the last step.
+    assert iterate2_calls == [((), (SWEEP_BLOCK,)), ((), (2,))] * len(thetas)
     for row, (res, _) in zip(rows, _scalar_sweep_rows(thetas, phi, u, SWEEP_BLOCK)):
         assert (row["k_star"], row["max_abs_b"]) == (res.k_star, round_sig(res.max_abs_b))
+
+
+def test_sweep_splits_only_large_grids_into_equal_blocks(iterate2_calls, monkeypatch):
+    # With SWEEP_BLOCK 8, at most 4 theta run at once: 5 theta run as 3 and 2,
+    # never as 4 and a lone one. 3 theta run 3 steps in chunks of 1. At
+    # k_max 4, fewer than 2 trajectories fit and each theta runs alone.
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 8)
+    monkeypatch.setattr(engine2d, "SWEEP_BLOCK", 8)
+    for count, k_max, shapes in ((5, 1, [(3,), (2,)]), (9, 1, [(3,)] * 3), (3, 3, [(3,)] * 3),
+                                 (2, 4, [()] * 2)):
+        iterate2_calls.clear()
+        thetas = list(np.linspace(0.1, 0.5, count))
+        run_sweep(thetas, 0.3, 0.1, k_max=k_max)
+        assert [shape for shape, _ in iterate2_calls] == shapes
+        assert all(math.prod(b) <= 8 for _, b in iterate2_calls)
+
+
+def test_sweep_grid_is_bit_identical_to_theta_blocks():
+    """One batch chunked over k gives the bits of the former batches of
+    SWEEP_BLOCK // (k_max + 1) theta values, each run whole."""
+    k_max, phi, u = 400, 0.7, 0.1 * np.exp(0.3j)
+    thetas = (phi + np.linspace(-0.4, 0.4, 1001)).tolist()
+    coeffs = [present_coeffs(AlgorithmParams(theta, phi, u)) for theta in thetas]
+    width = SWEEP_BLOCK // (k_max + 1)
+    blocks = [engine2d._peak_of(engine2d.iterate2(cli._stacked(coeffs[i : i + width]), k_max).b,
+                                k_max) for i in range(0, len(coeffs), width)]
+    res = engine2d.sweep_max(cli._stacked(coeffs), k_max)
+    np.testing.assert_array_equal(res.k_star, np.concatenate([r.k_star for r in blocks]))
+    np.testing.assert_array_equal(res.max_abs_b, np.concatenate([r.max_abs_b for r in blocks]))
+    rows = run_sweep(thetas, phi, u, k_max=k_max).rows
+    assert [row["k_star"] for row in rows] == res.k_star.tolist()
+    assert [row["max_abs_b"] for row in rows] == [round_sig(m) for m in res.max_abs_b.tolist()]
 
 
 def test_table2_respects_kmax(runner):

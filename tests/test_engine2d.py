@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phasematch import engine2d
 from phasematch.engine2d import (
     K_EXACT_MAX,
     AlgorithmParams,
@@ -27,6 +28,7 @@ from phasematch.engine2d import (
     present_coeffs,
     sweep_max,
     t_coeff,
+    _peak_of,
     _pyramid_grid,
 )
 from phasematch.linalg import basis_state
@@ -538,6 +540,55 @@ def test_sweep_max_result_types_follow_the_coefficient_shape():
     batch = sweep_max(_stack([c, c]), 100)
     assert batch.k_star.shape == batch.max_abs_b.shape == (2,)
     assert batch.k_star.tolist() == [one.k_star] * 2
+
+
+def test_iterate2_continues_from_a_start_row():
+    c = present_coeffs(AlgorithmParams(0.4, -0.2, 0.3 + 0.1j))
+    for coeffs, last in ((c, complex), (_stack([c, grover_coeffs(0.2)]), np.copy)):
+        whole = iterate2(coeffs, 30)
+        head = iterate2(coeffs, 12)
+        rest = iterate2(coeffs, 18, (last(head.a[-1]), last(head.b[-1])))
+        np.testing.assert_array_equal(rest.a, whole.a[12:])
+        np.testing.assert_array_equal(rest.b, whole.b[12:])
+
+
+def _whole_peak(c, k_max):
+    return _peak_of(iterate2(c, k_max).b, k_max)
+
+
+# Present theta = 0.01: k* = 86 of 100. (0, 1, 1, 0): |b_k| alternates 1, 0,
+# so every chunk ties the first and k* = 1. 2 throughout: |b_k| overflows to
+# inf at k = 513 and is nan from k = 515, where argmax stops.
+@pytest.mark.parametrize("coeffs, k_max, blocks", [
+    (present_coeffs(AlgorithmParams(0.01, 0.0, 0.1)), 100, range(2, 120)),
+    (_stack([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
+     100, range(6, 320)),
+    (TwoDimCoefficients(0, 1, 1, 0), 40, range(2, 50)),
+    (_stack([TwoDimCoefficients(0, 1, 1, 0)] * 2), 40, range(4, 100)),
+    (TwoDimCoefficients(2, 2, 2, 2), 700, (2, 100, 514, 515, 516)),
+], ids=["scalar", "batch", "tie", "batch tie", "nan"])
+def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_max, blocks):
+    """Every chunk size, k* on a chunk's last or first k included, gives the
+    bits of the peak over the whole trajectory, and no chunk array holds more
+    than SWEEP_BLOCK entries."""
+    want = _whole_peak(coeffs, k_max)
+    sizes = []
+
+    def recording(c, steps, start):
+        traj = iterate2(c, steps, start)
+        sizes.append(traj.b.size)
+        return traj
+
+    monkeypatch.setattr(engine2d, "iterate2", recording)
+    for block in blocks:
+        monkeypatch.setattr(engine2d, "SWEEP_BLOCK", block)
+        sizes.clear()
+        got = sweep_max(coeffs, k_max)
+        assert max(sizes) <= block and sum(sizes) == (k_max + len(sizes)) * np.size(coeffs.alpha)
+        assert type(got.k_star) is type(want.k_star)
+        assert type(got.max_abs_b) is type(want.max_abs_b)
+        np.testing.assert_array_equal(got.k_star, want.k_star)
+        np.testing.assert_array_equal(got.max_abs_b, want.max_abs_b)
 
 
 def test_phase_condition():

@@ -224,19 +224,22 @@ def test_scalar_rows_encode_as_json_dumps_does(command, metadata, rows, passed):
     assert calls == 1  # one encoder call for all rows
 
 
-@pytest.mark.parametrize("report", [
-    Report("c", {"seed": 1}, []),
-    Report("c", {"seed": 1}, [], True),
-    Report("c", {}, [{"a": 1}, {}], False),
-    Report("c", {}, [{}]),
-    make_report("c", {}, [{"a": 1.5}, {"z": 1 + 2j}]),
-    make_report("c", {}, [{"m": np.eye(2, dtype=np.complex128)}]),
+@pytest.mark.parametrize("report, calls", [
+    (Report("c", {"seed": 1}, []), 0),
+    (Report("c", {"seed": 1}, [], True), 0),
+    (Report("c", {}, [{"a": 1}, {}], False), 0),
+    (Report("c", {}, [{}]), 0),
+    (make_report("c", {}, [{"a": 1.5}, {"z": 1 + 2j}]), 0),
+    (make_report("c", {}, [{"m": np.eye(2, dtype=np.complex128)}]), 2),
 ], ids=["no rows", "no rows with verdict", "a row with no keys", "only a row with no keys",
         "a complex row value", "a matrix row value"])
-def test_other_rows_take_json_dumps_whole(report):
-    text, calls = _to_json_counting(report)
+def test_other_rows_take_json_dumps_whole(report, calls):
+    """Rows that are not all flat objects are laid out value by value; only
+    a list of flat objects inside them, here each row of a matrix, takes the
+    encoder."""
+    text, counted = _to_json_counting(report)
     assert text == _reference_json(report)
-    assert calls == 0
+    assert counted == calls
 
 
 def test_metadata_holding_the_rows_text_does_not_move_the_splice():
@@ -245,4 +248,31 @@ def test_metadata_holding_the_rows_text_does_not_move_the_splice():
         report = make_report("c", metadata, [{"a": 1, "b": "rows"}, {"rows": 2}], passed)
         text, calls = _to_json_counting(report)
         assert text == _reference_json(report)
-        assert calls == 1
+        assert calls == 2  # the copy in the metadata, then the rows
+
+
+KEYS = TEXT | st.integers() | st.booleans() | st.none() | FLOATS
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=3)),
+    max_leaves=10,
+)
+
+
+@given(TEXT, st.dictionaries(KEYS, DOCUMENTS, max_size=4), st.lists(MATRICES, max_size=2),
+       st.lists(st.dictionaries(KEYS, DOCUMENTS, max_size=4), max_size=4),
+       st.none() | st.booleans())
+@settings(max_examples=200, deadline=None)
+@example("construct", {"dim": 2}, [np.eye(2, dtype=np.complex128) * (1 - 1j)] * 2,
+         [{"check": "v_unitary", "deviation": 0.0, "ok": True}], True)
+def test_json_is_json_dumps_with_indent(command, metadata, matrices, rows, passed):
+    """Any report renders as ``json.dumps(..., indent=2)``: as given, tuples
+    and all, and as assembled, with complex matrices in its metadata, each
+    non-empty matrix row of which is one encoder call."""
+    raw = Report(command, metadata, rows, passed)
+    assert to_json(raw) == _reference_json(raw)
+    report = make_report(command, {**metadata, "z": 1 - 2j, "matrices": matrices}, rows, passed)
+    text, calls = _to_json_counting(report)
+    assert text == _reference_json(report)
+    assert calls >= sum(len(m) for m in matrices if m.size)
