@@ -251,7 +251,7 @@ def run_coeffs(family, theta=None, phi=None, u=None, a=None, varphi=None):
                              + " ".join(f"--{n}" for n in reads))
     values = {**COEFFS_DEFAULTS, **{n: v for n, v in given.items() if v is not None}}
     coeffs = build(*(values[name] for name in reads))
-    row = {"family": family, "provenance": family}
+    row = {"family": family}
     for name in ("alpha", "beta", "lam", "delta"):
         value = getattr(coeffs, name)
         row[f"{name}_re"] = value.real

@@ -129,7 +129,12 @@ def present_coeffs(params: AlgorithmParams) -> TwoDimCoefficients:
 
 
 def grover_coeffs(u: complex) -> TwoDimCoefficients:
-    """Both angles zero: (1 - 4|u|^2, 2u, -2 conj(u), 1)."""
+    """Both angles zero: (1 - 4|u|^2, 2u, -2 conj(u), 1).
+
+    These are :func:`present_coeffs` at theta = phi = 0, kept as a formula of
+    their own because real alpha and delta keep the closed form on its faster
+    real path, which complex ones would leave.
+    """
     u = _bounded("u", u)
     return TwoDimCoefficients(
         alpha=1 - 4 * abs(u) ** 2,
@@ -143,19 +148,12 @@ def long_coeffs(theta: float, phi: float, u: complex) -> TwoDimCoefficients:
     """Coefficients when both rotations are Long's, multiplying by ``e^(i*angle)``.
 
     Long's rotation at angle t is the package's rotation at (t - pi) / 2, so
-    these equal :func:`present_coeffs` at ((theta - pi) / 2, (phi - pi) / 2)
-    up to rounding.
+    these are computed as :func:`present_coeffs` at ((theta - pi) / 2,
+    (phi - pi) / 2), after the check that names the caller's angles. Only
+    Grover's real case keeps a formula of its own (:func:`grover_coeffs`).
     """
     _finite_angles(theta=theta, phi=phi)
-    u = _bounded("u", u)
-    et = cmath.exp(1j * theta)
-    ep = cmath.exp(1j * phi)
-    return TwoDimCoefficients(
-        alpha=-et - (1 - et) * (1 - ep) * abs(u) ** 2,
-        beta=(1 - ep) * u,
-        lam=(1 - et) * ep * u.conjugate(),
-        delta=-ep,
-    )
+    return present_coeffs(AlgorithmParams((theta - math.pi) / 2, (phi - math.pi) / 2, u))
 
 
 def hoyer_coeffs(h: HoyerParams) -> TwoDimCoefficients:

@@ -414,7 +414,7 @@ def test_coeffs_families(runner):
     doc = _json(runner.invoke(main, ["coeffs", "--family", "grover", "--u", "0.5"]))
     (row,) = doc["rows"]
     assert row["beta_re"] == 1.0
-    assert row["provenance"] == "grover"
+    assert row["family"] == "grover" and "provenance" not in row
     doc = _json(runner.invoke(
         main, ["coeffs", "--family", "hoyer", "--a", "0.25", "--phi", "3.141592653589793"]
     ))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,13 +56,21 @@ def test_long_at_pi_reduces_to_grover():
 
 @given(angles, angles, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
 @settings(max_examples=100, deadline=None)
-def test_long_coeffs_are_present_coeffs_at_twice_the_angle_plus_pi(theta, phi, r, arg):
-    """Long's rotation at 2t + pi is the package's rotation at t."""
+def test_long_coeffs_match_longs_quadruple_at_twice_the_angle_plus_pi(theta, phi, r, arg):
+    """Long's rotation at 2t + pi is the package's rotation at t, so
+    ``long_coeffs`` there is Long's own quadruple in e^(it) and e^(ip)."""
     u = cmath.rect(r, arg)
-    lc = long_coeffs(2 * theta + math.pi, 2 * phi + math.pi, u)
-    pc = present_coeffs(AlgorithmParams(theta, phi, u))
+    t, p = 2 * theta + math.pi, 2 * phi + math.pi
+    et, ep = cmath.exp(1j * t), cmath.exp(1j * p)
+    longs = TwoDimCoefficients(
+        alpha=-et - (1 - et) * (1 - ep) * abs(u) ** 2,
+        beta=(1 - ep) * u,
+        lam=(1 - et) * ep * u.conjugate(),
+        delta=-ep,
+    )
+    lc = long_coeffs(t, p, u)
     for name in ("alpha", "beta", "lam", "delta"):
-        assert abs(getattr(lc, name) - getattr(pc, name)) <= 1e-13
+        assert abs(getattr(lc, name) - getattr(longs, name)) <= 1e-13
 
 
 def test_present_at_zero_angles_matches_grover():
@@ -80,6 +89,21 @@ def test_hoyer_at_pi():
     assert hc.beta == pytest.approx(root, abs=1e-12)
     assert hc.lam == pytest.approx(root, abs=1e-12)
     assert hc.delta == pytest.approx(2 * a - 1, abs=1e-12)
+
+
+def _trace_and_det(c):
+    return c.alpha + c.delta, c.alpha * c.delta - c.lam * c.beta
+
+
+def test_hoyer_map_has_the_trace_and_determinant_of_longs():
+    """Hoyer's orthonormal-basis map at (a, phi, varphi) is similar to Long's
+    at angles (phi, varphi) in either order with |u| = sqrt(a)."""
+    rng = np.random.default_rng(19)
+    for a, phi, varphi in zip(rng.uniform(0, 1, 2000), *rng.uniform(-math.pi, math.pi, (2, 2000))):
+        hoyer = _trace_and_det(hoyer_coeffs(HoyerParams(a, phi, varphi)))
+        for long in (long_coeffs(phi, varphi, math.sqrt(a)), long_coeffs(varphi, phi, math.sqrt(a))):
+            for h, l in zip(hoyer, _trace_and_det(long)):
+                assert abs(h - l) <= 1e-14, (a, phi, varphi)
 
 
 def test_grover_beta_is_two_u():
@@ -128,6 +152,17 @@ def test_angles_reject_non_finite(make, slot, bad):
     angles_[slot] = bad
     with pytest.raises(ValueError):
         make(*angles_)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: long_coeffs(math.nan, 0.3, 0.1), "non-finite angles theta=nan, phi=0.3"),
+    (lambda: long_coeffs(0.3, -math.inf, 0.1), "non-finite angles theta=0.3, phi=-inf"),
+    (lambda: HoyerParams(0.1, math.inf, 0.3), "non-finite angles phi=inf, varphi=0.3"),
+    (lambda: HoyerParams(0.1, 0.3, math.nan), "non-finite angles phi=0.3, varphi=nan"),
+], ids=["long theta", "long phi", "hoyer phi", "hoyer varphi"])
+def test_angle_errors_name_the_callers_angles(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_beta_vanishes_at_half_pi_phi():

@@ -109,7 +109,11 @@ def regenerate():
     exit_codes = {}
     for name, args in GOLDENS:
         exit_codes[name], output = _run(args)
-        (GOLDEN_DIR / name).write_bytes(output)
+        path = GOLDEN_DIR / name
+        before = path.read_bytes() if path.exists() else b""
+        if output != before:
+            print(f"{name}: {_first_difference(before, output)}")
+        path.write_bytes(output)
     manifest = {"build": _build(), "exit_codes": exit_codes}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
@@ -154,6 +158,18 @@ def test_regenerate_writes_every_golden_when_src_is_clean(scratch_goldens, monke
     regenerate()
     assert sorted(path.name for path in scratch_goldens.iterdir()) == sorted(
         [name for name, _ in GOLDENS] + ["MANIFEST.json"])
+
+
+def test_regenerate_prints_the_first_difference_of_each_changed_golden(scratch_goldens, monkeypatch,
+                                                                       capsys):
+    _fake_git(monkeypatch)
+    (changed, _), *unchanged = GOLDENS
+    (scratch_goldens / changed).write_bytes(b"stub\nold\n")
+    for name, _ in unchanged:
+        (scratch_goldens / name).write_bytes(b"stub\n")
+    regenerate()
+    assert capsys.readouterr().out == f"{changed}: line 2: expected b'old\\n', got None\n"
+    assert (scratch_goldens / changed).read_bytes() == b"stub\n"
 
 
 if __name__ == "__main__":
