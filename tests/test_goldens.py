@@ -13,7 +13,8 @@ the build the files were made with, and a failure names both builds.
 Regenerate the files with ``PYTHONPATH=src python tests/test_goldens.py``,
 and only in a commit that changes no file under ``src/``: a commit that
 changes the program and its goldens together shows nothing. ``regenerate``
-refuses to write while ``git status`` lists a change under ``src/``.
+refuses to write while ``git status`` lists a change under ``src/``, and
+prints the first differing line of each golden it changes.
 """
 
 import itertools
