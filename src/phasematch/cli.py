@@ -15,11 +15,10 @@ import numpy as np
 from . import __version__
 from .engine2d import (
     K_EXACT_MAX,
-    SWEEP_BLOCK,
     AlgorithmParams,
     HoyerParams,
-    TwoDimCoefficients,
     _peak_of,
+    _stacked,
     grover_coeffs,
     hoyer_coeffs,
     iterate2,
@@ -174,27 +173,13 @@ def run_pyramid(max_k=12):
     return make_report("pyramid", _base_metadata(0, 0.0, max_k=max_k), rows)
 
 
-def _stacked(block):
-    """The coefficients of a block of instances: the one instance itself, or
-    each field as a 1-D array over the block."""
-    if len(block) == 1:
-        return block[0]
-    return TwoDimCoefficients(*(
-        np.array([getattr(c, name) for c in block], dtype=np.complex128)
-        for name in ("alpha", "beta", "lam", "delta")
-    ))
-
-
 def run_sweep(thetas, phi, u, k_max=100):
     """Optimal iteration count and phase-condition check per theta.
 
-    All theta values run as one batch of stacked coefficients, split into
-    equal blocks only beyond ``SWEEP_BLOCK // 2`` of them; :func:`sweep_max`
-    cuts each batch into chunks of k, so no array holds more than
-    ``SWEEP_BLOCK`` entries. A lone theta, and every theta when
-    ``SWEEP_BLOCK // (k_max + 1)`` is below 2, runs on Python scalars. No
-    theta, or more than ``MAX_SWEEP_ENTRIES`` entries in all, is rejected
-    before any work.
+    All theta values run as one :func:`sweep_max` batch of stacked
+    coefficients, which it cuts into chunks of k; a lone theta runs on Python
+    scalars. No theta, or more than ``MAX_SWEEP_ENTRIES`` entries in all, is
+    rejected before any work.
     """
     _check_bound("theta count", len(thetas), 1)
     _check_bound("k_max", k_max, 1, MAX_K)
@@ -206,15 +191,9 @@ def run_sweep(thetas, phi, u, k_max=100):
         )
     params = [AlgorithmParams(theta, phi, u) for theta in thetas]
     coeffs = [present_coeffs(p) for p in params]
-    most = SWEEP_BLOCK // 2 if SWEEP_BLOCK // (k_max + 1) >= 2 else 1
-    # Blocks of equal width (up to one), so none is a lone theta unless all are.
-    blocks = -(-len(coeffs) // most)
-    width = -(-len(coeffs) // blocks)
-    k_star, max_abs_b = [], []
-    for start in range(0, len(coeffs), width):
-        res = sweep_max(_stacked(coeffs[start : start + width]), k_max)
-        k_star.extend(np.atleast_1d(res.k_star).tolist())
-        max_abs_b.extend(np.atleast_1d(res.max_abs_b).tolist())
+    res = sweep_max(_stacked(coeffs), k_max)
+    k_star = np.atleast_1d(res.k_star).tolist()
+    max_abs_b = np.atleast_1d(res.max_abs_b).tolist()
     rows = []
     for p, k, m in zip(params, k_star, max_abs_b):
         cond = phase_condition(p)

@@ -34,7 +34,8 @@ K_EXACT_MAX = 64
 #: Terms of the first-order sum of :func:`approx_b` held in memory at once.
 _APPROX_BLOCK = 2**14
 #: Most trajectory entries per array of one :func:`iterate2` call in
-#: :func:`sweep_max`: n instances run SWEEP_BLOCK // n - 1 steps per call.
+#: :func:`sweep_max`: n instances run max(1, SWEEP_BLOCK // n - 1) steps per
+#: call, so a chunk array holds at most max(SWEEP_BLOCK, 2n) entries.
 SWEEP_BLOCK = 2**16
 
 
@@ -280,12 +281,11 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, first_j: int) -> complex:
     The inner sums over i come from :func:`_pyramid_grid`, built once per
     (coeff, k) and cached. A call takes the powers of alpha and delta with
     Python's ``**``, gathers them into the grid, forms every term with
-    :func:`_times` and adds up each row in sequence, as ``sum()`` does; the
-    ``+ 0.0`` stands for ``sum()``'s int 0 start, so no row sum is -0.0. That
-    is a fixed number of NumPy operations; the short loop over j stays in
-    Python. Each row sum, and so the result, is bit-identical to the double
-    sum of Python terms with ``sum()`` over i (CPython 3.11; from 3.12
-    ``sum()`` compensates float sums).
+    :func:`_times` and adds up each row in sequence; the ``+ 0.0`` stands for
+    an int 0 start, so no row sum is -0.0. That is a fixed number of NumPy
+    operations; the short loop over j stays in Python. Each row sum, and so
+    the result, is bit-identical to the double sum of Python terms with each
+    inner sum added in sequence.
     """
     k = operator.index(k)
     _check_bound("k", k, 1)
@@ -417,22 +417,33 @@ def _chunk_peak(c: TwoDimCoefficients, steps: int, start) -> tuple[SweepResult, 
     return _peak_of(b, steps), last
 
 
+def _stacked(coeffs: list[TwoDimCoefficients]) -> TwoDimCoefficients:
+    """The coefficients of a list of instances as one batch: the one instance
+    itself, or each field as a 1-D array over the list."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    return TwoDimCoefficients(*(
+        np.array([getattr(c, name) for c in coeffs], dtype=np.complex128)
+        for name in ("alpha", "beta", "lam", "delta")
+    ))
+
+
 def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties).
 
     Scalar coefficients give a plain int ``k_star`` and float ``max_abs_b``;
-    coefficients stacked as 1-D arrays of n instances (see :func:`iterate2`)
-    give one array entry per instance. The steps run in chunks of
-    ``SWEEP_BLOCK // n - 1`` (n = 1 for scalars, at least 1 step), each
-    continuing the last row of the one before, so for n up to
-    ``SWEEP_BLOCK // 2`` no array of a chunk holds more than ``SWEEP_BLOCK``
-    entries, and only one chunk is held at a time. The result is
-    bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``: a later chunk
-    takes over only where its peak is strictly greater, or is the first NaN,
-    as argmax sees the whole trajectory.
+    coefficients stacked as 1-D arrays of n >= 1 instances (see
+    :func:`_stacked`) give one array entry per instance. The steps run in
+    chunks sized by ``SWEEP_BLOCK`` (n = 1 for scalars), each continuing the
+    last row of the one before, so only one chunk is held at a time. The
+    result is bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``: a
+    later chunk takes over only where its peak is strictly greater, or is
+    the first NaN, as argmax sees the whole trajectory.
     """
     _check_bound("k_max", k_max, 1)
-    steps = max(1, SWEEP_BLOCK // np.size(c.alpha) - 1)
+    n = np.size(c.alpha)
+    _check_bound("instances", n, 1)
+    steps = max(1, SWEEP_BLOCK // n - 1)
     row = (1.0 + 0j, 0j)
     k_star, max_abs_b = 0, -math.inf
     for done in range(0, k_max, steps):

@@ -19,7 +19,6 @@ from phasematch.cli import (
     MAX_K,
     MAX_RANGE_POINTS,
     MAX_SWEEP_ENTRIES,
-    SWEEP_BLOCK,
     _parse_range,
     main,
     run_coeffs,
@@ -30,7 +29,7 @@ from phasematch.cli import (
     run_table2,
     run_verify,
 )
-from phasematch.engine2d import K_EXACT_MAX, AlgorithmParams, present_coeffs
+from phasematch.engine2d import K_EXACT_MAX, SWEEP_BLOCK, AlgorithmParams, _stacked, present_coeffs
 from phasematch.linalg import DegenerateBasisError
 from phasematch.reporting import make_report, render, round_sig
 
@@ -100,46 +99,33 @@ def _scalar_sweep_rows(thetas, phi, u, k_max):
     return out
 
 
-def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls):
-    k_max = 2000
+def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls, monkeypatch):
+    """A grid of any size past one theta reaches iterate2 only as (n,)-shaped
+    chunks of one batch, of max(1, SWEEP_BLOCK // n - 1) steps each, and
+    gives the peaks of the scalar trajectories."""
     phi, u = 0.3, 0.1 * np.exp(0.5j)
-    # The whole grid runs as one batch in chunks of k, whatever its size.
-    for count in (75, 65):
+    for count, k_max, block, chunks in (
+        (75, 2000, SWEEP_BLOCK, [872, 872, 256]),
+        (65, 2000, SWEEP_BLOCK, [1007, 993]),
+        # Past block // 2 theta: 1-step chunks of (2, n) arrays.
+        (5, 6, 8, [1] * 6),
+        (9, 3, 8, [1] * 3),
+        # kmax >= SWEEP_BLOCK // 2, where every theta once ran alone on scalars.
+        (3, SWEEP_BLOCK, SWEEP_BLOCK, [21844] * 3 + [4]),
+        (2, 40_000, SWEEP_BLOCK, [32767, 7233]),
+    ):
+        monkeypatch.setattr(engine2d, "SWEEP_BLOCK", block)
         iterate2_calls.clear()
         thetas = list(np.linspace(0.1, 0.5, count))
         rows = run_sweep(thetas, phi, u, k_max=k_max).rows
-        assert {shape for shape, _ in iterate2_calls} == {(count,)}
-        assert sum(b[0] - 1 for _, b in iterate2_calls) == k_max
-        assert all(math.prod(b) <= SWEEP_BLOCK for _, b in iterate2_calls)
+        assert [shape for shape, _ in iterate2_calls] == [(count,)] * len(chunks)
+        assert [b[0] - 1 for _, b in iterate2_calls] == chunks
+        assert all(math.prod(b) <= max(block, 2 * count) for _, b in iterate2_calls)
         for row, (res, tied) in zip(rows, _scalar_sweep_rows(thetas, phi, u, k_max)):
             assert type(row["k_star"]) is int and type(row["max_abs_b"]) is float
             if not tied:
                 assert row["k_star"] == res.k_star
             assert row["max_abs_b"] == pytest.approx(res.max_abs_b, rel=1e-11)
-
-
-def test_sweep_beyond_one_block_runs_scalar_and_bit_identical(iterate2_calls):
-    thetas, phi, u = [0.0, 0.05, 0.1], 0.05, 0.1
-    rows = run_sweep(thetas, phi, u, k_max=SWEEP_BLOCK).rows
-    # Per theta, one chunk of SWEEP_BLOCK - 1 steps and one of the last step.
-    assert iterate2_calls == [((), (SWEEP_BLOCK,)), ((), (2,))] * len(thetas)
-    for row, (res, _) in zip(rows, _scalar_sweep_rows(thetas, phi, u, SWEEP_BLOCK)):
-        assert (row["k_star"], row["max_abs_b"]) == (res.k_star, round_sig(res.max_abs_b))
-
-
-def test_sweep_splits_only_large_grids_into_equal_blocks(iterate2_calls, monkeypatch):
-    # With SWEEP_BLOCK 8, at most 4 theta run at once: 5 theta run as 3 and 2,
-    # never as 4 and a lone one. 3 theta run 3 steps in chunks of 1. At
-    # k_max 4, fewer than 2 trajectories fit and each theta runs alone.
-    monkeypatch.setattr(cli, "SWEEP_BLOCK", 8)
-    monkeypatch.setattr(engine2d, "SWEEP_BLOCK", 8)
-    for count, k_max, shapes in ((5, 1, [(3,), (2,)]), (9, 1, [(3,)] * 3), (3, 3, [(3,)] * 3),
-                                 (2, 4, [()] * 2)):
-        iterate2_calls.clear()
-        thetas = list(np.linspace(0.1, 0.5, count))
-        run_sweep(thetas, 0.3, 0.1, k_max=k_max)
-        assert [shape for shape, _ in iterate2_calls] == shapes
-        assert all(math.prod(b) <= 8 for _, b in iterate2_calls)
 
 
 def test_sweep_grid_is_bit_identical_to_theta_blocks():
@@ -149,9 +135,9 @@ def test_sweep_grid_is_bit_identical_to_theta_blocks():
     thetas = (phi + np.linspace(-0.4, 0.4, 1001)).tolist()
     coeffs = [present_coeffs(AlgorithmParams(theta, phi, u)) for theta in thetas]
     width = SWEEP_BLOCK // (k_max + 1)
-    blocks = [engine2d._peak_of(engine2d.iterate2(cli._stacked(coeffs[i : i + width]), k_max).b,
+    blocks = [engine2d._peak_of(engine2d.iterate2(_stacked(coeffs[i : i + width]), k_max).b,
                                 k_max) for i in range(0, len(coeffs), width)]
-    res = engine2d.sweep_max(cli._stacked(coeffs), k_max)
+    res = engine2d.sweep_max(_stacked(coeffs), k_max)
     np.testing.assert_array_equal(res.k_star, np.concatenate([r.k_star for r in blocks]))
     np.testing.assert_array_equal(res.max_abs_b, np.concatenate([r.max_abs_b for r in blocks]))
     rows = run_sweep(thetas, phi, u, k_max=k_max).rows

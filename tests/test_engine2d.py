@@ -1,7 +1,9 @@
 """Tests for the two-dimensional subspace engine."""
 
 import cmath
+import functools
 import math
+import operator
 import re
 
 import numpy as np
@@ -31,6 +33,7 @@ from phasematch.engine2d import (
     t_coeff,
     _peak_of,
     _pyramid_grid,
+    _stacked,
 )
 from phasematch.linalg import basis_state
 from phasematch.rotations import build, phase_scale
@@ -194,13 +197,6 @@ def test_iterate2_matches_matrix_power():
         vec = m @ vec
 
 
-def _stack(coeffs):
-    return TwoDimCoefficients(*(
-        np.array([getattr(c, name) for c in coeffs], dtype=np.complex128)
-        for name in ("alpha", "beta", "lam", "delta")
-    ))
-
-
 instances = st.lists(
     st.tuples(angles, angles, st.floats(0.0, 0.9), st.floats(-math.pi, math.pi)),
     min_size=2, max_size=6,
@@ -212,13 +208,13 @@ instances = st.lists(
 def test_iterate2_batch_matches_scalar_columns(cases):
     coeffs = [present_coeffs(AlgorithmParams(t, p, cmath.rect(r, arg)))
               for t, p, r, arg in cases]
-    batch = iterate2(_stack(coeffs), 50)
+    batch = iterate2(_stacked(coeffs), 50)
     assert batch.a.shape == batch.b.shape == (51, len(coeffs))
     for i, c in enumerate(coeffs):
         scalar = iterate2(c, 50)
         for got, want in ((batch.a[:, i], scalar.a), (batch.b[:, i], scalar.b)):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-    res = sweep_max(_stack(coeffs), 50)
+    res = sweep_max(_stacked(coeffs), 50)
     for i, c in enumerate(coeffs):
         one = sweep_max(c, 50)
         assert res.max_abs_b[i] == pytest.approx(one.max_abs_b, rel=1e-11)
@@ -333,12 +329,13 @@ def test_closed_form_matches_recurrence():
 
 def _paper_double_sum(c, k, coeff, top, first_j, total):
     """sum_{j >= first_j} (beta*lambda)^j sum_i coeff(k, i, j) alpha^(top-2j-i) delta^i
-    added onto ``total``, with every power computed where its term needs it."""
+    added onto ``total``, with every power computed where its term needs it.
+    Each inner sum adds its terms in sequence from an int 0, on every Python
+    version (``sum()`` compensates float sums from 3.12)."""
     for j in range(first_j, top // 2 + 1):
         rest = top - 2 * j
-        total += sum(
-            coeff(k, i, j) * c.alpha ** (rest - i) * c.delta**i for i in range(rest + 1)
-        ) * (c.beta * c.lam) ** j
+        terms = (coeff(k, i, j) * c.alpha ** (rest - i) * c.delta**i for i in range(rest + 1))
+        total += functools.reduce(operator.add, terms, 0) * (c.beta * c.lam) ** j
     return total
 
 
@@ -562,8 +559,8 @@ def test_sweep_max_ties_resolve_to_smallest_k():
     res = sweep_max(present_coeffs(params), 20)
     assert res.k_star == 1
     assert res.max_abs_b == 0.0
-    batch = sweep_max(_stack([present_coeffs(AlgorithmParams(theta, math.pi / 2, 0.1))
-                              for theta in (-1.0, 0.0, 0.3, 2.0)]), 20)
+    batch = sweep_max(_stacked([present_coeffs(AlgorithmParams(theta, math.pi / 2, 0.1))
+                                for theta in (-1.0, 0.0, 0.3, 2.0)]), 20)
     np.testing.assert_array_equal(batch.k_star, [1, 1, 1, 1])
     np.testing.assert_array_equal(batch.max_abs_b, [0.0, 0.0, 0.0, 0.0])
 
@@ -572,14 +569,14 @@ def test_sweep_max_result_types_follow_the_coefficient_shape():
     c = present_coeffs(AlgorithmParams(0.01, 0.0, 0.1))
     one = sweep_max(c, 100)
     assert type(one.k_star) is int and type(one.max_abs_b) is float
-    batch = sweep_max(_stack([c, c]), 100)
+    batch = sweep_max(_stacked([c, c]), 100)
     assert batch.k_star.shape == batch.max_abs_b.shape == (2,)
     assert batch.k_star.tolist() == [one.k_star] * 2
 
 
 def test_iterate2_continues_from_a_start_row():
     c = present_coeffs(AlgorithmParams(0.4, -0.2, 0.3 + 0.1j))
-    for coeffs, last in ((c, complex), (_stack([c, grover_coeffs(0.2)]), np.copy)):
+    for coeffs, last in ((c, complex), (_stacked([c, grover_coeffs(0.2)]), np.copy)):
         whole = iterate2(coeffs, 30)
         head = iterate2(coeffs, 12)
         rest = iterate2(coeffs, 18, (last(head.a[-1]), last(head.b[-1])))
@@ -596,10 +593,10 @@ def _whole_peak(c, k_max):
 # inf at k = 513 and is nan from k = 515, where argmax stops.
 @pytest.mark.parametrize("coeffs, k_max, blocks", [
     (present_coeffs(AlgorithmParams(0.01, 0.0, 0.1)), 100, range(2, 120)),
-    (_stack([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
+    (_stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
      100, range(6, 320)),
     (TwoDimCoefficients(0, 1, 1, 0), 40, range(2, 50)),
-    (_stack([TwoDimCoefficients(0, 1, 1, 0)] * 2), 40, range(4, 100)),
+    (_stacked([TwoDimCoefficients(0, 1, 1, 0)] * 2), 40, range(4, 100)),
     (TwoDimCoefficients(2, 2, 2, 2), 700, (2, 100, 514, 515, 516)),
 ], ids=["scalar", "batch", "tie", "batch tie", "nan"])
 def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_max, blocks):

@@ -17,6 +17,7 @@ from phasematch.engine2d import (
     exact_a,
     exact_b,
     grover_coeffs,
+    _stacked,
     iterate2,
     sweep_max,
 )
@@ -84,6 +85,8 @@ BOUNDS = (
     ("approx_b", lambda k: approx_b(_PARAMS, k), "k", 1, math.inf, 0, 1),
     ("closed_form_magnitude", lambda k: closed_form_magnitude(_PARAMS, k), "k", 1, math.inf, 0, 1),
     ("sweep_max", lambda k: sweep_max(_C2, k), "k_max", 1, math.inf, 0, 1),
+    ("sweep_max-instances", lambda n: sweep_max(_stacked([_C2] * n), 1), "instances", 1, math.inf,
+     0, 1),
     ("iterate4", lambda k: iterate4(_C4, k), "k_max", 0, math.inf, -1, 0),
     ("approx4", lambda k: approx4(0.1, 0.2, 0.05, k), "k", 1, math.inf, 0, 1),
     ("basis_state-low", lambda i: basis_state(4, i), "index", 0, 3, -1, 0),
