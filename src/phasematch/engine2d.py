@@ -434,8 +434,8 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     Scalar coefficients give a plain int ``k_star`` and float ``max_abs_b``;
     coefficients stacked as 1-D arrays of n >= 1 instances (see
     :func:`_stacked`) give one array entry per instance. The steps run in
-    chunks sized by ``SWEEP_BLOCK`` (n = 1 for scalars), each continuing the
-    last row of the one before, so only one chunk is held at a time. The
+    chunks sized by ``SWEEP_BLOCK`` over n (1 for scalars), each continuing
+    the last row of the one before, so only one chunk is held at a time. The
     result is bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``: a
     later chunk takes over only where its peak is strictly greater, or is
     the first NaN, as argmax sees the whole trajectory.

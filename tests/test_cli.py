@@ -101,16 +101,17 @@ def _scalar_sweep_rows(thetas, phi, u, k_max):
 
 def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls, monkeypatch):
     """A grid of any size past one theta reaches iterate2 only as (n,)-shaped
-    chunks of one batch, of max(1, SWEEP_BLOCK // n - 1) steps each, and
-    gives the peaks of the scalar trajectories."""
+    chunks of one batch, of max(1, SWEEP_BLOCK // n - 1) steps each, a lone
+    theta as scalars, and each gives the peaks of the scalar trajectories."""
     phi, u = 0.3, 0.1 * np.exp(0.5j)
     for count, k_max, block, chunks in (
+        (1, SWEEP_BLOCK, SWEEP_BLOCK, [SWEEP_BLOCK - 1, 1]),
         (75, 2000, SWEEP_BLOCK, [872, 872, 256]),
         (65, 2000, SWEEP_BLOCK, [1007, 993]),
         # Past block // 2 theta: 1-step chunks of (2, n) arrays.
         (5, 6, 8, [1] * 6),
         (9, 3, 8, [1] * 3),
-        # kmax >= SWEEP_BLOCK // 2, where every theta once ran alone on scalars.
+        # kmax >= SWEEP_BLOCK // 2: still one batch, in chunks of fewer steps.
         (3, SWEEP_BLOCK, SWEEP_BLOCK, [21844] * 3 + [4]),
         (2, 40_000, SWEEP_BLOCK, [32767, 7233]),
     ):
@@ -118,7 +119,8 @@ def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls, monkeypatch):
         iterate2_calls.clear()
         thetas = list(np.linspace(0.1, 0.5, count))
         rows = run_sweep(thetas, phi, u, k_max=k_max).rows
-        assert [shape for shape, _ in iterate2_calls] == [(count,)] * len(chunks)
+        shape = (count,) if count > 1 else ()
+        assert [s for s, _ in iterate2_calls] == [shape] * len(chunks)
         assert [b[0] - 1 for _, b in iterate2_calls] == chunks
         assert all(math.prod(b) <= max(block, 2 * count) for _, b in iterate2_calls)
         for row, (res, tied) in zip(rows, _scalar_sweep_rows(thetas, phi, u, k_max)):
