@@ -33,10 +33,20 @@ from .rotations import _bounded, _check_bound, _finite_angles, phase_scale, snap
 K_EXACT_MAX = 64
 #: Terms of the first-order sum of :func:`approx_b` held in memory at once.
 _APPROX_BLOCK = 2**14
-#: Most trajectory entries per array of one :func:`iterate2` call in
-#: :func:`sweep_max`: n instances run max(1, SWEEP_BLOCK // n - 1) steps per
-#: call, so a chunk array holds at most max(SWEEP_BLOCK, 2n) entries.
+#: Most trajectory entries per array of one chunk in :func:`sweep_max`: n
+#: instances run max(1, SWEEP_BLOCK // n - 1) steps per chunk, so a chunk
+#: array holds at most max(SWEEP_BLOCK, 2n) entries. Rows k <= _BLOCK (512)
+#: are the plain recurrence, bit for bit; later rows of a run that superposes
+#: are blocks within 1e-14 of the exact recurrence at k <= 2000 (see
+#: :func:`iterate2`), which a chunk may cut anywhere.
 SWEEP_BLOCK = 2**16
+#: Rows per superposed block of a long trajectory (see :func:`iterate2`).
+_BLOCK = 512
+#: Most instances a run superposes: the a and b of their two unit
+#: trajectories then hold at most SWEEP_BLOCK entries (31 instances).
+_NARROW = SWEEP_BLOCK // (4 * (_BLOCK + 1))
+#: The default start row (a_0, b_0) of a trajectory.
+_ORIGIN = (1.0 + 0j, 0j)
 
 
 class ClosedFormRangeError(ValueError):
@@ -171,7 +181,7 @@ def hoyer_coeffs(h: HoyerParams) -> TwoDimCoefficients:
 
 
 def iterate2(
-    c: TwoDimCoefficients, k_max: int, start: tuple = (1.0 + 0j, 0j)
+    c: TwoDimCoefficients, k_max: int, start: tuple = _ORIGIN
 ) -> AmplitudeTrajectory:
     """Run the exact recurrence from (a_0, b_0) = ``start``, by default (1, 0), up to k_max.
 
@@ -181,11 +191,36 @@ def iterate2(
     have shape ``(k_max + 1, n)``: column i is instance i's trajectory, equal
     to its scalar run up to rounding (NumPy's complex multiply is not
     bit-identical to Python's). A ``start`` given as the last row of an
-    earlier run continues it bit for bit: Python complex numbers for scalar
-    coefficients (an ``np.complex128`` would switch the steps to NumPy
-    arithmetic), arrays of n for a batch.
+    earlier run continues it bit for bit while neither run passes 512 steps:
+    Python complex numbers for scalar coefficients (an ``np.complex128``
+    would switch the steps to NumPy arithmetic), arrays of n for a batch.
+
+    Rows k <= 512 are always the plain recurrence, bit for bit. A run of
+    k_max > 512 steps of at most ``_NARROW`` (31) instances superposes the
+    rows after that (:func:`_superposed`): the map is linear, so each block
+    of up to 512 rows is a broadcast product of its start row with the
+    512-step trajectories from (1, 0) and (0, 1). That costs 1024 steps of
+    the loop and one NumPy product per block, where the loop would take
+    k_max steps. Measured against an exact rational recurrence at k <= 2000,
+    the rows are off by at most 1e-14 (the loop's, 5e-15), for present,
+    Hoyer and Grover coefficients; at k = 50 000 they are within 2.4e-13 of
+    the loop's.
     """
     _check_bound("k_max", k_max, 0)
+    if not _superposes(k_max, np.size(c.alpha)):
+        return _recurrence2(c, k_max, start)
+    units = _unit_trajectories(c)
+    head = units[0] if start is _ORIGIN else _recurrence2(c, _BLOCK, start)
+    return next(_superposed(head, units, k_max, k_max))
+
+
+def _superposes(k_max: int, n: int) -> bool:
+    """Whether a run of k_max steps of n instances superposes blocks past row _BLOCK."""
+    return k_max > _BLOCK and n <= _NARROW
+
+
+def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple) -> AmplitudeTrajectory:
+    """The recurrence loop of :func:`iterate2`, one step per row."""
     a = np.empty((k_max + 1, *np.shape(c.alpha)), dtype=np.complex128)
     b = np.empty_like(a)
     ak, bk = start
@@ -194,6 +229,53 @@ def iterate2(
         ak, bk = c.alpha * ak + c.lam * bk, c.beta * ak + c.delta * bk
         a[k], b[k] = ak, bk
     return AmplitudeTrajectory(a, b)
+
+
+def _unit_trajectories(c: TwoDimCoefficients) -> tuple:
+    """The _BLOCK-step trajectories from (1, 0) and (0, 1): row j of each is a
+    column of the j-th power of the one-step map."""
+    return _recurrence2(c, _BLOCK, _ORIGIN), _recurrence2(c, _BLOCK, (0j, 1.0 + 0j))
+
+
+def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int):
+    """Rows 0..k_max of a trajectory whose rows k <= _BLOCK are ``head``'s,
+    yielded in chunks of up to ``steps`` steps, each with the last row of the
+    chunk before as its row 0.
+
+    Every later row comes from the row at the start K of its block, the
+    multiple of _BLOCK below it: with j = k - K and ``units`` the trajectories
+    (A1, B1) from (1, 0) and (A2, B2) from (0, 1),
+
+        a_k = A1_j a_K + A2_j b_K,    b_k = B1_j a_K + B2_j b_K.
+
+    Block starts do not depend on ``steps``, and NumPy's elementwise products
+    do not depend on where a slice begins, so every chunking gives the same
+    rows, bit for bit.
+    """
+    one, two = units
+    row = head.a[0], head.b[0]
+    for done in range(0, k_max, steps):
+        last = min(done + steps, k_max)
+        a = np.empty((last - done + 1, *np.shape(row[0])), dtype=np.complex128)
+        b = np.empty_like(a)
+        a[0], b[0] = row
+        k = done
+        while k < last:
+            base = k // _BLOCK * _BLOCK
+            end = min(base + _BLOCK, last)
+            out, j = slice(k + 1 - done, end + 1 - done), slice(k + 1 - base, end + 1 - base)
+            if base == 0:
+                a[out], b[out] = head.a[j], head.b[j]
+            else:
+                # Python's complex arithmetic makes inf and nan without a warning, and so does this.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    a[out] = one.a[j] * a_base + two.a[j] * b_base
+                    b[out] = one.b[j] * a_base + two.b[j] * b_base
+            if end == base + _BLOCK:
+                a_base, b_base = a[end - done].copy(), b[end - done].copy()
+            k = end
+        row = a[-1].copy(), b[-1].copy()
+        yield AmplitudeTrajectory(a, b)
 
 
 def l_coeff(k: int, i: int, j: int) -> int:
@@ -403,18 +485,30 @@ def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
     return SweepResult(k_star=k_star, max_abs_b=max_abs_b)
 
 
-def _chunk_peak(c: TwoDimCoefficients, steps: int, start) -> tuple[SweepResult, tuple]:
-    """The peak of ``steps`` steps of the recurrence from ``start`` (k counted
-    from 1 within the chunk), and the chunk's last row to start the next one.
-    The chunk's ``a`` is dropped before |b| is taken."""
-    traj = iterate2(c, steps, start)
-    if traj.a.ndim == 1:
-        last = complex(traj.a[-1]), complex(traj.b[-1])
-    else:
-        last = traj.a[-1].copy(), traj.b[-1].copy()
-    b = traj.b
-    del traj
-    return _peak_of(b, steps), last
+def _chunks(c: TwoDimCoefficients, k_max: int, steps: int):
+    """``iterate2(c, k_max).b``, bit for bit, in chunks of up to ``steps``
+    steps, each with the last row of the chunk before as its row 0.
+
+    A run that superposes takes its chunks from :func:`_superposed`; any other
+    runs :func:`iterate2` once per chunk from the last row of the one before,
+    and keeps only the chunk's ``b``, until the caller asks for the next.
+    """
+    if _superposes(k_max, np.size(c.alpha)):
+        units = _unit_trajectories(c)
+        for traj in _superposed(units[0], units, k_max, steps):
+            yield traj.b
+        return
+    row = _ORIGIN
+    for done in range(0, k_max, steps):
+        traj = iterate2(c, min(steps, k_max - done), row)
+        if traj.a.ndim == 1:
+            row = complex(traj.a[-1]), complex(traj.b[-1])
+        else:
+            row = traj.a[-1].copy(), traj.b[-1].copy()
+        b = traj.b
+        del traj
+        yield b
+        del b
 
 
 def _stacked(coeffs: list[TwoDimCoefficients]) -> TwoDimCoefficients:
@@ -433,24 +527,27 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
 
     Scalar coefficients give a plain int ``k_star`` and float ``max_abs_b``;
     coefficients stacked as 1-D arrays of n >= 1 instances (see
-    :func:`_stacked`) give one array entry per instance. The steps run in
-    chunks sized by ``SWEEP_BLOCK`` over n (1 for scalars), each continuing
-    the last row of the one before, so only one chunk is held at a time. The
-    result is bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``: a
-    later chunk takes over only where its peak is strictly greater, or is
+    :func:`_stacked`) give one array entry per instance. The trajectory is
+    taken in chunks sized by ``SWEEP_BLOCK`` over n (1 for scalars), so only
+    one chunk is held at a time (:func:`_chunks`). Rows k <= 512 are the plain
+    recurrence, bit for bit; past that, up to 31 instances take superposed
+    blocks, with the error :func:`iterate2` states, and more take the loop.
+    The result is bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``:
+    a later chunk takes over only where its peak is strictly greater, or is
     the first NaN, as argmax sees the whole trajectory.
     """
     _check_bound("k_max", k_max, 1)
     n = np.size(c.alpha)
     _check_bound("instances", n, 1)
-    steps = max(1, SWEEP_BLOCK // n - 1)
-    row = (1.0 + 0j, 0j)
-    k_star, max_abs_b = 0, -math.inf
-    for done in range(0, k_max, steps):
-        peak, row = _chunk_peak(c, min(steps, k_max - done), row)
+    k_star, max_abs_b, done = 0, -math.inf, 0
+    for b in _chunks(c, k_max, max(1, SWEEP_BLOCK // n - 1)):
+        steps = len(b) - 1
+        peak = _peak_of(b, steps)
         later = (peak.max_abs_b > max_abs_b) | (np.isnan(peak.max_abs_b) & ~np.isnan(max_abs_b))
         k_star = np.where(later, done + peak.k_star, k_star)
         max_abs_b = np.where(later, peak.max_abs_b, max_abs_b)
+        done += steps
+        del b
     if k_star.ndim == 0:
         return SweepResult(k_star=int(k_star), max_abs_b=float(max_abs_b))
     return SweepResult(k_star=k_star, max_abs_b=max_abs_b)

@@ -84,6 +84,22 @@ def iterate2_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def sweep_chunks(monkeypatch):
+    """Every chunk sweep_max takes of a trajectory, as (shape of its
+    coefficients, shape of its b)."""
+    calls = []
+    original = engine2d._chunks
+
+    def recording(c, k_max, steps):
+        for b in original(c, k_max, steps):
+            calls.append((np.shape(c.alpha), b.shape))
+            yield b
+
+    monkeypatch.setattr(engine2d, "_chunks", recording)
+    return calls
+
+
 def test_table2_runs_each_recurrence_once(iterate2_calls):
     run_table2()
     assert len(iterate2_calls) == len(cli.TABLE2_CASES)
@@ -99,10 +115,11 @@ def _scalar_sweep_rows(thetas, phi, u, k_max):
     return out
 
 
-def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls, monkeypatch):
-    """A grid of any size past one theta reaches iterate2 only as (n,)-shaped
-    chunks of one batch, of max(1, SWEEP_BLOCK // n - 1) steps each, a lone
-    theta as scalars, and each gives the peaks of the scalar trajectories."""
+def test_sweep_blocks_agree_with_scalar_sweeps(sweep_chunks, monkeypatch):
+    """A grid of any size past one theta runs only as (n,)-shaped chunks of
+    one batch, of max(1, SWEEP_BLOCK // n - 1) steps each, looped or
+    superposed, a lone theta as scalars, and each gives the peaks of the
+    scalar trajectories."""
     phi, u = 0.3, 0.1 * np.exp(0.5j)
     for count, k_max, block, chunks in (
         (1, SWEEP_BLOCK, SWEEP_BLOCK, [SWEEP_BLOCK - 1, 1]),
@@ -116,13 +133,13 @@ def test_sweep_blocks_agree_with_scalar_sweeps(iterate2_calls, monkeypatch):
         (2, 40_000, SWEEP_BLOCK, [32767, 7233]),
     ):
         monkeypatch.setattr(engine2d, "SWEEP_BLOCK", block)
-        iterate2_calls.clear()
+        sweep_chunks.clear()
         thetas = list(np.linspace(0.1, 0.5, count))
         rows = run_sweep(thetas, phi, u, k_max=k_max).rows
         shape = (count,) if count > 1 else ()
-        assert [s for s, _ in iterate2_calls] == [shape] * len(chunks)
-        assert [b[0] - 1 for _, b in iterate2_calls] == chunks
-        assert all(math.prod(b) <= max(block, 2 * count) for _, b in iterate2_calls)
+        assert [s for s, _ in sweep_chunks] == [shape] * len(chunks)
+        assert [b[0] - 1 for _, b in sweep_chunks] == chunks
+        assert all(math.prod(b) <= max(block, 2 * count) for _, b in sweep_chunks)
         for row, (res, tied) in zip(rows, _scalar_sweep_rows(thetas, phi, u, k_max)):
             assert type(row["k_star"]) is int and type(row["max_abs_b"]) is float
             if not tied:

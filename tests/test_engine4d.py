@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasematch.engine2d import AlgorithmParams, approx_b
+from phasematch.engine2d import _BLOCK, AlgorithmParams, approx_b
 from phasematch.engine4d import (
     FourDimInputs,
     approx4,
@@ -92,15 +92,42 @@ _angles = st.floats(-math.pi, math.pi)
 )
 @settings(max_examples=30, deadline=None)
 def test_iterate4_is_bit_identical_to_the_four_store_loop(inp, k_max):
-    """Filling b and d after the loop changes no bit, signs of zeros included."""
+    """Filling b and d after the loop changes no bit of rows k <= _BLOCK,
+    signs of zeros included. Later rows are superposed blocks: within 1e-12
+    of the loop relative to the largest entry so far (measured: 2.4e-14),
+    up to where the entries near overflow."""
     c = four_dim_coeffs(inp)
     for n in (0, 1, k_max):
         traj = iterate4(c, n)
         ref = _four_store_iterate4(c, n)
-        for got, want in zip((traj.a, traj.b, traj.c, traj.d), ref):
-            np.testing.assert_array_equal(got, want)
-            for part in (np.real, np.imag):
-                np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))
+        got = np.stack([traj.a, traj.b, traj.c, traj.d])
+        head = slice(0, _BLOCK + 1)
+        np.testing.assert_array_equal(got[:, head], ref[:, head])
+        for part in (np.real, np.imag):
+            np.testing.assert_array_equal(np.signbit(part(got[:, head])),
+                                          np.signbit(part(ref[:, head])))
+        scale = np.maximum.accumulate(np.max(np.abs(ref), axis=0))
+        tail = (np.arange(n + 1) > _BLOCK) & (scale < 1e290)
+        dev = np.max(np.abs(got[:, tail] - ref[:, tail]), axis=0, initial=0.0)
+        assert np.all(dev <= 1e-12 * np.maximum(1.0, scale[tail]))
+
+
+def test_iterate4_continues_from_a_start_row():
+    rng = np.random.default_rng(7)
+    c = four_dim_coeffs(FourDimInputs(0.9, -1.3, *_random_inputs(rng)))
+    whole = iterate4(c, 30)
+    head = iterate4(c, 12)
+    rest = iterate4(c, 18, tuple(complex(ch[-1]) for ch in (head.a, head.b, head.c, head.d)))
+    for got, want in zip((rest.a, rest.b, rest.c, rest.d), (whole.a, whole.b, whole.c, whole.d)):
+        np.testing.assert_array_equal(got, want[12:])
+
+
+def test_superposed_iterate4_matches_the_loop_over_a_long_run():
+    """Measured at k = 50 000: 7.3e-14."""
+    c = four_dim_coeffs(FourDimInputs.idealized(0.3, 0.1, 0.1))
+    traj = iterate4(c, 50_000)
+    ref = _four_store_iterate4(c, 50_000)
+    assert np.max(np.abs(np.stack([traj.a, traj.b, traj.c, traj.d]) - ref)) <= 1e-12
 
 
 def test_iterate4_matches_row_vector_matrix_power():
