@@ -37,8 +37,9 @@ _APPROX_BLOCK = 2**14
 #: instances run max(1, SWEEP_BLOCK // n - 1) steps per chunk, so a chunk
 #: array holds at most max(SWEEP_BLOCK, 2n) entries. Rows k <= _BLOCK (512)
 #: are the plain recurrence, bit for bit; later rows of a run that superposes
-#: are blocks within 1e-14 of the exact recurrence at k <= 2000 (see
-#: :func:`iterate2`), which a chunk may cut anywhere.
+#: (k_max > 1024, at most 31 instances) are blocks within 1e-14 of the exact
+#: recurrence at k <= 2000 (see :func:`iterate2`), which a chunk may cut
+#: anywhere.
 SWEEP_BLOCK = 2**16
 #: Rows per superposed block of a long trajectory (see :func:`iterate2`).
 _BLOCK = 512
@@ -196,15 +197,15 @@ def iterate2(
     would switch the steps to NumPy arithmetic), arrays of n for a batch.
 
     Rows k <= 512 are always the plain recurrence, bit for bit. A run of
-    k_max > 512 steps of at most ``_NARROW`` (31) instances superposes the
-    rows after that (:func:`_superposed`): the map is linear, so each block
-    of up to 512 rows is a broadcast product of its start row with the
+    k_max > 1024 steps of at most ``_NARROW`` (31) instances superposes the
+    rows after row 512 (:func:`_superposed`): the map is linear, so each
+    block of up to 512 rows is a broadcast product of its start row with the
     512-step trajectories from (1, 0) and (0, 1). That costs 1024 steps of
     the loop and one NumPy product per block, where the loop would take
-    k_max steps. Measured against an exact rational recurrence at k <= 2000,
-    the rows are off by at most 1e-14 (the loop's, 5e-15), for present,
-    Hoyer and Grover coefficients; at k = 50 000 they are within 2.4e-13 of
-    the loop's.
+    k_max steps, so a shorter run keeps the loop. Measured against an exact
+    rational recurrence at k <= 2000, the rows are off by at most 1e-14 (the
+    loop's, 5e-15), for present, Hoyer and Grover coefficients; at
+    k = 50 000 they are within 2.4e-13 of the loop's.
     """
     _check_bound("k_max", k_max, 0)
     if not _superposes(k_max, np.size(c.alpha)):
@@ -215,8 +216,10 @@ def iterate2(
 
 
 def _superposes(k_max: int, n: int) -> bool:
-    """Whether a run of k_max steps of n instances superposes blocks past row _BLOCK."""
-    return k_max > _BLOCK and n <= _NARROW
+    """Whether a run of k_max steps of n instances superposes blocks past row
+    _BLOCK: only where the loop would take more steps than the two unit
+    trajectories (measured crossover: k_max near 1100)."""
+    return k_max > 2 * _BLOCK and n <= _NARROW
 
 
 def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple) -> AmplitudeTrajectory:
@@ -530,8 +533,9 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     :func:`_stacked`) give one array entry per instance. The trajectory is
     taken in chunks sized by ``SWEEP_BLOCK`` over n (1 for scalars), so only
     one chunk is held at a time (:func:`_chunks`). Rows k <= 512 are the plain
-    recurrence, bit for bit; past that, up to 31 instances take superposed
-    blocks, with the error :func:`iterate2` states, and more take the loop.
+    recurrence, bit for bit; past that, up to 31 instances at k_max > 1024
+    take superposed blocks, with the error :func:`iterate2` states, and any
+    other run takes the loop.
     The result is bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``:
     a later chunk takes over only where its peak is strictly greater, or is
     the first NaN, as argmax sees the whole trajectory.

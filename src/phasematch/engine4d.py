@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import _BLOCK, AlgorithmParams, _superposes, approx_b
+from .engine2d import _BLOCK, AlgorithmParams, approx_b
 from .rotations import _bounded, _check_bound, _finite_angles, phase_scale
 
 
@@ -105,39 +105,41 @@ def four_dim_coeffs(inp: FourDimInputs) -> FourDimCoefficients:
     )
 
 
-#: The default start row (a_0, b_0, c_0, d_0), and the four unit rows.
-_ORIGIN = (1.0 + 0j, 0j, 0j, 0j)
-_UNITS = (_ORIGIN, (0j, 1.0 + 0j, 0j, 0j), (0j, 0j, 1.0 + 0j, 0j), (0j, 0j, 0j, 1.0 + 0j))
+#: The unit start rows (a_0, b_0, c_0, d_0); the first is the start of every run.
+_UNITS = (
+    (1.0 + 0j, 0j, 0j, 0j),
+    (0j, 1.0 + 0j, 0j, 0j),
+    (0j, 0j, 1.0 + 0j, 0j),
+    (0j, 0j, 0j, 1.0 + 0j),
+)
 
 
-def iterate4(c: FourDimCoefficients, k_max: int, start: tuple = _ORIGIN) -> FourAmplitudes:
-    """Exact recurrence from (a_0, b_0, c_0, d_0) = ``start``, by default (1, 0, 0, 0).
+def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
+    """Exact recurrence from (1, 0, 0, 0).
 
     a_{k+1} = l1 a + l2 b + l3 c + l4 d, c_{k+1} = p1 a + p2 b + p3 c + p4 d,
     while b_{k+1} = -a_k and d_{k+1} = -c_k hold as exact negations. The loop
     stores a and c only; b and d are set after it as -a and -c shifted by one
-    step, with b_0 and d_0 from ``start``. A ``start`` of Python complex
-    numbers taken from the last row of an earlier run continues it bit for
-    bit while neither run passes 512 steps.
+    step, with b_0 = d_0 = 0.
 
     Rows k <= 512 are always the plain recurrence, bit for bit. For
-    k_max > 512, later a and c come in blocks of up to 512 rows, each the
+    k_max > 2048, later a and c come in blocks of up to 512 rows, each the
     block's start row (a_K, b_K, c_K, d_K) times the 512-step trajectories
     from the four unit rows, as in :func:`~phasematch.engine2d.iterate2`:
     2048 steps of the loop and one NumPy product per block, where the loop
-    would take k_max steps. At k = 50 000 these rows were within 1.4e-13 of
-    the loop's over 20 random idealized inputs.
+    would take k_max steps, so a shorter run keeps the loop. At
+    k = 50 000 these rows were within 1.4e-13 of the loop's over 20 random
+    idealized inputs.
     """
     _check_bound("k_max", k_max, 0)
-    if not _superposes(k_max, 1):
-        return _recurrence4(c, k_max, start)
+    if k_max <= len(_UNITS) * _BLOCK:
+        return _recurrence4(c, k_max, _UNITS[0])
     units = [_recurrence4(c, _BLOCK, e) for e in _UNITS]
-    head = units[0] if start is _ORIGIN else _recurrence4(c, _BLOCK, start)
     # Column i of each (_BLOCK + 1) x 4 matrix is the a (or c) of unit trajectory i.
     cols = [np.stack([getattr(u, name) for u in units], axis=1) for name in ("a", "c")]
     a = np.empty(k_max + 1, dtype=np.complex128)
     cc = np.empty_like(a)
-    a[: _BLOCK + 1], cc[: _BLOCK + 1] = head.a, head.c
+    a[: _BLOCK + 1], cc[: _BLOCK + 1] = units[0].a, units[0].c
     for k in range(_BLOCK, k_max, _BLOCK):
         m = min(_BLOCK, k_max - k)
         row = np.array([a[k], -a[k - 1], cc[k], -cc[k - 1]])
@@ -145,7 +147,7 @@ def iterate4(c: FourDimCoefficients, k_max: int, start: tuple = _ORIGIN) -> Four
         with np.errstate(over="ignore", invalid="ignore"):
             a[k + 1 : k + m + 1] = cols[0][1 : m + 1] @ row
             cc[k + 1 : k + m + 1] = cols[1][1 : m + 1] @ row
-    return _lagged(a, cc, start)
+    return _lagged(a, cc, _UNITS[0])
 
 
 def _recurrence4(c: FourDimCoefficients, k_max: int, start: tuple) -> FourAmplitudes:

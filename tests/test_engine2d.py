@@ -587,12 +587,17 @@ def test_iterate2_continues_from_a_start_row():
 
 
 def test_iterate2_rows_up_to_a_block_are_the_plain_recurrence():
-    """Past _BLOCK steps the later rows are superposed, and rows k <= _BLOCK
-    stay those of a run that stops there, from any start."""
+    """A run of 2 _BLOCK steps is the loop throughout. In a longer one the
+    rows past _BLOCK are superposed, and rows k <= _BLOCK stay those of a
+    run that stops there, from any start."""
     c = present_coeffs(AlgorithmParams(0.4, -0.2, 0.3 + 0.1j))
     batch = _stacked([c, grover_coeffs(0.2)])
     for coeffs, start in ((c, (1.0 + 0j, 0j)), (c, (0.3 - 0.2j, -0.5j)),
                           (batch, (1.0 + 0j, 0j)), (batch, (np.array([0.3, 1j]), np.zeros(2)))):
+        short = iterate2(coeffs, 2 * _BLOCK, start)
+        loop = engine2d._recurrence2(coeffs, 2 * _BLOCK, start)
+        np.testing.assert_array_equal(short.a, loop.a)
+        np.testing.assert_array_equal(short.b, loop.b)
         head = iterate2(coeffs, _BLOCK, start)
         whole = iterate2(coeffs, 3 * _BLOCK + 7, start)
         np.testing.assert_array_equal(whole.a[: _BLOCK + 1], head.a)
@@ -659,8 +664,10 @@ def _whole_peak(c, k_max):
 
 # Present theta = 0.01: k* = 86 of 100. (0, 1, 1, 0): |b_k| alternates 1, 0,
 # so every chunk ties the first and k* = 1. 2 throughout: |b_k| overflows to
-# inf at k = 513, where the superposed rows stay inf (the loop would make nan
-# from k = 515). Chunks cut superposed blocks at any k, 1-step chunks included.
+# inf at k = 513 and is first nan at k = 515 in the loop (kmax 700), and at
+# k = 1537 in superposed blocks (kmax 1600), so k* is the first nan, found in
+# a later chunk than the first inf. Chunks cut superposed blocks at any k,
+# 1-step chunks included.
 @pytest.mark.parametrize("coeffs, k_max, blocks", [
     (present_coeffs(AlgorithmParams(0.01, 0.0, 0.1)), 100, range(2, 120)),
     (_stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
@@ -668,9 +675,10 @@ def _whole_peak(c, k_max):
     (TwoDimCoefficients(0, 1, 1, 0), 40, range(2, 50)),
     (_stacked([TwoDimCoefficients(0, 1, 1, 0)] * 2), 40, range(4, 100)),
     (TwoDimCoefficients(2, 2, 2, 2), 700, (2, 100, 514, 515, 516)),
+    (TwoDimCoefficients(2, 2, 2, 2), 1600, (2, 100, 1536, 1537, 1538)),
     (_stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
      1500, (6, 300, 1542, 1545, 3078)),
-], ids=["scalar", "batch", "tie", "batch tie", "nan", "superposed batch"])
+], ids=["scalar", "batch", "tie", "batch tie", "nan", "superposed nan", "superposed batch"])
 def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_max, blocks):
     """Every chunk size, k* on a chunk's last or first k included, gives the
     bits of the peak over the whole trajectory, and no chunk array holds more

@@ -13,6 +13,7 @@ from phasematch.engine4d import (
     FourDimInputs,
     approx4,
     four_dim_coeffs,
+    _recurrence4,
     iterate4,
 )
 
@@ -88,20 +89,21 @@ _angles = st.floats(-math.pi, math.pi)
 
 @given(
     st.builds(FourDimInputs, _angles, _angles, _elements, _elements, _elements, _elements),
-    st.integers(0, 2000),
+    st.integers(0, 4000),
 )
 @settings(max_examples=30, deadline=None)
 def test_iterate4_is_bit_identical_to_the_four_store_loop(inp, k_max):
-    """Filling b and d after the loop changes no bit of rows k <= _BLOCK,
-    signs of zeros included. Later rows are superposed blocks: within 1e-12
-    of the loop relative to the largest entry so far (measured: 2.4e-14),
-    up to where the entries near overflow."""
+    """Filling b and d after the loop changes no bit of a run of k_max <= 4 _BLOCK
+    steps, nor of rows k <= _BLOCK of a longer one, signs of zeros included.
+    Later rows of a longer run are superposed blocks: within 1e-12 of the loop
+    relative to the largest entry so far (measured: 2.4e-14), up to where the
+    entries near overflow."""
     c = four_dim_coeffs(inp)
     for n in (0, 1, k_max):
         traj = iterate4(c, n)
         ref = _four_store_iterate4(c, n)
         got = np.stack([traj.a, traj.b, traj.c, traj.d])
-        head = slice(0, _BLOCK + 1)
+        head = slice(0, (n if n <= 4 * _BLOCK else _BLOCK) + 1)
         np.testing.assert_array_equal(got[:, head], ref[:, head])
         for part in (np.real, np.imag):
             np.testing.assert_array_equal(np.signbit(part(got[:, head])),
@@ -112,12 +114,13 @@ def test_iterate4_is_bit_identical_to_the_four_store_loop(inp, k_max):
         assert np.all(dev <= 1e-12 * np.maximum(1.0, scale[tail]))
 
 
-def test_iterate4_continues_from_a_start_row():
+def test_recurrence4_continues_from_a_start_row():
+    """The loop that runs the unit trajectories takes every channel of its start row."""
     rng = np.random.default_rng(7)
     c = four_dim_coeffs(FourDimInputs(0.9, -1.3, *_random_inputs(rng)))
     whole = iterate4(c, 30)
-    head = iterate4(c, 12)
-    rest = iterate4(c, 18, tuple(complex(ch[-1]) for ch in (head.a, head.b, head.c, head.d)))
+    head = _recurrence4(c, 12, (1.0 + 0j, 0j, 0j, 0j))
+    rest = _recurrence4(c, 18, tuple(complex(ch[-1]) for ch in (head.a, head.b, head.c, head.d)))
     for got, want in zip((rest.a, rest.b, rest.c, rest.d), (whole.a, whole.b, whole.c, whole.d)):
         np.testing.assert_array_equal(got, want[12:])
 
