@@ -74,7 +74,7 @@ from .oracle import (
     target_amplitude,
     unitary_with_overlap,
 )
-from .reporting import Report, make_report, render, round_sig, to_csv, to_json
+from .reporting import Report, make_report, render, to_csv, to_json
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,6 @@ from .engine2d import (
     AlgorithmParams,
     HoyerParams,
     _peak_of,
-    _stacked,
     grover_coeffs,
     hoyer_coeffs,
     iterate2,
@@ -176,10 +175,12 @@ def run_pyramid(max_k=12):
 def run_sweep(thetas, phi, u, k_max=100):
     """Optimal iteration count and phase-condition check per theta.
 
-    All theta values run as one :func:`sweep_max` batch of stacked
-    coefficients, which it cuts into chunks of k; a lone theta runs on Python
-    scalars. No theta, or more than ``MAX_SWEEP_ENTRIES`` entries in all, is
-    rejected before any work.
+    All theta values go as one array into one :func:`present_coeffs`, one
+    :func:`phase_condition` and one :func:`sweep_max` call, which cuts the
+    batch into chunks of k; a lone theta runs on Python scalars. The report
+    takes the results column by column, with phi, u and the threshold shared
+    by every row. No theta, or more than ``MAX_SWEEP_ENTRIES`` entries in
+    all, is rejected before any work.
     """
     _check_bound("theta count", len(thetas), 1)
     _check_bound("k_max", k_max, 1, MAX_K)
@@ -189,29 +190,23 @@ def run_sweep(thetas, phi, u, k_max=100):
             f"{len(thetas)} theta values x (kmax + 1 = {k_max + 1}) = {entries} trajectory "
             f"entries exceeds the sweep limit {MAX_SWEEP_ENTRIES}"
         )
-    params = [AlgorithmParams(theta, phi, u) for theta in thetas]
-    coeffs = [present_coeffs(p) for p in params]
-    res = sweep_max(_stacked(coeffs), k_max)
-    k_star = np.atleast_1d(res.k_star).tolist()
-    max_abs_b = np.atleast_1d(res.max_abs_b).tolist()
-    rows = []
-    for p, k, m in zip(params, k_star, max_abs_b):
-        cond = phase_condition(p)
-        rows.append(
-            {
-                "theta": float(p.theta),
-                "phi": float(phi),
-                "u_re": p.u.real,
-                "u_im": p.u.imag,
-                "k_star": k,
-                "max_abs_b": m,
-                "threshold": cond.threshold,
-                "ratio_l": cond.ratio_l,
-                "satisfied": cond.satisfied,
-            }
-        )
+    params = AlgorithmParams(float(thetas[0]) if len(thetas) == 1 else thetas, phi, u)
+    res = sweep_max(present_coeffs(params), k_max)
+    cond = phase_condition(params)
+    columns = {
+        "theta": np.atleast_1d(params.theta).tolist(),
+        "phi": float(phi),
+        "u_re": params.u.real,
+        "u_im": params.u.imag,
+        # A list holds one value per theta, a lone theta's scalar is its one row's.
+        "k_star": np.asarray(res.k_star).tolist(),
+        "max_abs_b": np.asarray(res.max_abs_b).tolist(),
+        "threshold": cond.threshold,
+        "ratio_l": np.asarray(cond.ratio_l).tolist(),
+        "satisfied": np.asarray(cond.satisfied).tolist(),
+    }
     meta = _base_metadata(0, EQUIVALENCE_TOL, phi=float(phi), k_max=k_max)
-    return make_report("sweep", meta, rows)
+    return make_report("sweep", meta, columns)
 
 
 def run_coeffs(family, theta=None, phi=None, u=None, a=None, varphi=None):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rotations import _bounded, _check_bound, _finite_angles, phase_scale, snapped_cos
+from .rotations import COS_SNAP, _bounded, _check_bound, _finite_angles, phase_scale, snapped_cos
 
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
@@ -56,13 +56,23 @@ class ClosedFormRangeError(ValueError):
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    """One search instance: rotation angles (radians) and the element u = <tau|U|gamma>."""
+    """One search instance: rotation angles (radians) and the element u = <tau|U|gamma>.
 
-    theta: float
+    ``theta`` may also be a 1-D array of angles, n instances that share phi
+    and u; it is held as a read-only float64 copy. :func:`present_coeffs`
+    and :func:`phase_condition` take such a batch whole.
+    """
+
+    theta: float | np.ndarray
     phi: float
     u: complex
 
     def __post_init__(self):
+        if isinstance(self.theta, (np.ndarray, list, tuple)):
+            theta = np.array(self.theta, dtype=np.float64)
+            _check_bound("theta dimensions", theta.ndim, 1, 1)
+            theta.flags.writeable = False
+            object.__setattr__(self, "theta", theta)
         _finite_angles(theta=self.theta, phi=self.phi)
         object.__setattr__(self, "u", _bounded("u", self.u))
 
@@ -114,9 +124,42 @@ class SweepResult:
 
 
 class PhaseCondition(NamedTuple):
+    """The first-order condition of :func:`phase_condition`; for an array of
+    theta, ``ratio_l`` and ``satisfied`` are arrays and ``threshold``, which
+    depends on phi and u alone, one float."""
+
     threshold: float
-    ratio_l: float
-    satisfied: bool
+    ratio_l: float | np.ndarray
+    satisfied: bool | np.ndarray
+
+
+def _phase_pair(angle) -> tuple:
+    """:func:`phase_scale` as a (real, imag) pair, elementwise for an array of angles.
+
+    A float angle gives the parts of ``phase_scale(angle)`` itself, from
+    libm. An array takes the same steps in NumPy: Python multiplies the float
+    2 cos(angle) by cmath.exp(1j * angle) = (cos(angle), sin(0.0 + angle))
+    as :func:`_times` does, and the cosine is flushed to 0 below COS_SNAP as
+    by ``snapped_cos``. (sin(0.0 + angle) differs from sin(angle) only at
+    -0.0, where the product's + 0.0 cos(angle) makes either +0.0.) So each
+    entry is bit-identical to the float call wherever NumPy's cos and sin
+    round as libm's do, which the tests check.
+    """
+    if not isinstance(angle, np.ndarray):
+        g = phase_scale(angle)
+        return g.real, g.imag
+    cos = np.cos(angle)
+    return _times((2 * np.where(np.abs(cos) < COS_SNAP, 0.0, cos), None), (cos, np.sin(angle)))
+
+
+def _complex(re, im, shape: tuple):
+    """The complex number (re, im), or an array of ``shape`` of them, with
+    each part as given: a scalar part is shared by every entry."""
+    if not shape:
+        return complex(re, im)
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
 
 
 def present_coeffs(params: AlgorithmParams) -> TwoDimCoefficients:
@@ -128,15 +171,25 @@ def present_coeffs(params: AlgorithmParams) -> TwoDimCoefficients:
         beta   = g(phi) u
         lambda = g(theta) (1 - g(phi)) conj(u)
         delta  = g(phi) - 1
+
+    Each operation is taken on (real, imag) pairs as Python 3.11 takes it on
+    complex numbers: a product by :func:`_times`, and 1 - g as
+    (1.0 - re, 0.0 - im). So a float theta gives the Python complex numbers
+    of the formula, bit for bit, and an array of n angles (see
+    :class:`AlgorithmParams`) gives four arrays of n, each entry bit-identical
+    to the call on its angle alone (:func:`_phase_pair`); beta and delta
+    repeat one value.
     """
-    gt = phase_scale(params.theta)
-    gp = phase_scale(params.phi)
+    gt, gp = _phase_pair(params.theta), _phase_pair(params.phi)
     u = params.u
+    one_minus_gt, one_minus_gp = ((1.0 - re, 0.0 - im) for re, im in (gt, gp))
+    scaled = _times(_times(gt, gp), (abs(u) ** 2, None))
+    shape = params.theta.shape if isinstance(params.theta, np.ndarray) else ()
     return TwoDimCoefficients(
-        alpha=-(1 - gt + gt * gp * abs(u) ** 2),
-        beta=gp * u,
-        lam=gt * (1 - gp) * u.conjugate(),
-        delta=gp - 1,
+        alpha=_complex(-(one_minus_gt[0] + scaled[0]), -(one_minus_gt[1] + scaled[1]), shape),
+        beta=_complex(*_times(gp, (u.real, u.imag)), shape),
+        lam=_complex(*_times(_times(gt, one_minus_gp), (u.real, -u.imag)), shape),
+        delta=_complex(gp[0] - 1.0, gp[1], shape),
     )
 
 
@@ -228,9 +281,11 @@ def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple) -> AmplitudeTr
     b = np.empty_like(a)
     ak, bk = start
     a[0], b[0] = ak, bk
-    for k in range(1, k_max + 1):
-        ak, bk = c.alpha * ak + c.lam * bk, c.beta * ak + c.delta * bk
-        a[k], b[k] = ak, bk
+    # Python's complex arithmetic makes inf and nan without a warning, and so does a batch.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            ak, bk = c.alpha * ak + c.lam * bk, c.beta * ak + c.delta * bk
+            a[k], b[k] = ak, bk
     return AmplitudeTrajectory(a, b)
 
 
@@ -439,6 +494,7 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     """
     k = operator.index(k)
     _check_bound("k", k, 1)
+    _one_theta(params, "approx_b")
     _, gap = _threshold_and_gap(params)
     total = 0j
     for start in range(0, k, _APPROX_BLOCK):
@@ -448,13 +504,44 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     return phase_scale(params.phi) * params.u * sigma ** (k - 1) * total
 
 
+def _one_theta(params: AlgorithmParams, caller: str) -> None:
+    """Refuse an array of theta where only a float is taken: the first-order
+    sums would broadcast it against their terms."""
+    if isinstance(params.theta, np.ndarray):
+        raise TypeError(f"{caller} takes one theta, not an array of {params.theta.size}")
+
+
 def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:
     """The first-order threshold 2 |cos(phi)| |u|, and the gap theta - phi
-    reduced modulo pi to [-pi/2, pi/2]: the operator depends on each angle
-    only modulo pi, and near a nonzero multiple of pi an unreduced gap puts
-    a rounding error of O(eps / |sin(gap)|) into sin(k gap) / sin(gap)."""
+    reduced modulo pi to [-pi/2, pi/2] (:func:`_reduced_gap`): the operator
+    depends on each angle only modulo pi, and near a nonzero multiple of pi
+    an unreduced gap puts a rounding error of O(eps / |sin(gap)|) into
+    sin(k gap) / sin(gap)."""
     threshold = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
-    return threshold, math.remainder(params.theta - params.phi, math.pi)
+    return threshold, _reduced_gap(params.theta, params.phi)
+
+
+def _reduced_gap(theta, phi):
+    """``math.remainder(theta - phi, math.pi)``, elementwise for an array of theta.
+
+    An array takes CPython's steps of ``math.remainder`` in NumPy, bit for
+    bit: m = fmod(|x|, pi), which is exact, then m or m - pi, whichever is
+    smaller in magnitude (at a tie, the one of even quotient), with the sign
+    of x. A difference that overflows raises ``ValueError``, as
+    ``math.remainder`` does for a float.
+    """
+    if not isinstance(theta, np.ndarray):
+        return math.remainder(theta - phi, math.pi)
+    with np.errstate(over="ignore"):
+        x = theta - phi
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"theta - phi overflows at theta[{i}]={theta[i]}, phi={phi}")
+    ax = np.abs(x)
+    m = np.fmod(ax, math.pi)
+    c = math.pi - m
+    r = np.where(m < c, m, np.where(m > c, -c, m - 2.0 * np.fmod(0.5 * (ax - m), math.pi)))
+    return np.copysign(1.0, x) * r
 
 
 def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
@@ -468,6 +555,7 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     """
     k = operator.index(k)
     _check_bound("k", k, 1)
+    _one_theta(params, "closed_form_magnitude")
     scale, gap = _threshold_and_gap(params)
     if gap == 0:
         return k * scale
@@ -514,25 +602,14 @@ def _chunks(c: TwoDimCoefficients, k_max: int, steps: int):
         del b
 
 
-def _stacked(coeffs: list[TwoDimCoefficients]) -> TwoDimCoefficients:
-    """The coefficients of a list of instances as one batch: the one instance
-    itself, or each field as a 1-D array over the list."""
-    if len(coeffs) == 1:
-        return coeffs[0]
-    return TwoDimCoefficients(*(
-        np.array([getattr(c, name) for c in coeffs], dtype=np.complex128)
-        for name in ("alpha", "beta", "lam", "delta")
-    ))
-
-
 def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     """Maximize |b_k| over 1 <= k <= k_max (smallest k wins ties).
 
     Scalar coefficients give a plain int ``k_star`` and float ``max_abs_b``;
-    coefficients stacked as 1-D arrays of n >= 1 instances (see
-    :func:`_stacked`) give one array entry per instance. The trajectory is
-    taken in chunks sized by ``SWEEP_BLOCK`` over n (1 for scalars), so only
-    one chunk is held at a time (:func:`_chunks`). Rows k <= 512 are the plain
+    coefficients as 1-D arrays of n >= 1 instances (as :func:`present_coeffs`
+    gives them for an array of theta) give one array entry per instance. The
+    trajectory is taken in chunks sized by ``SWEEP_BLOCK`` over n (1 for
+    scalars), so only one chunk is held at a time (:func:`_chunks`). Rows k <= 512 are the plain
     recurrence, bit for bit; past that, up to 31 instances at k_max > 1024
     take superposed blocks, with the error :func:`iterate2` states, and any
     other run takes the loop.
@@ -564,8 +641,14 @@ def phase_condition(params: AlgorithmParams) -> PhaseCondition:
     as in :func:`closed_form_magnitude`. Returns the threshold, the ratio
     l = |gap| / threshold (infinite when the threshold vanishes, e.g. at
     phi = pi/2), and whether l < 1. When l > 1 the first-order analysis caps
-    the sweep maximum near 1/l.
+    the sweep maximum near 1/l. An array of theta gives arrays of l and of
+    the verdict, each entry bit-identical to the call on its angle alone.
     """
     threshold, gap = _threshold_and_gap(params)
-    ratio_l = abs(gap) / threshold if threshold > 0 else math.inf
+    if threshold > 0:
+        # Python's float division makes inf without a warning, and so does this.
+        with np.errstate(over="ignore"):
+            ratio_l = abs(gap) / threshold
+    else:
+        ratio_l = np.full(gap.shape, math.inf) if isinstance(gap, np.ndarray) else math.inf
     return PhaseCondition(threshold, ratio_l, ratio_l < 1)

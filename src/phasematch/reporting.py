@@ -3,10 +3,15 @@
 Float values are rounded to 12 significant digits when a report is
 assembled, so the two encodings render bit-identical numbers (both go
 through Python's shortest-roundtrip float repr). All floats of a report are
-formatted in one ``"%.12g"`` string and parsed back, which gives
-:func:`round_sig` of each. A non-finite float keeps its text, so it becomes
-the string "inf", "-inf" or "nan" in both encodings. A 2-D complex array
-becomes nested lists of {re, im} objects, as its ``tolist()`` would.
+formatted in one ``"%.12g"`` string and parsed back, each rounded to 12
+significant digits. A non-finite float keeps its text, so it becomes the
+string "inf", "-inf" or "nan" in both encodings. A 2-D complex array becomes
+nested lists of {re, im} objects, as its ``tolist()`` would.
+
+Rows are held column by column, in blocks of consecutive rows with the same
+keys; in a block each column is a list of one value per row, or one value
+shared by every row. Each encoding renders a block from one template per
+row, in which the keys and the shared values are written once.
 """
 
 from __future__ import annotations
@@ -15,21 +20,22 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import groupby, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 SIG_DIGITS = 12
 
-
-def round_sig(x: float) -> float:
-    """Round to 12 significant digits; zeros (with their sign), infinities and nan pass through."""
-    return float(f"{x:.{SIG_DIGITS}g}")
-
-
 #: The value types a report holds as they are, its floats once rounded.
 _SCALARS = frozenset({str, int, bool, float, type(None)})
 #: JSON's names of the non-finite floats, and the text a report holds for each.
 _NAMES = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+#: Column value types an encoding writes through one call on the whole column.
+_NUMBERS = frozenset({int, float})
+#: Column value types an encoding writes once per distinct value; no two
+#: values of these types are equal but of different types.
+_LABELS = frozenset({str, bool, type(None)})
 
 
 def _normalize(value, floats: list, fills: list):
@@ -66,21 +72,110 @@ def _normalize(value, floats: list, fills: list):
     raise TypeError(f"cannot put a {type(value).__name__} in a report")
 
 
-@dataclass(frozen=True)
+def _normalize_column(values: list, floats: list, fills: list) -> list:
+    """:func:`_normalize` of one column of values, taking a column of floats
+    or of scalars without floats whole."""
+    types = set(map(type, values))
+    if types == {float}:
+        column, size = [], len(values)
+        floats += values
+        fills.append(lambda rounded: column.extend(islice(rounded, size)))
+        return column
+    if types <= _SCALARS and float not in types:
+        return list(values)
+    return _normalize(values, floats, fills)
+
+
+class _Shared(NamedTuple):
+    """The one value of a column, shared by every row of its block."""
+
+    value: object
+
+
+class _Block(NamedTuple):
+    """Consecutive rows with the same keys: per key, a list of one value per
+    row, or a :class:`_Shared` value."""
+
+    size: int
+    keys: tuple
+    columns: tuple
+
+    def values(self):
+        """The values of each row, in the order of the keys."""
+        columns = [repeat(c.value, self.size) if isinstance(c, _Shared) else c
+                   for c in self.columns]
+        return zip(*columns) if columns else repeat((), self.size)
+
+
+def _runs(rows):
+    """Runs of consecutive rows whose keys read the same in both encodings.
+
+    1, 1.0 and True, or 0.0 and -0.0, are one dict key but different texts,
+    so a run whose keys are not all strings is split by type and repr too.
+    """
+    for keys, run in groupby(rows, tuple):
+        if all(type(key) is str for key in keys):
+            yield list(run)
+        else:
+            for _, part in groupby(run, lambda row: [(type(k), repr(k)) for k in row]):
+                yield list(part)
+
+
+def _blocks(rows) -> tuple:
+    """The blocks of ``rows``, given as :func:`make_report` takes them: a
+    dict of columns is one block, and a list of row dicts one block per run
+    of rows with the same keys."""
+    if isinstance(rows, dict):
+        columns = tuple(c if isinstance(c, (list, _Shared)) else _Shared(c) for c in rows.values())
+        sizes = {len(c) for c in columns if isinstance(c, list)}
+        if len(sizes) != 1:
+            raise ValueError(f"column-wise rows need list columns of one length, "
+                             f"not of lengths {sorted(sizes)}")
+        return (_Block(sizes.pop(), tuple(rows), columns),)
+    return tuple(_Block(len(run), tuple(run[0]), tuple(map(list, zip(*map(dict.values, run)))))
+                 for run in _runs(rows))
+
+
+@dataclass(frozen=True, init=False)
 class Report:
-    """Rows plus metadata, optionally with an overall pass verdict."""
+    """Rows plus metadata, optionally with an overall pass verdict.
+
+    ``rows`` reads as a list of row dicts, built when it is read. The rows
+    are held in ``blocks`` (see the module docstring).
+    """
 
     command: str
     metadata: dict
-    rows: list[dict]
+    blocks: tuple
     passed: bool | None = None
 
+    def __init__(self, command: str, metadata: dict, rows, passed: bool | None = None):
+        """``rows`` in either form :func:`make_report` takes, kept as given."""
+        for name, value in (("command", command), ("metadata", metadata),
+                            ("blocks", _blocks(rows)), ("passed", passed)):
+            object.__setattr__(self, name, value)
 
-def make_report(command: str, metadata: dict, rows: list[dict], passed: bool | None = None) -> Report:
-    """Assemble a report, normalizing every value for stable rendering."""
+    @property
+    def rows(self) -> list[dict]:
+        return [dict(zip(block.keys, values)) for block in self.blocks for values in block.values()]
+
+
+def make_report(command: str, metadata: dict, rows, passed: bool | None = None) -> Report:
+    """Assemble a report, normalizing every value for stable rendering.
+
+    ``rows`` is a list of row dicts, or a dict of columns: each column a list
+    of one value per row, or any other value, shared by every row. A shared
+    value is normalized and rounded once.
+    """
     floats, fills = [], []
     metadata = _normalize(metadata, floats, fills)
-    rows = [_normalize(row, floats, fills) for row in rows]
+    if isinstance(rows, dict):
+        shared = _normalize({k: v for k, v in rows.items() if not isinstance(v, list)},
+                            floats, fills)
+        lists = {k: _normalize_column(v, floats, fills)
+                 for k, v in rows.items() if isinstance(v, list)}
+    else:
+        rows = [_normalize(row, floats, fills) for row in rows]
     # Parsed back as one JSON array, so that no list of texts is held: an
     # integral text ("1", "-0") stays a float, a non-finite one gets its name.
     text = ("[" + ",".join([f"%.{SIG_DIGITS}g"] * len(floats)) + "]") % tuple(floats)
@@ -89,73 +184,163 @@ def make_report(command: str, metadata: dict, rows: list[dict], passed: bool | N
     rounded = iter(json.loads(text, parse_int=float, parse_constant=_NAMES.__getitem__))
     for fill in fills:
         fill(rounded)
-    return Report(command=command, metadata=metadata, rows=rows, passed=passed)
+    if isinstance(rows, dict):
+        rows = {k: lists[k] if k in lists else _Shared(shared[k]) for k in rows}
+    return Report(command, metadata, rows, passed)
 
 
-#: Encodes a list of flat objects with the C encoder, which ``indent`` turns
-#: off. Every separator ends in a newline, which no string holds (JSON escapes
-#: newlines), so the indentation can be put in after.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n", ": "))
+#: Rows of a block filled at a time, so that the texts of only so many rows are held.
+_CHUNK = 4096
 
 
-def _flat_objects(value) -> bool:
-    """Whether ``value`` is a non-empty list of non-empty objects of scalars."""
-    return (isinstance(value, (list, tuple)) and bool(value)
-            and all(isinstance(v, dict) and v and _SCALARS.issuperset(map(type, v.values()))
-                    for v in value))
+def _filled(template: str, separator: str, columns: list, size: int, texts):
+    """``size`` copies of ``template``, each with its ``%s`` slots filled, in
+    order, from the next value of each column as ``texts`` writes a list of
+    them: the rows of each chunk of up to ``_CHUNK``, joined by ``separator``."""
+    for start in range(0, size, _CHUNK):
+        rows = (zip(*(texts(c[start : start + _CHUNK]) for c in columns)) if columns
+                else repeat((), min(_CHUNK, size - start)))
+        yield separator.join(map(template.__mod__, rows))
+
+
+def _json_key(key) -> str:
+    """``key`` as json writes it as an object key, a non-string one too."""
+    return json.dumps({key: 0})[1:-4]
 
 
 def _layout(value, level: int) -> str:
     """``json.dumps(value, indent=2)`` as it reads ``level`` levels deep.
 
-    A list of flat objects, such as a report's rows or a matrix row of
-    {re, im} cells, goes through the C encoder in one call; the containers
-    around them are laid out here, their scalars by ``json.dumps``.
+    A list of objects, such as a matrix row of {re, im} cells, is laid out
+    by :func:`_json_rows`; other containers are laid out here, and scalars
+    by ``json.dumps``.
     """
     pad = "\n" + "  " * level
-    outer, inner = pad + "  ", pad + "    "
-    if _flat_objects(value):
-        body = _ROW_ENCODER.encode(value)[2:-2].replace("\n", inner)
-        body = body.replace(f"}},{inner}{{", f"{outer}}},{outer}{{{inner}")
-        return f"[{outer}{{{inner}{body}{outer}}}{pad}]"
+    outer = pad + "  "
+    if isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
+        return "".join(_json_rows(_blocks(value), level))
     if isinstance(value, dict) and value:
-        # A one-key object gives the key as json writes it, a non-string one too.
-        items = [f"{json.dumps({k: 0})[1:-4]}: {_layout(v, level + 1)}" for k, v in value.items()]
+        items = [f"{_json_key(k)}: {_layout(v, level + 1)}" for k, v in value.items()]
         return f"{{{outer}{f',{outer}'.join(items)}{pad}}}"
     if isinstance(value, (list, tuple)) and value:
         return f"[{outer}{f',{outer}'.join(_layout(v, level + 1) for v in value)}{pad}]"
     return json.dumps(value)
 
 
+def _texts(column: list, text) -> list:
+    """``text`` of each value of a column, once per distinct value when all
+    are strings, bools or None."""
+    if set(map(type, column)) <= _LABELS:
+        distinct = {value: text(value) for value in set(column)}
+        return list(map(distinct.__getitem__, column))
+    return list(map(text, column))
+
+
+def _json_column(column: list, level: int) -> list:
+    """The JSON text of each value of a column ``level`` levels deep."""
+    if set(map(type, column)) <= _NUMBERS:
+        # One C encoder call writes each number, nan and inf included, as json.dumps does.
+        return json.dumps(column)[1:-1].split(", ")
+    return _texts(column, lambda value: _layout(value, level))
+
+
+def _json_rows(blocks: tuple, level: int) -> list:
+    """A list of objects, held in ``blocks``, as ``json.dumps(..., indent=2)``
+    lays it out ``level`` levels deep, as the pieces of its text: each block
+    from one template, in chunks of rows."""
+    pad = "\n" + "  " * level
+    outer, inner = pad + "  ", pad + "    "
+    pieces = []
+    for block in blocks:
+        fields, columns = [], []
+        for key, column in zip(block.keys, block.columns):
+            field = _json_key(key) + ": "
+            if isinstance(column, _Shared):
+                fields.append((field + _layout(column.value, level + 2)).replace("%", "%%"))
+            else:
+                fields.append(field.replace("%", "%%") + "%s")
+                columns.append(column)
+        template = "{" + inner + f",{inner}".join(fields) + outer + "}" if fields else "{}"
+        for chunk in _filled(template, f",{outer}", columns, block.size,
+                             lambda values: _json_column(values, level + 2)):
+            pieces += (f",{outer}", chunk)
+    if not pieces:
+        return ["[]"]
+    pieces[0] = "[" + outer
+    pieces.append(pad + "]")
+    return pieces
+
+
 def to_json(report: Report) -> str:
     """``json.dumps`` of the report with ``indent=2``, plus a newline.
 
-    Each list of flat objects in it, the rows of scalars or a matrix row of
-    a ``construct`` report, goes through the C encoder in one call (see
-    :func:`_layout`).
+    The metadata is laid out by :func:`_layout`, the rows by
+    :func:`_json_rows`, one template per block, as is every list of objects
+    in the metadata, such as each matrix row of a ``construct`` report. The
+    pieces are joined once, so the text is built in one copy.
     """
-    doc = {"command": report.command, "metadata": report.metadata, "rows": report.rows}
+    pieces = ['{\n  "command": ', json.dumps(report.command),
+              ',\n  "metadata": ', _layout(report.metadata, 1),
+              ',\n  "rows": ', *_json_rows(report.blocks, 1)]
     if report.passed is not None:
-        doc["pass"] = report.passed
-    return _layout(doc, 0) + "\n"
+        pieces += [',\n  "pass": ', json.dumps(report.passed)]
+    pieces.append("\n}\n")
+    return "".join(pieces)
+
+
+def _csv_cell(value) -> str:
+    """``value`` as the csv module writes it in a record of several fields,
+    with a bool as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, None])
+    return buf.getvalue()[:-2]
+
+
+def _csv_column(column: list) -> list:
+    """The CSV text of each value of a column."""
+    if set(map(type, column)) <= _NUMBERS:
+        return list(map(repr, column))
+    return _texts(column, _csv_cell)
 
 
 def to_csv(report: Report) -> str:
     """Header row then records; UTF-8, LF line endings, '.' decimal separator.
 
     Columns are the union of row keys in first-seen order; metadata is not
-    part of the CSV (it is the plotting hand-off format, rows only). The csv
-    module writes None as "" and a float as its repr; bools become true/false.
+    part of the CSV (it is the plotting hand-off format, rows only). Each
+    cell is written as the csv module writes it: None as "", a float as its
+    repr, and a lone empty field as ""; bools become true/false. Each block
+    of rows is filled into one template.
     """
-    columns = list(dict.fromkeys(key for row in report.rows for key in row))
+    columns = list(dict.fromkeys(key for block in report.blocks for key in block.keys))
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(
-        [("true" if v else "false") if isinstance(v, bool) else v for v in map(row.get, columns)]
-        for row in report.rows
-    )
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(columns)
+    parts = [buf.getvalue()]
+    for block in report.blocks:
+        index = dict(zip(block.keys, block.columns))
+        cells, values = [], []
+        for key in columns:
+            column = index.get(key)
+            if column is None:
+                cells.append("")
+            elif isinstance(column, _Shared):
+                cells.append(_csv_cell(column.value).replace("%", "%%"))
+            else:
+                cells.append("%s")
+                values.append(column)
+        texts = _csv_column
+        if len(columns) == 1:
+            # The csv module quotes a record's one field when it is empty.
+            cells = [cell or '""' for cell in cells]
+            texts = lambda values: [text or '""' for text in _csv_column(values)]  # noqa: E731
+        parts += _filled(",".join(cells) + "\n", "", values, block.size, texts)
+    return "".join(parts)
 
 
 #: The report encodings :func:`render` accepts.

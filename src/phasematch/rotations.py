@@ -24,11 +24,24 @@ import numpy as np
 COS_SNAP = 1e-14
 
 
-def _finite_angles(**angles: float) -> None:
-    """Raise ``ValueError`` naming every angle unless all of them are finite."""
-    if not all(math.isfinite(value) for value in angles.values()):
-        listed = ", ".join(f"{name}={value}" for name, value in angles.items())
-        raise ValueError(f"non-finite angles {listed}")
+def _finite_angles(**angles) -> None:
+    """Raise ``ValueError`` naming every angle unless all of them are finite.
+
+    An angle may be an array of angles, named by its first non-finite entry
+    (``theta[3]=nan``), or by its size when it has none.
+    """
+    if all(np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
+           for value in angles.values()):
+        return
+    listed = []
+    for name, value in angles.items():
+        if isinstance(value, np.ndarray):
+            bad = np.flatnonzero(~np.isfinite(value))
+            listed.append(f"{name}[{bad[0]}]={value[bad[0]]}" if bad.size
+                          else f"{name}=<{np.size(value)} finite angles>")
+        else:
+            listed.append(f"{name}={value}")
+    raise ValueError(f"non-finite angles {', '.join(listed)}")
 
 
 def _check_bound(name: str, value, low, high=math.inf) -> None:

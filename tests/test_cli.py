@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from phasematch.cli import (
     run_table2,
     run_verify,
 )
-from phasematch.engine2d import K_EXACT_MAX, SWEEP_BLOCK, AlgorithmParams, _stacked, present_coeffs
+from phasematch.engine2d import K_EXACT_MAX, SWEEP_BLOCK, AlgorithmParams, present_coeffs
 from phasematch.linalg import DegenerateBasisError
-from phasematch.reporting import make_report, render, round_sig
+from phasematch.reporting import make_report, render
+
+from helpers import round_sig, stacked
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "+inf", "NaN", "-Infinity"])
 
@@ -154,9 +157,9 @@ def test_sweep_grid_is_bit_identical_to_theta_blocks():
     thetas = (phi + np.linspace(-0.4, 0.4, 1001)).tolist()
     coeffs = [present_coeffs(AlgorithmParams(theta, phi, u)) for theta in thetas]
     width = SWEEP_BLOCK // (k_max + 1)
-    blocks = [engine2d._peak_of(engine2d.iterate2(_stacked(coeffs[i : i + width]), k_max).b,
+    blocks = [engine2d._peak_of(engine2d.iterate2(stacked(coeffs[i : i + width]), k_max).b,
                                 k_max) for i in range(0, len(coeffs), width)]
-    res = engine2d.sweep_max(_stacked(coeffs), k_max)
+    res = engine2d.sweep_max(stacked(coeffs), k_max)
     np.testing.assert_array_equal(res.k_star, np.concatenate([r.k_star for r in blocks]))
     np.testing.assert_array_equal(res.max_abs_b, np.concatenate([r.max_abs_b for r in blocks]))
     rows = run_sweep(thetas, phi, u, k_max=k_max).rows
@@ -360,6 +363,41 @@ def test_run_coeffs_rejects_a_parameter_its_family_does_not_read(monkeypatch, fa
 def test_sweep_rejects_no_theta():
     with pytest.raises(ValueError, match=r"theta count = 0 is outside \[1, inf\]"):
         run_sweep([], 0.0, 0.1)
+
+
+def test_sweep_calls_each_engine_function_once(monkeypatch):
+    """A grid takes one present_coeffs, one phase_condition and one
+    sweep_max call, on all its theta at once."""
+    calls = []
+    for name in ("present_coeffs", "phase_condition", "sweep_max"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    report = run_sweep(np.linspace(-0.2, 0.2, 50).tolist(), 0.3, 0.1, k_max=20)
+    assert sorted(calls) == ["phase_condition", "present_coeffs", "sweep_max"]
+    assert len(report.rows) == 50
+
+
+#: Most bytes run_sweep and both renders of 20 000 theta at kmax 400 may
+#: allocate at once: measured 12.1 MB, plus half again as headroom. A row
+#: dict per theta took it to 36.1 MB.
+SWEEP_PEAK_BYTES = 18e6
+
+
+def test_sweep_memory_peak_is_bounded():
+    """Columns, not a Python object per theta, bound the tracemalloc peak
+    of a sweep and its JSON and CSV (100 000 theta: 60 MB, with row dicts
+    180 MB)."""
+    thetas = np.linspace(-0.5, 0.5, 20_000).tolist()
+    tracemalloc.start()
+    try:
+        report = run_sweep(thetas, 0.0, 0.1, k_max=400)
+        texts = render(report, "json"), render(report, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert texts[0].count('"theta"') == texts[1].count("\n") - 1 == 20_000
+    assert peak <= SWEEP_PEAK_BYTES, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))

@@ -35,10 +35,11 @@ from phasematch.engine2d import (
     _BLOCK,
     _peak_of,
     _pyramid_grid,
-    _stacked,
 )
 from phasematch.linalg import basis_state
 from phasematch.rotations import build, phase_scale
+
+from helpers import stacked
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi,
                    allow_nan=False, allow_infinity=False)
@@ -175,6 +176,88 @@ def test_beta_vanishes_at_half_pi_phi():
     assert c.beta == 0.0
 
 
+#: Odd multiples of pi/2, whose cosines snapped_cos flushes to 0; both zeros;
+#: |theta| far beyond pi, up to the largest float; the smallest subnormal.
+THETA_POINTS = [math.pi / 2, -math.pi / 2, 3 * math.pi / 2, -101 * math.pi / 2, 0.0, -0.0,
+                1e6 + 0.1, -3e15, 1e300, 1.7976931348623157e308, 5e-324]
+THETAS = st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from(THETA_POINTS)
+
+
+@given(st.lists(THETAS, min_size=1, max_size=30),
+       angles | st.sampled_from([math.pi / 2, -math.pi / 2, 0.0, -0.0]),
+       st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+@settings(max_examples=200, deadline=None)
+@example(THETA_POINTS, math.pi / 2, 0.3, 0.7)  # threshold 0: ratio_l inf
+@example(THETA_POINTS, 0.3, 0.1, -2.0)
+@example(THETA_POINTS, -0.0, 0.0, 0.0)
+def test_theta_array_entries_equal_the_scalar_calls_bit_for_bit(thetas, phi, r, arg):
+    """Each entry of present_coeffs and phase_condition on an array of theta
+    has the bits of the call on its angle alone, the sign of a zero
+    included; and the call on one angle has the bits of the complex-number
+    formula. This guards NumPy's cos and sin against libm's, which the
+    scalar calls use."""
+    u = cmath.rect(r, arg)
+    batch = AlgorithmParams(np.array(thetas), phi, u)
+    coeffs, cond = present_coeffs(batch), phase_condition(batch)
+    gp = phase_scale(phi)
+    for i, theta in enumerate(thetas):
+        one = AlgorithmParams(theta, phi, u)
+        c, p = present_coeffs(one), phase_condition(one)
+        gt = phase_scale(theta)
+        formula = (-(1 - gt + gt * gp * abs(u) ** 2), gp * u, gt * (1 - gp) * u.conjugate(), gp - 1)
+        for name, want in zip(("alpha", "beta", "lam", "delta"), formula):
+            assert type(getattr(c, name)) is complex
+            assert _bits(getattr(c, name)) == _bits(want)
+            assert _bits(getattr(coeffs, name)[i]) == _bits(want)
+        assert _bits(cond.ratio_l[i]) == _bits(p.ratio_l)
+        assert cond.satisfied[i] == p.satisfied and type(p.satisfied) is bool
+        assert _bits(cond.threshold) == _bits(p.threshold)
+    # ratio_l takes |gap|, so the sign of the reduced gap, which math.remainder
+    # sets at a tie (3 pi/2 - 0.0 is one), is checked on the gap itself.
+    gaps = engine2d._reduced_gap(batch.theta, phi)
+    assert [_bits(g) for g in gaps.tolist()] == [_bits(math.remainder(t - phi, math.pi))
+                                                 for t in thetas]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_theta_in_an_array_is_named(bad):
+    for thetas in ([0.1, 0.2, bad, 0.4, bad], np.array([0.1, 0.2, bad, 0.4, bad])):
+        with pytest.raises(ValueError, match=rf"^non-finite angles theta\[2\]={bad}, phi=0.3$"):
+            AlgorithmParams(thetas, 0.3, 0.1)
+    with pytest.raises(ValueError, match=r"^non-finite angles theta=<2 finite angles>, phi=nan$"):
+        AlgorithmParams([0.1, 0.2], math.nan, 0.1)
+
+
+def test_theta_arrays_are_one_dimensional_read_only_copies():
+    thetas = np.array([0.1, 0.2])
+    params = AlgorithmParams(thetas, 0.3, 0.1)
+    thetas[0] = 5.0
+    assert params.theta.tolist() == [0.1, 0.2] and params.theta.dtype == np.float64
+    with pytest.raises(ValueError):
+        params.theta[0] = 1.0
+    with pytest.raises(ValueError, match=r"theta dimensions = 2 is outside \[1, 1\]"):
+        AlgorithmParams(np.zeros((2, 2)), 0.3, 0.1)
+
+
+def test_first_order_sums_refuse_a_theta_array():
+    """An array of 3 theta at k = 3 would broadcast against approx_b's 3
+    terms and give a number; both first-order forms refuse it by name."""
+    params = AlgorithmParams([0.1, 0.2, 0.3], 0.3, 0.1)
+    for call in (approx_b, closed_form_magnitude):
+        with pytest.raises(TypeError, match=f"^{call.__name__} takes one theta, not an array of 3$"):
+            call(params, 3)
+
+
+def test_a_theta_array_whose_gap_overflows_is_refused():
+    """math.remainder refuses an infinite theta - phi; the array path too."""
+    with pytest.raises(ValueError, match="math domain error"):
+        phase_condition(AlgorithmParams(1e308, -1e308, 0.1))
+    message = r"^theta - phi overflows at theta\[1\]=1e\+308, phi=-1e\+308$"
+    with pytest.raises(ValueError, match=message):
+        phase_condition(AlgorithmParams([0.5, 1e308], -1e308, 0.1))
+
+
 # ---------------------------------------------------------------------------
 # recurrence
 
@@ -210,16 +293,44 @@ instances = st.lists(
 def test_iterate2_batch_matches_scalar_columns(cases):
     coeffs = [present_coeffs(AlgorithmParams(t, p, cmath.rect(r, arg)))
               for t, p, r, arg in cases]
-    batch = iterate2(_stacked(coeffs), 50)
+    batch = iterate2(stacked(coeffs), 50)
     assert batch.a.shape == batch.b.shape == (51, len(coeffs))
     for i, c in enumerate(coeffs):
         scalar = iterate2(c, 50)
         for got, want in ((batch.a[:, i], scalar.a), (batch.b[:, i], scalar.b)):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-    res = sweep_max(_stacked(coeffs), 50)
+    res = sweep_max(stacked(coeffs), 50)
     for i, c in enumerate(coeffs):
         one = sweep_max(c, 50)
         assert res.max_abs_b[i] == pytest.approx(one.max_abs_b, rel=1e-11)
+
+
+def test_batch_runs_overflow_silently_as_their_scalar_runs():
+    """Under the pytest settings, which turn warnings into errors, each of 40
+    instances run as one batch equals its scalar run in iterate2 and in
+    sweep_max, where three of them overflow to inf and nan: the batch loop
+    is as silent as Python's complex arithmetic, and k* is the first nan."""
+    rng = np.random.default_rng(22)
+    coeffs = [present_coeffs(AlgorithmParams(*rng.uniform(-math.pi, math.pi, 2).tolist(),
+                                             cmath.rect(rng.uniform(0, 0.9), rng.uniform(-3, 3))))
+              for _ in range(37)]
+    # Powers of two: exact until they overflow near k = 512, in either arithmetic.
+    coeffs[5:5] = [TwoDimCoefficients(2, 2, 2, 2), TwoDimCoefficients(2j, 2j, 2j, 2j),
+                   TwoDimCoefficients(-4, 1, 0, 0.5)]
+    batch = stacked(coeffs)
+    traj, res = iterate2(batch, 600), sweep_max(batch, 600)
+    for i, c in enumerate(coeffs):
+        one = iterate2(c, 600)
+        for got, want in ((traj.a[:, i], one.a), (traj.b[:, i], one.b)):
+            # Real and imaginary parts apart: inf and nan must sit in the same places.
+            np.testing.assert_allclose(np.ascontiguousarray(got).view(np.float64),
+                                       want.view(np.float64), rtol=1e-12, atol=1e-12)
+        peak = sweep_max(c, 600)
+        np.testing.assert_allclose(res.max_abs_b[i], peak.max_abs_b, rtol=1e-11)
+        tied = np.sum(np.abs(one.b[1:]) >= peak.max_abs_b - 1e-11) > 1
+        assert res.k_star[i] == peak.k_star or tied
+    assert res.k_star[5:8].tolist() == [515, 515, 514]
+    assert np.isnan(res.max_abs_b[5:8]).all()
 
 
 def test_quadratic_expansion_of_b2():
@@ -561,7 +672,7 @@ def test_sweep_max_ties_resolve_to_smallest_k():
     res = sweep_max(present_coeffs(params), 20)
     assert res.k_star == 1
     assert res.max_abs_b == 0.0
-    batch = sweep_max(_stacked([present_coeffs(AlgorithmParams(theta, math.pi / 2, 0.1))
+    batch = sweep_max(stacked([present_coeffs(AlgorithmParams(theta, math.pi / 2, 0.1))
                                 for theta in (-1.0, 0.0, 0.3, 2.0)]), 20)
     np.testing.assert_array_equal(batch.k_star, [1, 1, 1, 1])
     np.testing.assert_array_equal(batch.max_abs_b, [0.0, 0.0, 0.0, 0.0])
@@ -571,14 +682,14 @@ def test_sweep_max_result_types_follow_the_coefficient_shape():
     c = present_coeffs(AlgorithmParams(0.01, 0.0, 0.1))
     one = sweep_max(c, 100)
     assert type(one.k_star) is int and type(one.max_abs_b) is float
-    batch = sweep_max(_stacked([c, c]), 100)
+    batch = sweep_max(stacked([c, c]), 100)
     assert batch.k_star.shape == batch.max_abs_b.shape == (2,)
     assert batch.k_star.tolist() == [one.k_star] * 2
 
 
 def test_iterate2_continues_from_a_start_row():
     c = present_coeffs(AlgorithmParams(0.4, -0.2, 0.3 + 0.1j))
-    for coeffs, last in ((c, complex), (_stacked([c, grover_coeffs(0.2)]), np.copy)):
+    for coeffs, last in ((c, complex), (stacked([c, grover_coeffs(0.2)]), np.copy)):
         whole = iterate2(coeffs, 30)
         head = iterate2(coeffs, 12)
         rest = iterate2(coeffs, 18, (last(head.a[-1]), last(head.b[-1])))
@@ -591,7 +702,7 @@ def test_iterate2_rows_up_to_a_block_are_the_plain_recurrence():
     rows past _BLOCK are superposed, and rows k <= _BLOCK stay those of a
     run that stops there, from any start."""
     c = present_coeffs(AlgorithmParams(0.4, -0.2, 0.3 + 0.1j))
-    batch = _stacked([c, grover_coeffs(0.2)])
+    batch = stacked([c, grover_coeffs(0.2)])
     for coeffs, start in ((c, (1.0 + 0j, 0j)), (c, (0.3 - 0.2j, -0.5j)),
                           (batch, (1.0 + 0j, 0j)), (batch, (np.array([0.3, 1j]), np.zeros(2)))):
         short = iterate2(coeffs, 2 * _BLOCK, start)
@@ -649,7 +760,7 @@ def test_small_batch_sweeps_at_large_kmax_match_scalar_sweeps(count):
     scalar sweep's k_star, here with no second |b_k| within 1e-11 of the peak."""
     coeffs = [present_coeffs(AlgorithmParams(theta, 0.0, 0.1))
               for theta in np.linspace(0.01, 0.5, count).tolist()]
-    batch = sweep_max(_stacked(coeffs), 40_000)
+    batch = sweep_max(stacked(coeffs), 40_000)
     for i, c in enumerate(coeffs):
         one = sweep_max(c, 40_000)
         runner_up = np.sort(np.abs(iterate2(c, 40_000).b[1:]))[-2]
@@ -670,13 +781,13 @@ def _whole_peak(c, k_max):
 # 1-step chunks included.
 @pytest.mark.parametrize("coeffs, k_max, blocks", [
     (present_coeffs(AlgorithmParams(0.01, 0.0, 0.1)), 100, range(2, 120)),
-    (_stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
+    (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
      100, range(6, 320)),
     (TwoDimCoefficients(0, 1, 1, 0), 40, range(2, 50)),
-    (_stacked([TwoDimCoefficients(0, 1, 1, 0)] * 2), 40, range(4, 100)),
+    (stacked([TwoDimCoefficients(0, 1, 1, 0)] * 2), 40, range(4, 100)),
     (TwoDimCoefficients(2, 2, 2, 2), 700, (2, 100, 514, 515, 516)),
     (TwoDimCoefficients(2, 2, 2, 2), 1600, (2, 100, 1536, 1537, 1538)),
-    (_stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
+    (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
      1500, (6, 300, 1542, 1545, 3078)),
 ], ids=["scalar", "batch", "tie", "batch tie", "nan", "superposed nan", "superposed batch"])
 def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_max, blocks):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 from unittest import mock
@@ -14,7 +15,9 @@ from hypothesis.extra.numpy import arrays
 
 from phasematch import reporting
 from phasematch.linalg import random_unitary
-from phasematch.reporting import Report, make_report, render, round_sig, to_csv, to_json
+from phasematch.reporting import Report, make_report, render, to_csv, to_json
+
+from helpers import round_sig
 
 
 def test_round_sig_twelve_digits():
@@ -187,22 +190,10 @@ def _reference_json(report):
     return json.dumps(doc, indent=2) + "\n"
 
 
-class _CountingEncoder:
-    """Stands in for the row encoder and counts its calls."""
-
-    def __init__(self):
-        self.calls = 0
-        self.encoder = reporting._ROW_ENCODER
-
-    def encode(self, rows):
-        self.calls += 1
-        return self.encoder.encode(rows)
-
-
 def _to_json_counting(report):
-    encoder = _CountingEncoder()
-    with mock.patch.object(reporting, "_ROW_ENCODER", encoder):
-        return to_json(report), encoder.calls
+    """The JSON text of ``report``, and how many templates were filled for it."""
+    with mock.patch.object(reporting, "_filled", wraps=reporting._filled) as filled:
+        return to_json(report), filled.call_count
 
 
 TRICKY = ['"', "\\", "\n", "\r\t", "é", "\u2603", "\U0001f600", "},\n      {",
@@ -219,24 +210,26 @@ SCALARS = (TEXT | st.integers() | st.integers(2**63, 2**70) | FLOATS | st.boolea
 @example("c", {}, [{"-0": -0.0, "tiny": 5e-324, "huge": 1e300, "big": 2**64 + 1}], None)
 def test_scalar_rows_encode_as_json_dumps_does(command, metadata, rows, passed):
     report = Report(command, metadata, rows, passed)
+    assert repr(report.rows) == repr(rows)
     text, calls = _to_json_counting(report)
     assert text == _reference_json(report)
-    assert calls == 1  # one encoder call for all rows
+    # One template for each run of rows with the same keys.
+    assert calls == len(list(itertools.groupby(rows, tuple)))
 
 
 @pytest.mark.parametrize("report, calls", [
     (Report("c", {"seed": 1}, []), 0),
     (Report("c", {"seed": 1}, [], True), 0),
-    (Report("c", {}, [{"a": 1}, {}], False), 0),
-    (Report("c", {}, [{}]), 0),
-    (make_report("c", {}, [{"a": 1.5}, {"z": 1 + 2j}]), 0),
-    (make_report("c", {}, [{"m": np.eye(2, dtype=np.complex128)}]), 2),
+    (Report("c", {}, [{"a": 1}, {}], False), 2),
+    (Report("c", {}, [{}]), 1),
+    (make_report("c", {}, [{"a": 1.5}, {"z": 1 + 2j}]), 2),
+    (make_report("c", {}, [{"m": np.eye(2, dtype=np.complex128)}]), 3),
 ], ids=["no rows", "no rows with verdict", "a row with no keys", "only a row with no keys",
         "a complex row value", "a matrix row value"])
 def test_other_rows_take_json_dumps_whole(report, calls):
-    """Rows that are not all flat objects are laid out value by value; only
-    a list of flat objects inside them, here each row of a matrix, takes the
-    encoder."""
+    """Rows that are not all flat objects render as json.dumps does, one
+    template per run of rows with the same keys; a matrix inside a row takes
+    one more per matrix row, a {re, im} object none."""
     text, counted = _to_json_counting(report)
     assert text == _reference_json(report)
     assert counted == calls
@@ -248,7 +241,7 @@ def test_metadata_holding_the_rows_text_does_not_move_the_splice():
         report = make_report("c", metadata, [{"a": 1, "b": "rows"}, {"rows": 2}], passed)
         text, calls = _to_json_counting(report)
         assert text == _reference_json(report)
-        assert calls == 2  # the copy in the metadata, then the rows
+        assert calls == 3  # the copy in the metadata, then the rows' two key sets
 
 
 KEYS = TEXT | st.integers() | st.booleans() | st.none() | FLOATS
@@ -266,13 +259,99 @@ DOCUMENTS = st.recursive(
 @settings(max_examples=200, deadline=None)
 @example("construct", {"dim": 2}, [np.eye(2, dtype=np.complex128) * (1 - 1j)] * 2,
          [{"check": "v_unitary", "deviation": 0.0, "ok": True}], True)
+@example("c", {}, [], [{1: "int"}, {1.0: "float"}, {True: "bool"}, {0.0: 0}, {-0.0: 0}], None)
 def test_json_is_json_dumps_with_indent(command, metadata, matrices, rows, passed):
     """Any report renders as ``json.dumps(..., indent=2)``: as given, tuples
     and all, and as assembled, with complex matrices in its metadata, each
-    non-empty matrix row of which is one encoder call."""
+    non-empty matrix row of which fills one template."""
     raw = Report(command, metadata, rows, passed)
+    assert repr(raw.rows) == repr(rows)  # so the reference is over the rows as given
     assert to_json(raw) == _reference_json(raw)
     report = make_report(command, {**metadata, "z": 1 - 2j, "matrices": matrices}, rows, passed)
     text, calls = _to_json_counting(report)
     assert text == _reference_json(report)
     assert calls >= sum(len(m) for m in matrices if m.size)
+
+
+def _reference_csv(report):
+    """``report.rows`` through ``csv.writer`` row by row: the union of the
+    keys in first-seen order as the header, bools as true/false."""
+    rows = report.rows
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([("true" if v else "false") if isinstance(v, bool) else v
+                         for v in map(row.get, columns)])
+    return buf.getvalue()
+
+
+#: Cells the csv module quotes (a comma, a quote, a line end), an empty one,
+#: and text that the templates must not read as a format.
+CSV_TRICKY = [",", '"', "\n", "\r", "\r\n", "a,b", 'say "hi"', "", " ", "%", "%s", "%%", "%(x)s"]
+CSV_TEXT = st.sampled_from(CSV_TRICKY) | TEXT
+CSV_KEYS = CSV_TEXT | st.sampled_from(["a", "b", "c"]) | st.integers(0, 2) | st.booleans() | FLOATS
+
+
+@given(st.lists(st.dictionaries(CSV_KEYS, CSV_TEXT | DOCUMENTS, max_size=4), max_size=6))
+@settings(max_examples=200, deadline=None)
+@example([{"a": -0.0, "b": math.nan, "c": math.inf}, {}, {"b": None, "a": True},
+          {"c": "", "a": -math.inf, "b": False}, {"a": 'x,"y"\n', "b": 2**70}])
+@example([{"a": ""}, {"a": None}, {}, {"a": "%s"}])
+@example([{1: "int", True: "bool"}, {1.0: "float"}, {0.0: 0}, {-0.0: 0}])
+@example([])
+def test_csv_is_csv_writer_over_the_rows(rows):
+    """Any rows render as csv.writer writes them one at a time: mixed key
+    sets, empty rows, quoting, None, bools, -0.0 and non-finite floats; as
+    given, and as assembled."""
+    raw = Report("c", {}, rows)
+    assert repr(raw.rows) == repr(rows)
+    assert to_csv(raw) == _reference_csv(raw)
+    report = make_report("c", {}, rows)
+    assert to_csv(report) == _reference_csv(report)
+
+
+@st.composite
+def _column_sets(draw):
+    """A dict of columns, each a list of one value per row or one shared
+    value, and the same content as a list of row dicts (at least one, as no
+    rows would have no keys; column-wise, they keep them)."""
+    size = draw(st.integers(1, 6))
+    values = SCALARS | COMPLEXES | st.sampled_from(CSV_TRICKY)
+    columns = {}
+    for i, key in enumerate(draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))):
+        if i == 0 or draw(st.booleans()):
+            columns[key] = draw(st.lists(values, min_size=size, max_size=size))
+        else:
+            columns[key] = draw(values)
+    rows = [{k: v[i] if isinstance(v, list) else v for k, v in columns.items()}
+            for i in range(size)]
+    return columns, rows
+
+
+@given(_column_sets(), st.none() | st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(({"theta": [0.1, -0.0, 2 / 3], "phi": 0.3, "k": [1, 2, 3], "r": math.inf,
+           "ok": [True, False, True], "z": 1 - 2j, "s": ['a,"b"', "", "%s"]},
+          [{"theta": t, "phi": 0.3, "k": k, "r": math.inf, "ok": ok, "z": 1 - 2j, "s": s}
+           for t, k, ok, s in zip([0.1, -0.0, 2 / 3], [1, 2, 3], [True, False, True],
+                                  ['a,"b"', "", "%s"])]), None)
+def test_columns_and_rows_render_the_same_bytes(columns_and_rows, passed):
+    """The same content given row-wise and column-wise makes the same rows,
+    JSON and CSV, and a shared value is rounded once for all its rows."""
+    columns, rows = columns_and_rows
+    by_column = make_report("c", {"seed": 1}, columns, passed)
+    by_row = make_report("c", {"seed": 1}, rows, passed)
+    assert repr(by_column.rows) == repr(by_row.rows)
+    assert to_json(by_column) == to_json(by_row) == _reference_json(by_row)
+    assert to_csv(by_column) == to_csv(by_row) == _reference_csv(by_row)
+
+
+def test_column_wise_rows_need_list_columns_of_one_length():
+    for columns in ({"a": 1.5, "b": "x"}, {"a": [1, 2], "b": [1]}):
+        with pytest.raises(ValueError, match="column-wise rows need list columns of one length"):
+            make_report("c", {}, columns)
+    report = make_report("c", {}, {"a": [], "b": 0.5})
+    assert report.rows == [] and to_csv(report) == "a,b\n"
+    assert json.loads(to_json(report))["rows"] == []

@@ -17,7 +17,6 @@ from phasematch.engine2d import (
     exact_a,
     exact_b,
     grover_coeffs,
-    _stacked,
     iterate2,
     sweep_max,
 )
@@ -25,6 +24,8 @@ from phasematch.engine4d import FourDimInputs, approx4, four_dim_coeffs, iterate
 from phasematch.linalg import basis_state, random_unitary
 from phasematch.oracle import OracleConfig, build_q, evolve, unitary_with_overlap
 from phasematch.rotations import build, phase_scale, snapped_cos
+
+from helpers import stacked
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi,
                    allow_nan=False, allow_infinity=False)
@@ -85,7 +86,7 @@ BOUNDS = (
     ("approx_b", lambda k: approx_b(_PARAMS, k), "k", 1, math.inf, 0, 1),
     ("closed_form_magnitude", lambda k: closed_form_magnitude(_PARAMS, k), "k", 1, math.inf, 0, 1),
     ("sweep_max", lambda k: sweep_max(_C2, k), "k_max", 1, math.inf, 0, 1),
-    ("sweep_max-instances", lambda n: sweep_max(_stacked([_C2] * n), 1), "instances", 1, math.inf,
+    ("sweep_max-instances", lambda n: sweep_max(stacked([_C2] * n), 1), "instances", 1, math.inf,
      0, 1),
     ("iterate4", lambda k: iterate4(_C4, k), "k_max", 0, math.inf, -1, 0),
     ("approx4", lambda k: approx4(0.1, 0.2, 0.05, k), "k", 1, math.inf, 0, 1),
