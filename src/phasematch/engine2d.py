@@ -252,19 +252,25 @@ def hoyer_coeffs(h: HoyerParams) -> TwoDimCoefficients:
 
 
 def iterate2(
-    c: TwoDimCoefficients, k_max: int, start: tuple = _ORIGIN
+    c: TwoDimCoefficients, k_max: int, start: tuple = _ORIGIN, out: tuple | None = None
 ) -> AmplitudeTrajectory:
     """Run the exact recurrence from (a_0, b_0) = ``start``, by default (1, 0), up to k_max.
 
     With scalar coefficients the steps are Python complex arithmetic and
     ``a``/``b`` have shape ``(k_max + 1,)``. With the four fields 1-D arrays
-    of n instances the same steps run elementwise in NumPy and ``a``/``b``
-    have shape ``(k_max + 1, n)``: column i is instance i's trajectory, equal
-    to its scalar run up to rounding (NumPy's complex multiply is not
-    bit-identical to Python's). A ``start`` given as the last row of an
-    earlier run continues it bit for bit while neither run passes 512 steps:
-    Python complex numbers for scalar coefficients (an ``np.complex128``
-    would switch the steps to NumPy arithmetic), arrays of n for a batch.
+    of n instances the same steps run elementwise in NumPy, each row written
+    in place, and ``a``/``b`` have shape ``(k_max + 1, n)``: column i is
+    instance i's trajectory, equal to its scalar run up to rounding (NumPy's
+    complex multiply is not bit-identical to Python's). A ``start`` given as
+    the last row of an earlier run continues it bit for bit while neither run
+    passes 512 steps: Python complex numbers for scalar coefficients (an
+    ``np.complex128`` would switch the steps to NumPy arithmetic), arrays of
+    n for a batch.
+
+    ``out``, a pair of complex128 arrays of that shape, receives ``a`` and
+    ``b`` in place of two new arrays, with the same bits; any other pair is
+    refused by name. :func:`sweep_max` runs its chunks so, in one pair of
+    buffers.
 
     Rows k <= 512 are always the plain recurrence, bit for bit. A run of
     k_max > 1024 steps of at most ``_NARROW`` (31) instances superposes the
@@ -278,11 +284,28 @@ def iterate2(
     k = 50 000 they are within 2.4e-13 of the loop's.
     """
     _check_bound("k_max", k_max, 0)
+    rows = _row_pair((k_max + 1, *np.shape(c.alpha)), out)
     if not _superposes(k_max, np.size(c.alpha)):
-        return _recurrence2(c, k_max, start)
+        return _recurrence2(c, k_max, start, rows)
     units = _unit_trajectories(c)
     head = units[0] if start is _ORIGIN else _recurrence2(c, _BLOCK, start)
-    return next(_superposed(head, units, k_max, k_max))
+    return next(_superposed(head, units, k_max, k_max, rows))
+
+
+def _row_pair(shape: tuple, out: tuple | None = None) -> tuple:
+    """Arrays for the ``a`` and ``b`` of ``shape``: two new ones, or ``out``
+    if it is two distinct complex128 arrays of that shape."""
+    if out is None:
+        a = np.empty(shape, dtype=np.complex128)
+        return a, np.empty_like(a)
+    a, b = out
+    for name, x in (("out[0]", a), ("out[1]", b)):
+        if not isinstance(x, np.ndarray) or x.dtype != np.complex128 or x.shape != shape:
+            got = f"{x.dtype} {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
+            raise ValueError(f"{name} must be a complex128 array of shape {shape}, not {got}")
+    if np.may_share_memory(a, b):
+        raise ValueError("out[0] and out[1] must not share memory")
+    return a, b
 
 
 def _superposes(k_max: int, n: int) -> bool:
@@ -292,17 +315,30 @@ def _superposes(k_max: int, n: int) -> bool:
     return k_max > 2 * _BLOCK and n <= _NARROW
 
 
-def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple) -> AmplitudeTrajectory:
-    """The recurrence loop of :func:`iterate2`, one step per row."""
-    a = np.empty((k_max + 1, *np.shape(c.alpha)), dtype=np.complex128)
-    b = np.empty_like(a)
+def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple,
+                 rows: tuple | None = None) -> AmplitudeTrajectory:
+    """The recurrence loop of :func:`iterate2`, one step per row, into the
+    (a, b) arrays ``rows`` if given. A batch computes each row in its place,
+    alpha a + lambda b and beta a + delta b in the expression's order, with
+    one scratch row."""
+    a, b = rows or _row_pair((k_max + 1, *np.shape(c.alpha)))
     ak, bk = start
     a[0], b[0] = ak, bk
     # Python's complex arithmetic makes inf and nan without a warning, and so does a batch.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            ak, bk = c.alpha * ak + c.lam * bk, c.beta * ak + c.delta * bk
-            a[k], b[k] = ak, bk
+        if a.ndim == 1:
+            for k in range(1, k_max + 1):
+                ak, bk = c.alpha * ak + c.lam * bk, c.beta * ak + c.delta * bk
+                a[k], b[k] = ak, bk
+        else:
+            scratch = np.empty_like(a[0])
+            for ak, bk, an, bn in zip(a, b, a[1:], b[1:]):
+                np.multiply(c.alpha, ak, out=an)
+                np.multiply(c.lam, bk, out=scratch)
+                np.add(an, scratch, out=an)
+                np.multiply(c.beta, ak, out=bn)
+                np.multiply(c.delta, bk, out=scratch)
+                np.add(bn, scratch, out=bn)
     return AmplitudeTrajectory(a, b)
 
 
@@ -312,28 +348,35 @@ def _unit_trajectories(c: TwoDimCoefficients) -> tuple:
     return _recurrence2(c, _BLOCK, _ORIGIN), _recurrence2(c, _BLOCK, (0j, 1.0 + 0j))
 
 
-def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int):
+def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int,
+                rows: tuple | None = None):
     """Rows 0..k_max of a trajectory whose rows k <= _BLOCK are ``head``'s,
     yielded in chunks of up to ``steps`` steps, each with the last row of the
-    chunk before as its row 0.
+    chunk before as its row 0. Every chunk is a view of one pair of arrays of
+    min(steps, k_max) + 1 rows, ``rows`` if given, which the next chunk
+    overwrites.
 
     Every later row comes from the row at the start K of its block, the
     multiple of _BLOCK below it: with j = k - K and ``units`` the trajectories
     (A1, B1) from (1, 0) and (A2, B2) from (0, 1),
 
-        a_k = A1_j a_K + A2_j b_K,    b_k = B1_j a_K + B2_j b_K.
+        a_k = A1_j a_K + A2_j b_K,    b_k = B1_j a_K + B2_j b_K,
 
+    each product and sum computed in place, with one scratch block.
     Block starts do not depend on ``steps``, and NumPy's elementwise products
     do not depend on where a slice begins, so every chunking gives the same
     rows, bit for bit.
     """
     one, two = units
-    row = head.a[0], head.b[0]
+    width = np.shape(head.a[0])
+    buf_a, buf_b = rows or _row_pair((min(steps, k_max) + 1, *width))
+    scratch = np.empty((min(steps, _BLOCK), *width), dtype=np.complex128)
+    buf_a[0], buf_b[0] = head.a[0], head.b[0]
     for done in range(0, k_max, steps):
         last = min(done + steps, k_max)
-        a = np.empty((last - done + 1, *np.shape(row[0])), dtype=np.complex128)
-        b = np.empty_like(a)
-        a[0], b[0] = row
+        if done:
+            buf_a[0], buf_b[0] = buf_a[-1], buf_b[-1]
+        a, b = buf_a[: last - done + 1], buf_b[: last - done + 1]
         k = done
         while k < last:
             base = k // _BLOCK * _BLOCK
@@ -342,14 +385,17 @@ def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int)
             if base == 0:
                 a[out], b[out] = head.a[j], head.b[j]
             else:
+                s = scratch[: end - k]
                 # Python's complex arithmetic makes inf and nan without a warning, and so does this.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    a[out] = one.a[j] * a_base + two.a[j] * b_base
-                    b[out] = one.b[j] * a_base + two.b[j] * b_base
+                    for part, unit_one, unit_two in ((a[out], one.a[j], two.a[j]),
+                                                     (b[out], one.b[j], two.b[j])):
+                        np.multiply(unit_one, a_base, out=part)
+                        np.multiply(unit_two, b_base, out=s)
+                        np.add(part, s, out=part)
             if end == base + _BLOCK:
                 a_base, b_base = a[end - done].copy(), b[end - done].copy()
             k = end
-        row = a[-1].copy(), b[-1].copy()
         yield AmplitudeTrajectory(a, b)
 
 
@@ -415,9 +461,13 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, first_j: int) -> complex:
     (coeff, k) and cached. A call takes the powers 0..k of alpha, delta and
     beta*lambda in one NumPy power, gathers those of alpha and delta into the
     grid and takes the dot product of the row sums with the powers of
-    beta*lambda: no loop in Python. The result is within 2k eps sum |terms|
-    of the exact value, the sum taken over the moduli of the terms above,
-    which the tests check against the exact rational recurrence.
+    beta*lambda: no loop in Python. The result is within
+    2k eps sum |terms| + 12 (k + 2) 2^-1075 sum |terms|+ of the exact value,
+    the sums taken over the moduli of the terms above, in sum |terms|+ each
+    modulus taken as at least 1; the tests check it against the exact
+    rational recurrence. The second part bounds what products that underflow
+    lose (fl(xy) = xy(1 + d) + e, |e| <= 2^-1075). With every modulus at
+    most 1, sum |terms|+ is 2^(k-1), and that part is below 2e-302.
     """
     k = operator.index(k)
     _check_bound("k", k, 1)
@@ -452,7 +502,8 @@ def exact_b(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form b_k = beta * sum_j c_kj (beta*lambda)^j.
 
     Evaluated by :func:`_closed_form` on the cached ``l_coeff`` grid of k,
-    within 2k eps |beta| sum |terms| of the exact value. Cross-checked
+    within 2k eps |beta| sum |terms| of the exact value, plus the underflow
+    part :func:`_closed_form` states, with max(1, |beta|). Cross-checked
     against :func:`iterate2` to 1e-9 for k <= 25 whenever |alpha|,
     |delta| <= 1; refuses k beyond ``K_EXACT_MAX`` and a batch by name.
     """
@@ -464,7 +515,8 @@ def exact_a(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j.
 
     Evaluated by :func:`_closed_form` on the cached ``t_coeff`` grid of k,
-    within 2k eps sum |terms| of the exact value; refuses k beyond
+    within 2k eps sum |terms| of the exact value, alpha^k among the terms,
+    plus the underflow part :func:`_closed_form` states; refuses k beyond
     ``K_EXACT_MAX`` and a batch by name.
     """
     _one_instance(c, "exact_a")
@@ -579,26 +631,23 @@ def _chunks(c: TwoDimCoefficients, k_max: int, steps: int):
     """``iterate2(c, k_max).b``, bit for bit, in chunks of up to ``steps``
     steps, each with the last row of the chunk before as its row 0.
 
-    A run that superposes takes its chunks from :func:`_superposed`; any other
-    runs :func:`iterate2` once per chunk from the last row of the one before,
-    and keeps only the chunk's ``b``, until the caller asks for the next.
+    Every chunk is a view of one pair of (a, b) buffers of min(steps, k_max)
+    + 1 rows, allocated once per call: a chunk holds until the caller asks
+    for the next, which overwrites it. A run that superposes takes its
+    chunks from :func:`_superposed`; any other runs :func:`iterate2` once
+    per chunk into the buffers, from the last row of the one before.
     """
     if _superposes(k_max, np.size(c.alpha)):
         units = _unit_trajectories(c)
         for traj in _superposed(units[0], units, k_max, steps):
             yield traj.b
         return
+    a, b = _row_pair((min(steps, k_max) + 1, *np.shape(c.alpha)))
     row = _ORIGIN
     for done in range(0, k_max, steps):
-        traj = iterate2(c, min(steps, k_max - done), row)
-        if traj.a.ndim == 1:
-            row = complex(traj.a[-1]), complex(traj.b[-1])
-        else:
-            row = traj.a[-1].copy(), traj.b[-1].copy()
-        b = traj.b
-        del traj
-        yield b
-        del b
+        m = min(steps, k_max - done)
+        yield iterate2(c, m, row, out=(a[: m + 1], b[: m + 1])).b
+        row = (complex(a[m]), complex(b[m])) if a.ndim == 1 else (a[m], b[m])
 
 
 def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
@@ -608,7 +657,8 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     coefficients as 1-D arrays of n >= 1 instances (as :func:`present_coeffs`
     gives them for an array of theta) give one array entry per instance. The
     trajectory is taken in chunks sized by ``SWEEP_BLOCK`` over n (1 for
-    scalars), so only one chunk is held at a time (:func:`_chunks`). Rows k <= 512 are the plain
+    scalars), all written into one pair of chunk buffers per call
+    (:func:`_chunks`). Rows k <= 512 are the plain
     recurrence, bit for bit; past that, up to 31 instances at k_max > 1024
     take superposed blocks, with the error :func:`iterate2` states, and any
     other run takes the loop.
@@ -627,7 +677,6 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
         k_star = np.where(later, done + peak.k_star, k_star)
         max_abs_b = np.where(later, peak.max_abs_b, max_abs_b)
         done += steps
-        del b
     if k_star.ndim == 0:
         return SweepResult(k_star=int(k_star), max_abs_b=float(max_abs_b))
     return SweepResult(k_star=k_star, max_abs_b=max_abs_b)

@@ -129,7 +129,10 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     2048 steps of the loop and one NumPy product per block, where the loop
     would take k_max steps, so a shorter run keeps the loop. At
     k = 50 000 these rows were within 1.4e-13 of the loop's over 20 random
-    idealized inputs.
+    idealized inputs. A block row is rounded relative to the terms it sums,
+    so where large unit entries cancel its error grows with them: for
+    eigenvalues e^(+-i w) with cos w = 0.99999, whose entries reach 224, the
+    rows were 1.2e-9 off the exact ones at k = 2049, the loop's 1.5e-10.
     """
     _check_bound("k_max", k_max, 0)
     if k_max <= len(_UNITS) * _BLOCK:

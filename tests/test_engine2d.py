@@ -1,6 +1,7 @@
 """Tests for the two-dimensional subspace engine."""
 
 import cmath
+import itertools
 import math
 import re
 import sys
@@ -439,14 +440,24 @@ def test_closed_form_matches_recurrence():
             assert exact_a(c, k) == pytest.approx(traj.a[k], abs=1e-9)
 
 
-def _sum_of_term_moduli(c, k, coeff, first_j):
-    """sum_{j >= first_j} |beta*lambda|^j sum_i coeff(k, i, j) |alpha|^(top-2j-i) |delta|^i
-    with top = k - 1 + first_j, in Python floats: the moduli of the closed
-    form's terms, which scale its a-priori rounding bound."""
+def _sum_of_term_moduli(c, k, form, modulus=abs):
+    """The moduli of the terms of ``form(c, k)`` summed in Python floats:
+    |beta| sum_j |beta*lambda|^j sum_i l_coeff(k, i, j) |alpha|^(k-1-2j-i) |delta|^i
+    for exact_b, and |alpha|^k + the same sum over t_coeff and j >= 1, with
+    k for k - 1, for exact_a. They scale the closed form's a-priori rounding
+    bound. ``modulus`` takes the place of abs, as max(1, abs) does for the
+    bound's underflow part."""
+    alpha, delta, bl = modulus(c.alpha), modulus(c.delta), modulus(c.beta * c.lam)
+    coeff, first_j, scale, top_term = ((l_coeff, 0, modulus(c.beta), 0.0) if form is exact_b
+                                       else (t_coeff, 1, 1.0, alpha**k))
     top = k - 1 + first_j
-    alpha, delta, bl = abs(c.alpha), abs(c.delta), abs(c.beta * c.lam)
-    return sum(coeff(k, i, j) * alpha ** (top - 2 * j - i) * delta**i * bl**j
-               for j in range(first_j, top // 2 + 1) for i in range(top - 2 * j + 1))
+    return scale * (top_term + sum(coeff(k, i, j) * alpha ** (top - 2 * j - i) * delta**i * bl**j
+                                   for j in range(first_j, top // 2 + 1)
+                                   for i in range(top - 2 * j + 1)))
+
+
+def _at_least_one(z):
+    return max(1.0, abs(z))
 
 
 def _bits(z):
@@ -455,6 +466,8 @@ def _bits(z):
 
 
 _unit_disk = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+# Every term of a_5 is x^5 or 0, and the exact a_5 = 3 x^5 rounds to 5e-324.
+_UNDERFLOWS = 1.5756784297558089e-65
 
 
 @given(st.one_of(
@@ -472,6 +485,13 @@ _unit_disk = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math
 # The two inputs least accurate at k = 64: 1.5e-9 and 3.6e-9 from the exact value.
 @example(present_coeffs(AlgorithmParams(2, 2.9, 0.3)))
 @example(hoyer_coeffs(HoyerParams(0.05, 3.1, 0.0)))
+# Products that underflow: exact_a(c, 5) is 0, a_5 is 5e-324, and sum |terms| is 0.
+@example(TwoDimCoefficients(0, _UNDERFLOWS, _UNDERFLOWS, _UNDERFLOWS))
+# alpha^k alone: a_35 is subnormal, and the closed form's is 5e-324 off.
+@example(TwoDimCoefficients(5.403023058681398e-10 + 8.414709848078965e-10j, 0j, 0j, 0j))
+# beta alpha^(k-1) alone, from a subnormal beta: the closed form's b_14 is 5e-324 off.
+@example(TwoDimCoefficients(0.2701511529340699 + 0.42073549240394825j,
+                            6.0110626823918e-309 + 9.361675454941807e-309j, 0j, 0j))
 @settings(max_examples=20, deadline=None)
 def test_closed_form_is_within_its_rounding_bound_of_the_exact_recurrence(c):
     """b_k = beta sum_j c_kj (beta*lambda)^j and a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j
@@ -480,6 +500,15 @@ def test_closed_form_is_within_its_rounding_bound_of_the_exact_recurrence(c):
     of k eps |beta| sum |terms|). Non-finite coefficients give a non-finite
     value exactly where a term is non-finite, without a warning.
 
+    That bound is relative. A product that underflows may lose up to
+    2^-1075 outright (fl(xy) = xy(1 + d) + e, |e| <= 2^-1075), which the
+    later factors of its term scale. So each bound also has an absolute
+    part, 12 (k + 2) 2^-1075 times the sum with every modulus (|beta| too)
+    taken as at least 1: a term passes through at most 4 (k + 2) products,
+    counted by how often later steps reuse each one, and each complex
+    product adds at most 2 sqrt(2) 2^-1075. With every modulus at most 1
+    that sum is 2^(k-1), and the part is below 2e-302.
+
     Grover's coefficients have float alpha and delta, so mixed float and
     complex coefficients are covered.
     """
@@ -487,15 +516,14 @@ def test_closed_form_is_within_its_rounding_bound_of_the_exact_recurrence(c):
     exact = _exact_trajectory(c, K_EXACT_MAX) if finite else None
     eps = sys.float_info.epsilon
     for k in range(1, K_EXACT_MAX + 1):
-        for got, column, scale, coeff, first_j, top_term in (
-            (exact_b(c, k), 1, abs(c.beta), l_coeff, 0, 0.0),
-            (exact_a(c, k), 0, 1.0, t_coeff, 1, abs(c.alpha) ** k),
-        ):
-            bound = 2 * k * eps * scale * (_sum_of_term_moduli(c, k, coeff, first_j) + top_term)
+        for form, column in ((exact_b, 1), (exact_a, 0)):
+            got = form(c, k)
+            bound = (2 * k * eps * _sum_of_term_moduli(c, k, form)
+                     + math.ldexp(12 * (k + 2) * _sum_of_term_moduli(c, k, form, _at_least_one), -1075))
             if finite:
-                assert abs(got - exact[k, column]) <= bound, (k, column)
+                assert abs(got - exact[k, column]) <= bound, (k, form.__name__)
             else:
-                assert cmath.isfinite(got) == math.isfinite(bound), (k, column)
+                assert cmath.isfinite(got) == math.isfinite(bound), (k, form.__name__)
 
 
 @pytest.mark.parametrize("form", [exact_b, exact_a], ids=["exact_b", "exact_a"])
@@ -831,6 +859,107 @@ def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_
         assert type(got.max_abs_b) is type(want.max_abs_b)
         np.testing.assert_array_equal(got.k_star, want.k_star)
         np.testing.assert_array_equal(got.max_abs_b, want.max_abs_b)
+
+
+def _bit_equal(got, want):
+    """Every bit equal: signs of zeros, infinities and nan payloads included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _out_of_place(c, k_max, start):
+    """The batch loop as the expression alpha a + lambda b, beta a + delta b,
+    with new arrays at every step."""
+    a = np.empty((k_max + 1, np.size(c.alpha)), dtype=np.complex128)
+    b = np.empty_like(a)
+    ak, bk = start
+    a[0], b[0] = ak, bk
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            ak, bk = c.alpha * ak + c.lam * bk, c.beta * ak + c.delta * bk
+            a[k], b[k] = ak, bk
+    return a, b
+
+
+def test_in_place_batch_steps_are_the_out_of_place_expression_bit_for_bit():
+    """40 instances, three of which overflow to inf and then nan near k = 512
+    and one with nan, inf and -0.0 among its coefficients, run 600 steps from
+    (1, 0) and from another start row, with and without ``out``: every row
+    is the expression's, bit for bit."""
+    rng = np.random.default_rng(24)
+    coeffs = [TwoDimCoefficients(*(complex(*rng.uniform(-1, 1, 2)) for _ in range(4)))
+              for _ in range(36)]
+    coeffs += [TwoDimCoefficients(2, 2, 2, 2), TwoDimCoefficients(2j, 2j, 2j, 2j),
+               TwoDimCoefficients(-4, 1, 0, 0.5),
+               TwoDimCoefficients(0.5, complex(math.nan, 1), complex(-0.0, -0.0), math.inf)]
+    c = stacked(coeffs)
+    other = rng.uniform(-1, 1, 40) + 0j, np.full(40, complex(-0.0, 0.0))
+    for start in ((1.0 + 0j, 0j), other):
+        want_a, want_b = _out_of_place(c, 600, start)
+        assert np.isnan(want_b[-1]).sum() >= 3 and np.isinf(want_a).any()
+        rows = np.empty((601, 40), dtype=np.complex128), np.empty((601, 40), dtype=np.complex128)
+        for got in (iterate2(c, 600, start), iterate2(c, 600, start, out=rows)):
+            assert _bit_equal(got.a, want_a) and _bit_equal(got.b, want_b)
+
+
+@pytest.mark.parametrize("coeffs, k_max, steps", [
+    (present_coeffs(AlgorithmParams(0.3, 0.1, 0.1)), 100, 30),
+    (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]), 400, 64),
+    (present_coeffs(AlgorithmParams(0.3, 0.1, 0.1)), 3000, 700),
+    (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]), 1500, 400),
+], ids=["scalar loop", "batch loop", "scalar superposed", "batch superposed"])
+def test_sweep_chunks_share_one_pair_of_buffers(coeffs, k_max, steps):
+    """Each chunk is a view of the first one's buffer, and the rows of
+    ``iterate2``'s whole run, bit for bit, up to a last chunk shorter than
+    the rest."""
+    whole = iterate2(coeffs, k_max).b
+    chunks = engine2d._chunks(coeffs, k_max, steps)
+    first = next(chunks)
+    done = 0
+    for b in itertools.chain([first], chunks):
+        assert np.shares_memory(b, first)
+        assert _bit_equal(b, whole[done : done + len(b)])
+        done += len(b) - 1
+    assert done == k_max and k_max % steps and len(b) == k_max % steps + 1
+
+
+def test_sweep_max_peak_holds_over_a_partial_last_chunk():
+    """1001 theta take 65 536 // 1001 - 1 = 64 steps per chunk: kmax 400 is
+    six whole chunks and one of 16 steps."""
+    c = present_coeffs(AlgorithmParams(np.linspace(-0.5, 0.5, 1001), 0.3, 0.1 + 0.05j))
+    got, want = sweep_max(c, 400), _whole_peak(c, 400)
+    np.testing.assert_array_equal(got.k_star, want.k_star)
+    np.testing.assert_array_equal(got.max_abs_b, want.max_abs_b)
+
+
+@pytest.mark.parametrize("coeffs", [
+    present_coeffs(AlgorithmParams(0.3, 0.1, 0.1)),
+    stacked([present_coeffs(AlgorithmParams(t, 0.1, 0.2)) for t in (0.1, 0.2, 0.3)]),
+], ids=["scalar", "batch"])
+@pytest.mark.parametrize("k_max", [10, 3 * _BLOCK], ids=["loop", "superposed"])
+def test_iterate2_fills_out_or_refuses_it_by_name(coeffs, k_max):
+    """``out`` receives the rows of the run without it, bit for bit, in a
+    loop and in a run that superposes; a pair of the wrong shape or dtype,
+    or one array twice, is refused, naming the array."""
+    shape = (k_max + 1, *np.shape(coeffs.alpha))
+    want = iterate2(coeffs, k_max)
+    rows = np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+    got = iterate2(coeffs, k_max, out=rows)
+    for part, expected, buffer in zip((got.a, got.b), (want.a, want.b), rows):
+        assert np.shares_memory(part, buffer) and _bit_equal(part, expected)
+    short = (k_max, *shape[1:])
+    for out, message in (
+        ((rows[0].astype(np.complex64), rows[1]),
+         f"out[0] must be a complex128 array of shape {shape}, not complex64 {shape}"),
+        ((rows[0], np.empty(short, dtype=np.complex128)),
+         f"out[1] must be a complex128 array of shape {shape}, not complex128 {short}"),
+        ((rows[0].real.copy(), rows[1]),
+         f"out[0] must be a complex128 array of shape {shape}, not float64 {shape}"),
+        ((rows[0], rows[1].tolist()),
+         f"out[1] must be a complex128 array of shape {shape}, not list"),
+        ((rows[0], rows[0]), "out[0] and out[1] must not share memory"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            iterate2(coeffs, k_max, out=out)
 
 
 def test_phase_condition():
