@@ -267,10 +267,11 @@ def iterate2(
     ``np.complex128`` would switch the steps to NumPy arithmetic), arrays of
     n for a batch.
 
-    ``out``, a pair of complex128 arrays of that shape, receives ``a`` and
-    ``b`` in place of two new arrays, with the same bits; any other pair is
-    refused by name. :func:`sweep_max` runs its chunks so, in one pair of
-    buffers.
+    ``out``, a pair of complex128 arrays of that shape that share no
+    memory, receives ``a`` and ``b`` in place of two new arrays, with the
+    same bits; any other pair is refused. :func:`sweep_max` runs its loop
+    chunks so, in one pair of buffers. A run that superposes refuses
+    ``out``.
 
     Rows k <= 512 are always the plain recurrence, bit for bit. A run of
     k_max > 1024 steps of at most ``_NARROW`` (31) instances superposes the
@@ -284,28 +285,28 @@ def iterate2(
     k = 50 000 they are within 2.4e-13 of the loop's.
     """
     _check_bound("k_max", k_max, 0)
-    rows = _row_pair((k_max + 1, *np.shape(c.alpha)), out)
     if not _superposes(k_max, np.size(c.alpha)):
-        return _recurrence2(c, k_max, start, rows)
+        return _recurrence2(c, k_max, start, _row_pair((k_max + 1, *np.shape(c.alpha)), out))
+    if out is not None:
+        raise ValueError(f"out is not taken by a run that superposes (k_max = {k_max} > "
+                         f"{2 * _BLOCK}, at most {_NARROW} instances)")
     units = _unit_trajectories(c)
     head = units[0] if start is _ORIGIN else _recurrence2(c, _BLOCK, start)
-    return next(_superposed(head, units, k_max, k_max, rows))
+    return next(_superposed(head, units, k_max, k_max))
 
 
 def _row_pair(shape: tuple, out: tuple | None = None) -> tuple:
     """Arrays for the ``a`` and ``b`` of ``shape``: two new ones, or ``out``
-    if it is two distinct complex128 arrays of that shape."""
+    if it is two complex128 arrays of that shape that share no memory."""
     if out is None:
         a = np.empty(shape, dtype=np.complex128)
         return a, np.empty_like(a)
-    a, b = out
-    for name, x in (("out[0]", a), ("out[1]", b)):
-        if not isinstance(x, np.ndarray) or x.dtype != np.complex128 or x.shape != shape:
-            got = f"{x.dtype} {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
-            raise ValueError(f"{name} must be a complex128 array of shape {shape}, not {got}")
-    if np.may_share_memory(a, b):
-        raise ValueError("out[0] and out[1] must not share memory")
-    return a, b
+    if not (len(out) == 2 and all(isinstance(x, np.ndarray) and x.dtype == np.complex128
+                                  and x.shape == shape for x in out)
+            and not np.shares_memory(*out)):
+        raise ValueError(f"out must be two complex128 arrays of shape {shape} "
+                         f"that share no memory")
+    return out
 
 
 def _superposes(k_max: int, n: int) -> bool:
@@ -348,13 +349,11 @@ def _unit_trajectories(c: TwoDimCoefficients) -> tuple:
     return _recurrence2(c, _BLOCK, _ORIGIN), _recurrence2(c, _BLOCK, (0j, 1.0 + 0j))
 
 
-def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int,
-                rows: tuple | None = None):
+def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int):
     """Rows 0..k_max of a trajectory whose rows k <= _BLOCK are ``head``'s,
     yielded in chunks of up to ``steps`` steps, each with the last row of the
     chunk before as its row 0. Every chunk is a view of one pair of arrays of
-    min(steps, k_max) + 1 rows, ``rows`` if given, which the next chunk
-    overwrites.
+    min(steps, k_max) + 1 rows, which the next chunk overwrites.
 
     Every later row comes from the row at the start K of its block, the
     multiple of _BLOCK below it: with j = k - K and ``units`` the trajectories
@@ -369,7 +368,7 @@ def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int,
     """
     one, two = units
     width = np.shape(head.a[0])
-    buf_a, buf_b = rows or _row_pair((min(steps, k_max) + 1, *width))
+    buf_a, buf_b = _row_pair((min(steps, k_max) + 1, *width))
     scratch = np.empty((min(steps, _BLOCK), *width), dtype=np.complex128)
     buf_a[0], buf_b[0] = head.a[0], head.b[0]
     for done in range(0, k_max, steps):

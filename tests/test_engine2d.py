@@ -863,6 +863,7 @@ def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_
 
 def _bit_equal(got, want):
     """Every bit equal: signs of zeros, infinities and nan payloads included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -934,30 +935,36 @@ def test_sweep_max_peak_holds_over_a_partial_last_chunk():
 @pytest.mark.parametrize("coeffs", [
     present_coeffs(AlgorithmParams(0.3, 0.1, 0.1)),
     stacked([present_coeffs(AlgorithmParams(t, 0.1, 0.2)) for t in (0.1, 0.2, 0.3)]),
-], ids=["scalar", "batch"])
-@pytest.mark.parametrize("k_max", [10, 3 * _BLOCK], ids=["loop", "superposed"])
-def test_iterate2_fills_out_or_refuses_it_by_name(coeffs, k_max):
-    """``out`` receives the rows of the run without it, bit for bit, in a
-    loop and in a run that superposes; a pair of the wrong shape or dtype,
-    or one array twice, is refused, naming the array."""
+    stacked([present_coeffs(AlgorithmParams(t, 0.1, 0.2)) for t in np.linspace(0, 1, 40)]),
+], ids=["scalar", "batch", "wide batch"])
+@pytest.mark.parametrize("k_max", [10, 3 * _BLOCK], ids=["short", "long"])
+def test_iterate2_fills_out_or_refuses_it(coeffs, k_max):
+    """``out`` receives the rows of the run without it, bit for bit, where
+    the run keeps the loop; a pair of the wrong shape, dtype or length, or
+    two arrays that share memory, is refused, and so is ``out`` on a run
+    that superposes."""
     shape = (k_max + 1, *np.shape(coeffs.alpha))
-    want = iterate2(coeffs, k_max)
     rows = np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+    if engine2d._superposes(k_max, np.size(coeffs.alpha)):
+        with pytest.raises(ValueError, match=r"^out is not taken by a run that superposes "):
+            iterate2(coeffs, k_max, out=rows)
+        return
+    want = iterate2(coeffs, k_max)
     got = iterate2(coeffs, k_max, out=rows)
     for part, expected, buffer in zip((got.a, got.b), (want.a, want.b), rows):
         assert np.shares_memory(part, buffer) and _bit_equal(part, expected)
-    short = (k_max, *shape[1:])
-    for out, message in (
-        ((rows[0].astype(np.complex64), rows[1]),
-         f"out[0] must be a complex128 array of shape {shape}, not complex64 {shape}"),
-        ((rows[0], np.empty(short, dtype=np.complex128)),
-         f"out[1] must be a complex128 array of shape {shape}, not complex128 {short}"),
-        ((rows[0].real.copy(), rows[1]),
-         f"out[0] must be a complex128 array of shape {shape}, not float64 {shape}"),
-        ((rows[0], rows[1].tolist()),
-         f"out[1] must be a complex128 array of shape {shape}, not list"),
-        ((rows[0], rows[0]), "out[0] and out[1] must not share memory"),
-    ):
+    # Interleaved columns share bounds but no element.
+    both = np.empty((k_max + 1, 2 * shape[-1]), dtype=np.complex128)
+    if len(shape) == 2:
+        got = iterate2(coeffs, k_max, out=(both[:, 0::2], both[:, 1::2]))
+        assert _bit_equal(got.a, want.a) and _bit_equal(got.b, want.b)
+    message = f"out must be two complex128 arrays of shape {shape} that share no memory"
+    for out in ((rows[0].astype(np.complex64), rows[1]),
+                (rows[0], np.empty((k_max, *shape[1:]), dtype=np.complex128)),
+                (rows[0].real.copy(), rows[1]),
+                (rows[0], rows[1].tolist()),
+                (rows[0], rows[1], rows[1].copy()),
+                (rows[0], rows[0])):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             iterate2(coeffs, k_max, out=out)
 
