@@ -34,20 +34,25 @@ K_EXACT_MAX = 64
 #: Terms of the first-order sum of :func:`approx_b` held in memory at once.
 _APPROX_BLOCK = 2**14
 #: Most trajectory entries per array of one chunk in :func:`sweep_max`: n
-#: instances run max(1, SWEEP_BLOCK // n - 1) steps per chunk, so a chunk
-#: array holds at most max(SWEEP_BLOCK, 2n) entries. Rows k <= _BLOCK (512)
-#: are the plain recurrence, bit for bit; later rows of a run that superposes
-#: (k_max > 1024, at most 31 instances) are blocks within 1e-14 of the exact
-#: recurrence at k <= 2000 (see :func:`iterate2`), which a chunk may cut
-#: anywhere.
+#: instances run max(1, SWEEP_BLOCK // n - 1) steps per chunk, and a run
+#: that loops at most 1024, so a chunk array holds at most max(SWEEP_BLOCK,
+#: 2n) entries. Rows k <= _BLOCK (512) are the plain recurrence, bit for
+#: bit; later rows of a run that superposes by :func:`iterate2`'s rule are
+#: blocks, which a chunk may cut anywhere.
 SWEEP_BLOCK = 2**16
-#: Rows per superposed block of a long trajectory (see :func:`iterate2`).
+#: Rows per superposed block of a long trajectory (see :func:`_superposed`).
 _BLOCK = 512
-#: Most instances a run superposes: the a and b of their two unit
-#: trajectories then hold at most SWEEP_BLOCK entries (31 instances).
+#: Most instances a run superposes (see :func:`_units`): their 513 x 2 x 2
+#: unit entries each then fit in SWEEP_BLOCK entries (31 instances).
 _NARROW = SWEEP_BLOCK // (4 * (_BLOCK + 1))
+#: The largest unit-trajectory modulus a run superposes with. A block row is
+#: rounded relative to the terms it sums: at (1, 1, -2e-5, 1), entries up to
+#: 224 cancel, and superposed b was 2.6e-12 off exact at k = 4000, the loop 3.7e-13.
+_UNIT_BOUND = 4.0
 #: The default start row (a_0, b_0) of a trajectory.
 _ORIGIN = (1.0 + 0j, 0j)
+#: The unit start rows of the 2D map.
+_UNITS = (_ORIGIN, (0j, 1.0 + 0j))
 
 
 class ClosedFormRangeError(ValueError):
@@ -273,26 +278,25 @@ def iterate2(
     chunks so, in one pair of buffers. A run that superposes refuses
     ``out``.
 
-    Rows k <= 512 are always the plain recurrence, bit for bit. A run of
-    k_max > 1024 steps of at most ``_NARROW`` (31) instances superposes the
-    rows after row 512 (:func:`_superposed`): the map is linear, so each
-    block of up to 512 rows is a broadcast product of its start row with the
-    512-step trajectories from (1, 0) and (0, 1). That costs 1024 steps of
-    the loop and one NumPy product per block, where the loop would take
-    k_max steps, so a shorter run keeps the loop. Measured against an exact
-    rational recurrence at k <= 2000, the rows are off by at most 1e-14 (the
-    loop's, 5e-15), for present, Hoyer and Grover coefficients; at
-    k = 50 000 they are within 2.4e-13 of the loop's.
+    Rows k <= 512 are always the plain recurrence, bit for bit. Later rows
+    are superposed by the rule of both engines (:func:`_units`: more than
+    1024 steps, at most 31 instances, no unit entry past 4): each block of up
+    to 512 rows is its start row times the 512-step trajectories from (1, 0)
+    and (0, 1) (:func:`_superposed`), 1024 loop steps and one NumPy product
+    per block in all. Against an exact rational recurrence at k <= 2000 the
+    rows are off by at most 1e-14 (the loop's, 5e-15), for present, Hoyer and
+    Grover coefficients; at k = 50 000 they are within 2.4e-13 of the loop's.
     """
+    k_max = operator.index(k_max)
     _check_bound("k_max", k_max, 0)
-    if not _superposes(k_max, np.size(c.alpha)):
+    units = _units(_recurrence2, c, _UNITS, k_max, np.size(c.alpha))
+    if units is None:
         return _recurrence2(c, k_max, start, _row_pair((k_max + 1, *np.shape(c.alpha)), out))
     if out is not None:
-        raise ValueError(f"out is not taken by a run that superposes (k_max = {k_max} > "
-                         f"{2 * _BLOCK}, at most {_NARROW} instances)")
-    units = _unit_trajectories(c)
-    head = units[0] if start is _ORIGIN else _recurrence2(c, _BLOCK, start)
-    return next(_superposed(head, units, k_max, k_max))
+        raise ValueError(f"out is not taken by a run that superposes (k_max = {k_max}, "
+                         f"{np.size(c.alpha)} instances, unit entries within {_UNIT_BOUND})")
+    head = None if start is _ORIGIN else _channels(_recurrence2(c, _BLOCK, start))
+    return AmplitudeTrajectory(*next(_superposed(units, head, k_max, k_max)))
 
 
 def _row_pair(shape: tuple, out: tuple | None = None) -> tuple:
@@ -307,13 +311,6 @@ def _row_pair(shape: tuple, out: tuple | None = None) -> tuple:
         raise ValueError(f"out must be two complex128 arrays of shape {shape} "
                          f"that share no memory")
     return out
-
-
-def _superposes(k_max: int, n: int) -> bool:
-    """Whether a run of k_max steps of n instances superposes blocks past row
-    _BLOCK: only where the loop would take more steps than the two unit
-    trajectories (measured crossover: k_max near 1100)."""
-    return k_max > 2 * _BLOCK and n <= _NARROW
 
 
 def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple,
@@ -343,59 +340,86 @@ def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple,
     return AmplitudeTrajectory(a, b)
 
 
-def _unit_trajectories(c: TwoDimCoefficients) -> tuple:
-    """The _BLOCK-step trajectories from (1, 0) and (0, 1): row j of each is a
-    column of the j-th power of the one-step map."""
-    return _recurrence2(c, _BLOCK, _ORIGIN), _recurrence2(c, _BLOCK, (0j, 1.0 + 0j))
+def _channels(traj) -> tuple:
+    """The amplitude arrays of a trajectory, in the order of its fields."""
+    return tuple(vars(traj).values())
 
 
-def _superposed(head: AmplitudeTrajectory, units: tuple, k_max: int, steps: int):
-    """Rows 0..k_max of a trajectory whose rows k <= _BLOCK are ``head``'s,
-    yielded in chunks of up to ``steps`` steps, each with the last row of the
-    chunk before as its row 0. Every chunk is a view of one pair of arrays of
-    min(steps, k_max) + 1 rows, which the next chunk overwrites.
+def _units(recurrence, c, starts: tuple, k_max: int, n: int = 1) -> np.ndarray | None:
+    """The unit trajectories a run of k_max steps of n instances superposes
+    with, or None where it keeps the loop: the rule of both engines, for the
+    loop ``recurrence`` and its C unit rows ``starts``. A run superposes past
+    C x 512 steps (2D crossover near 1100), of at most ``_NARROW`` instances,
+    while no unit entry passes ``_UNIT_BOUND``. U[j, p, i] of the packed
+    (513, C, C[, n]) array is channel p at step j from starts[i]."""
+    if k_max <= len(starts) * _BLOCK or n > _NARROW:
+        return None
+    units = np.moveaxis(np.stack([_channels(recurrence(c, _BLOCK, e)) for e in starts], axis=1), 2, 0)
+    # A batch multiplies by each U[:, p, i] whole, which this stacking keeps contiguous;
+    # one instance takes U[j] as the rows of one matrix, so row-major.
+    if units.ndim == 3:
+        units = np.ascontiguousarray(units)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return units if np.all(np.abs(units) <= _UNIT_BOUND) else None
 
-    Every later row comes from the row at the start K of its block, the
-    multiple of _BLOCK below it: with j = k - K and ``units`` the trajectories
-    (A1, B1) from (1, 0) and (A2, B2) from (0, 1),
 
-        a_k = A1_j a_K + A2_j b_K,    b_k = B1_j a_K + B2_j b_K,
+def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
+    """Rows 0..k_max of a trajectory as a list of its C channel arrays, in
+    chunks of up to ``steps`` steps, each starting at the last row of the one
+    before: views of one array per channel, which the next chunk overwrites.
 
-    each product and sum computed in place, with one scratch block.
-    Block starts do not depend on ``steps``, and NumPy's elementwise products
-    do not depend on where a slice begins, so every chunking gives the same
-    rows, bit for bit.
+    Rows k <= _BLOCK are those of ``head``'s channels, by default the unit
+    trajectory from the first unit row; with K the multiple of _BLOCK below
+    a later row k, row k is ``units[k - K]`` times row K. Block starts do not
+    depend on ``steps``, nor the products on where a slice of ``units``
+    begins, so every chunking gives the same rows, bit for bit.
     """
-    one, two = units
-    width = np.shape(head.a[0])
-    buf_a, buf_b = _row_pair((min(steps, k_max) + 1, *width))
-    scratch = np.empty((min(steps, _BLOCK), *width), dtype=np.complex128)
-    buf_a[0], buf_b[0] = head.a[0], head.b[0]
+    head = np.moveaxis(units[:, :, 0], 1, 0) if head is None else head
+    # One array per channel, as the loop makes them: one (rows, C) array of a
+    # long 4D run found no freed space it fit and took fresh pages each call.
+    buf = [np.empty((min(steps, k_max) + 1, *part.shape[1:]), np.complex128) for part in head]
+    # One instance's block rows, (m, C), or one term of a batch's sums, (m, n).
+    scratch = np.empty((min(steps, _BLOCK), *(units.shape[3:] or units.shape[1:2])), np.complex128)
     for done in range(0, k_max, steps):
         last = min(done + steps, k_max)
-        if done:
-            buf_a[0], buf_b[0] = buf_a[-1], buf_b[-1]
-        a, b = buf_a[: last - done + 1], buf_b[: last - done + 1]
+        for chan, part in zip(buf, head):
+            chan[0] = chan[-1] if done else part[0]
+        rows = [chan[: last - done + 1] for chan in buf]
         k = done
-        while k < last:
-            base = k // _BLOCK * _BLOCK
-            end = min(base + _BLOCK, last)
-            out, j = slice(k + 1 - done, end + 1 - done), slice(k + 1 - base, end + 1 - base)
-            if base == 0:
-                a[out], b[out] = head.a[j], head.b[j]
-            else:
-                s = scratch[: end - k]
-                # Python's complex arithmetic makes inf and nan without a warning, and so does this.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for part, unit_one, unit_two in ((a[out], one.a[j], two.a[j]),
-                                                     (b[out], one.b[j], two.b[j])):
-                        np.multiply(unit_one, a_base, out=part)
-                        np.multiply(unit_two, b_base, out=s)
-                        np.add(part, s, out=part)
-            if end == base + _BLOCK:
-                a_base, b_base = a[end - done].copy(), b[end - done].copy()
-            k = end
-        yield AmplitudeTrajectory(a, b)
+        # Python's complex arithmetic makes inf and nan without a warning, and so does this.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < last:
+                base = k // _BLOCK * _BLOCK
+                end = min(base + _BLOCK, last)
+                dest, j = slice(k + 1 - done, end + 1 - done), slice(k + 1 - base, end + 1 - base)
+                if base == 0:
+                    for chan, part in zip(rows, head):
+                        chan[dest] = part[j]
+                else:
+                    _block_product(units[j], start, rows, dest, scratch)
+                if end == base + _BLOCK:
+                    start = np.array([chan[end - done] for chan in rows])
+                k = end
+        yield rows
+
+
+def _block_product(units: np.ndarray, start: np.ndarray, rows: list, dest: slice,
+                   scratch: np.ndarray) -> None:
+    """Rows ``dest`` of a block into the channel arrays ``rows``, row j being
+    ``units[j] @ start``: for one instance one matrix-vector product, units
+    as (m C, C), into ``scratch``; for a batch, in place channel by channel."""
+    part = scratch[: len(units)]
+    if units.ndim == 3:
+        np.matmul(units.reshape(-1, len(start)), start, out=part.reshape(-1))
+        for chan, column in zip(rows, part.T):
+            chan[dest] = column
+        return
+    for p, chan in enumerate(rows):
+        out = chan[dest]
+        np.multiply(units[:, p, 0], start[0], out=out)
+        for i in range(1, len(start)):
+            np.multiply(units[:, p, i], start[i], out=part)
+            np.add(out, part, out=out)
 
 
 def l_coeff(k: int, i: int, j: int) -> int:
@@ -634,13 +658,14 @@ def _chunks(c: TwoDimCoefficients, k_max: int, steps: int):
     + 1 rows, allocated once per call: a chunk holds until the caller asks
     for the next, which overwrites it. A run that superposes takes its
     chunks from :func:`_superposed`; any other runs :func:`iterate2` once
-    per chunk into the buffers, from the last row of the one before.
+    per chunk of at most 1024 steps (which never superposes) into the
+    buffers, from the last row of the one before.
     """
-    if _superposes(k_max, np.size(c.alpha)):
-        units = _unit_trajectories(c)
-        for traj in _superposed(units[0], units, k_max, steps):
-            yield traj.b
+    units = _units(_recurrence2, c, _UNITS, k_max, np.size(c.alpha))
+    if units is not None:
+        yield from (b for a, b in _superposed(units, None, k_max, steps))
         return
+    steps = min(steps, 2 * _BLOCK)
     a, b = _row_pair((min(steps, k_max) + 1, *np.shape(c.alpha)))
     row = _ORIGIN
     for done in range(0, k_max, steps):
@@ -657,14 +682,14 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     gives them for an array of theta) give one array entry per instance. The
     trajectory is taken in chunks sized by ``SWEEP_BLOCK`` over n (1 for
     scalars), all written into one pair of chunk buffers per call
-    (:func:`_chunks`). Rows k <= 512 are the plain
-    recurrence, bit for bit; past that, up to 31 instances at k_max > 1024
-    take superposed blocks, with the error :func:`iterate2` states, and any
-    other run takes the loop.
+    (:func:`_chunks`). Rows k <= 512 are the plain recurrence, bit for bit;
+    later rows are superposed or looped by :func:`iterate2`'s rule, decided
+    once per call.
     The result is bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``:
     a later chunk takes over only where its peak is strictly greater, or is
     the first NaN, as argmax sees the whole trajectory.
     """
+    k_max = operator.index(k_max)
     _check_bound("k_max", k_max, 1)
     n = np.size(c.alpha)
     _check_bound("instances", n, 1)

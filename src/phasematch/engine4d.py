@@ -13,11 +13,12 @@ not checkable from the scalars; the full-space oracle validates it.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import _BLOCK, AlgorithmParams, approx_b
+from .engine2d import AlgorithmParams, _superposed, _units, approx_b
 from .rotations import _bounded, _check_bound, _finite_angles, phase_scale
 
 
@@ -113,11 +114,6 @@ _UNITS = (
     (0j, 0j, 0j, 1.0 + 0j),
 )
 
-#: The largest unit-trajectory modulus :func:`iterate4` superposes with (a
-#: nan or inf entry is past it). At k = 4000, maps within it gave superposed
-#: rows within 1.6e-13 of the loop's, relative to the largest entry so far.
-_UNIT_BOUND = 4.0
-
 
 def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     """Exact recurrence from (1, 0, 0, 0).
@@ -127,46 +123,24 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     stores a and c only; b and d are set after it as -a and -c shifted by one
     step, with b_0 = d_0 = 0.
 
-    Rows k <= 512 are always the plain recurrence, bit for bit. For
-    k_max > 2048, later a and c come in blocks of up to 512 rows, each the
-    block's start row (a_K, b_K, c_K, d_K) times the 512-step trajectories
-    from the four unit rows, as in :func:`~phasematch.engine2d.iterate2`:
-    2048 steps of the loop and one NumPy product per block, where the loop
-    would take k_max steps, so a shorter run keeps the loop. At
-    k = 50 000 these rows were within 1.4e-13 of the loop's over 20 random
-    idealized inputs.
-
-    A block row is rounded relative to the terms it sums, not to itself, so
-    where large unit entries cancel its error grows with them: for
-    eigenvalues e^(+-i w) with cos w = 0.99999, whose entries reach 224,
-    superposed rows were 1.2e-9 off the exact ones at k = 2049, the loop's
-    1.5e-10. So a run superposes only while every unit entry is at most
-    ``_UNIT_BOUND`` (4) in modulus, and otherwise keeps the loop. Idealized
-    inputs with |u| < 0.4 stay within 1.3 (3 000 random draws).
+    Rows k <= 512 are always the plain recurrence, bit for bit. Later rows,
+    all four channels, are superposed as in :func:`~phasematch.engine2d.iterate2`,
+    from the four unit rows: past 2048 steps, while no unit entry passes 4
+    (idealized inputs with |u| < 0.4 stay within 1.3; near-coalescing
+    eigenvalues keep the loop). At k = 50 000 these rows were within 1.4e-13
+    of the loop's over 20 random idealized inputs.
     """
+    k_max = operator.index(k_max)
     _check_bound("k_max", k_max, 0)
-    if k_max <= len(_UNITS) * _BLOCK:
+    units = _units(_recurrence4, c, _UNITS, k_max)
+    if units is None:
         return _recurrence4(c, k_max, _UNITS[0])
-    units = [_recurrence4(c, _BLOCK, e) for e in _UNITS]
-    # Column i of each (_BLOCK + 1) x 4 matrix is the a (or c) of unit trajectory i.
-    cols = [np.stack([getattr(u, name) for u in units], axis=1) for name in ("a", "c")]
-    if not all(np.all(np.abs(col) <= _UNIT_BOUND) for col in cols):
-        return _recurrence4(c, k_max, _UNITS[0])
-    a = np.empty(k_max + 1, dtype=np.complex128)
-    cc = np.empty_like(a)
-    a[: _BLOCK + 1], cc[: _BLOCK + 1] = units[0].a, units[0].c
-    for k in range(_BLOCK, k_max, _BLOCK):
-        m = min(_BLOCK, k_max - k)
-        row = np.array([a[k], -a[k - 1], cc[k], -cc[k - 1]])
-        # Python's complex arithmetic makes inf and nan without a warning, and so does this.
-        with np.errstate(over="ignore", invalid="ignore"):
-            a[k + 1 : k + m + 1] = cols[0][1 : m + 1] @ row
-            cc[k + 1 : k + m + 1] = cols[1][1 : m + 1] @ row
-    return _lagged(a, cc, _UNITS[0])
+    return FourAmplitudes(*next(_superposed(units, None, k_max, k_max)))
 
 
 def _recurrence4(c: FourDimCoefficients, k_max: int, start: tuple) -> FourAmplitudes:
-    """The recurrence loop of :func:`iterate4`, one step per row."""
+    """The recurrence loop of :func:`iterate4` on a and c; b and d are
+    ``start``'s b_0 and d_0, then -a and -c shifted by one step."""
     a = np.empty(k_max + 1, dtype=np.complex128)
     cc = np.empty(k_max + 1, dtype=np.complex128)
     ak, bk, ck, dk = start
@@ -179,17 +153,8 @@ def _recurrence4(c: FourDimCoefficients, k_max: int, start: tuple) -> FourAmplit
             -ck,
         )
         a[k], cc[k] = ak, ck
-    return _lagged(a, cc, start)
-
-
-def _lagged(a: np.ndarray, cc: np.ndarray, start: tuple) -> FourAmplitudes:
-    """The amplitudes with b and d filled in: b_0 and d_0 from ``start``, then
-    b_{k+1} = -a_k and d_{k+1} = -c_k."""
-    b = np.empty_like(a)
-    d = np.empty_like(cc)
-    b[0], d[0] = start[1], start[3]
-    np.negative(a[:-1], out=b[1:])
-    np.negative(cc[:-1], out=d[1:])
+    b = np.concatenate(([start[1]], -a[:-1]))
+    d = np.concatenate(([start[3]], -cc[:-1]))
     return FourAmplitudes(a, b, cc, d)
 
 

@@ -121,13 +121,14 @@ def _scalar_sweep_rows(thetas, phi, u, k_max):
 def test_sweep_blocks_agree_with_scalar_sweeps(sweep_chunks, monkeypatch):
     """A grid of any size past one theta runs only as (n,)-shaped chunks of
     one batch, of max(1, SWEEP_BLOCK // n - 1) steps each, looped or
-    superposed, a lone theta as scalars, and each gives the peaks of the
-    scalar trajectories."""
+    superposed (a looped run at most 1024), a lone theta as scalars, and
+    each gives the peaks of the scalar trajectories."""
     phi, u = 0.3, 0.1 * np.exp(0.5j)
     for count, k_max, block, chunks in (
         (1, SWEEP_BLOCK, SWEEP_BLOCK, [SWEEP_BLOCK - 1, 1]),
         (75, 2000, SWEEP_BLOCK, [872, 872, 256]),
         (65, 2000, SWEEP_BLOCK, [1007, 993]),
+        (40, 2000, SWEEP_BLOCK, [1024, 976]),
         # Past block // 2 theta: 1-step chunks of (2, n) arrays.
         (5, 6, 8, [1] * 6),
         (9, 3, 8, [1] * 3),

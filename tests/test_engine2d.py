@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasematch import engine2d
+from phasematch import engine2d, engine4d
 from phasematch.engine2d import (
     K_EXACT_MAX,
     AlgorithmParams,
@@ -33,9 +33,11 @@ from phasematch.engine2d import (
     sweep_max,
     t_coeff,
     _BLOCK,
+    _UNIT_BOUND,
     _peak_of,
     _pyramid_grid,
 )
+from phasematch.engine4d import FourDimInputs, four_dim_coeffs, iterate4
 from phasematch.linalg import basis_state
 from phasematch.rotations import build, phase_scale
 
@@ -800,6 +802,58 @@ def test_superposed_rows_match_the_exact_recurrence(c):
     assert np.max(np.abs(traj.b - exact[:, 1])) <= 1e-13
 
 
+@pytest.mark.parametrize("c", [
+    TwoDimCoefficients(1, 1, -2e-5, 1),
+    TwoDimCoefficients(1.2, 0.3, 0.3, 1.1),
+], ids=["near-coalescing", "growing"])
+def test_iterate2_keeps_the_loop_past_the_unit_bound(monkeypatch, c):
+    """Where a unit entry passes _UNIT_BOUND, ``iterate2`` and ``sweep_max``
+    give the loop's rows and peak, bit for bit, and the sweep takes the unit
+    trajectories once. The near-coalescing map's entries reach 224, and its
+    b is as close to the exact recurrence as the loop's (measured 3.7e-13,
+    where superposed blocks were 2.6e-12 off); the second map's rows overflow
+    to inf and nan before k = 4000."""
+    units = [engine2d._recurrence2(c, _BLOCK, e) for e in engine2d._UNITS]
+    assert max(np.max(np.abs(np.stack([u.a, u.b]))) for u in units) > _UNIT_BOUND
+    loop = engine2d._recurrence2(c, 4000, engine2d._ORIGIN)
+    traj = iterate2(c, 4000)
+    assert _bit_equal(traj.a, loop.a) and _bit_equal(traj.b, loop.b)
+    steps = []
+    recurrence = engine2d._recurrence2
+    monkeypatch.setattr(engine2d, "_recurrence2",
+                        lambda c, k_max, *rest: steps.append(k_max) or recurrence(c, k_max, *rest))
+    got, want = sweep_max(c, 4000), _peak_of(loop.b, 4000)
+    assert got.k_star == want.k_star and _bit_equal(got.max_abs_b, want.max_abs_b)
+    assert steps.count(_BLOCK) == len(engine2d._UNITS)
+    if np.isfinite(loop.b).all():
+        exact = _exact_trajectory(c, 4000)
+        assert np.max(np.abs(traj.b - exact[:, 1])) <= 4e-13
+
+
+_coefficients = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+
+
+@given(st.builds(TwoDimCoefficients, *[_coefficients] * 4), st.integers(0, 4000))
+@settings(max_examples=30, deadline=None)
+# Near-coalescing eigenvalues: unit entries reach 224, so the run keeps the loop.
+@example(TwoDimCoefficients(1, 1, -2e-5, 1), 4000)
+def test_iterate2_is_the_loop_or_within_rounding_of_it(c, k_max):
+    """A run of k_max <= 2 _BLOCK steps, and rows k <= _BLOCK of a longer
+    one, are the loop's, bit for bit. Later rows of a longer run are
+    superposed blocks, or the loop's: within 1e-12 of the loop relative to
+    the largest entry so far, up to where the entries near overflow."""
+    traj = iterate2(c, k_max)
+    loop = engine2d._recurrence2(c, k_max, engine2d._ORIGIN)
+    got, ref = np.stack([traj.a, traj.b]), np.stack([loop.a, loop.b])
+    head = slice(0, (k_max if k_max <= 2 * _BLOCK else _BLOCK) + 1)
+    assert _bit_equal(got[:, head], ref[:, head])
+    with np.errstate(over="ignore"):
+        scale = np.maximum.accumulate(np.max(np.abs(ref), axis=0))
+    tail = (np.arange(k_max + 1) > _BLOCK) & (scale < 1e290)
+    dev = np.max(np.abs(got[:, tail] - ref[:, tail]), axis=0, initial=0.0)
+    assert np.all(dev <= 1e-12 * np.maximum(1.0, scale[tail]))
+
+
 @pytest.mark.parametrize("count", [2, 8])
 def test_small_batch_sweeps_at_large_kmax_match_scalar_sweeps(count):
     """A few theta at kmax 40 000 superpose as a batch, and each gives its
@@ -820,11 +874,15 @@ def _whole_peak(c, k_max):
 
 
 # Present theta = 0.01: k* = 86 of 100. (0, 1, 1, 0): |b_k| alternates 1, 0,
-# so every chunk ties the first and k* = 1. 2 throughout: |b_k| overflows to
-# inf at k = 513 and is first nan at k = 515 in the loop (kmax 700), and at
-# k = 1537 in superposed blocks (kmax 1600), so k* is the first nan, found in
-# a later chunk than the first inf. Chunks cut superposed blocks at any k,
-# 1-step chunks included.
+# so every chunk ties the first and k* = 1. 2 throughout keeps the loop (its
+# unit entries pass _UNIT_BOUND): |b_k| overflows to inf at k = 513 and is
+# first nan at k = 515, so k* is the first nan, found in a later chunk than
+# the first inf; at kmax 1600 the loop chunks take at most 1024 steps. The
+# next two maps superpose (unit entries at most 3.68 and 2.44). In the first,
+# |b_k| is first nan at its first row that is not finite, k = 279 041. In the
+# second, a real map, |b_k| is first inf at k = 284 546 and first nan at
+# k = 284 673, the first row of the block after. Chunks cut superposed blocks
+# at any k.
 @pytest.mark.parametrize("coeffs, k_max, blocks", [
     (present_coeffs(AlgorithmParams(0.01, 0.0, 0.1)), 100, range(2, 120)),
     (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
@@ -833,9 +891,14 @@ def _whole_peak(c, k_max):
     (stacked([TwoDimCoefficients(0, 1, 1, 0)] * 2), 40, range(4, 100)),
     (TwoDimCoefficients(2, 2, 2, 2), 700, (2, 100, 514, 515, 516)),
     (TwoDimCoefficients(2, 2, 2, 2), 1600, (2, 100, 1536, 1537, 1538)),
+    (TwoDimCoefficients(1.0025, 0.01, 0.01, 1.0025 * cmath.exp(1j)), 300_000,
+     (100, 279_041, 279_042)),
+    (TwoDimCoefficients(1.0015, 0.001, 0.001, 1.0015), 300_000,
+     (284_546, 284_547, 284_673, 284_674)),
     (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
      1500, (6, 300, 1542, 1545, 3078)),
-], ids=["scalar", "batch", "tie", "batch tie", "nan", "superposed nan", "superposed batch"])
+], ids=["scalar", "batch", "tie", "batch tie", "nan", "long loop nan", "superposed nan",
+        "superposed inf then nan", "superposed batch"])
 def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_max, blocks):
     """Every chunk size, k* on a chunk's last or first k included, gives the
     bits of the peak over the whole trajectory, and no chunk array holds more
@@ -945,7 +1008,8 @@ def test_iterate2_fills_out_or_refuses_it(coeffs, k_max):
     that superposes."""
     shape = (k_max + 1, *np.shape(coeffs.alpha))
     rows = np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
-    if engine2d._superposes(k_max, np.size(coeffs.alpha)):
+    if engine2d._units(engine2d._recurrence2, coeffs, engine2d._UNITS, k_max,
+                       np.size(coeffs.alpha)) is not None:
         with pytest.raises(ValueError, match=r"^out is not taken by a run that superposes "):
             iterate2(coeffs, k_max, out=rows)
         return
@@ -1019,6 +1083,23 @@ def test_phase_condition_degenerate_threshold():
 def test_a_fractional_step_count_is_a_type_error(call):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         call(AlgorithmParams(0.05, 0.0, 0.1), 2.5)
+
+
+@pytest.mark.parametrize("run, c", [
+    (iterate2, grover_coeffs(0.1)),
+    (sweep_max, grover_coeffs(0.1)),
+    (iterate4, four_dim_coeffs(FourDimInputs.idealized(0.3, 0.1, 0.1))),
+], ids=["iterate2", "sweep_max", "iterate4"])
+def test_a_float_k_max_is_refused_before_any_step(monkeypatch, run, c):
+    """3000.0 steps would superpose; the float is refused as a float before
+    a unit trajectory runs."""
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(engine2d, "_recurrence2", no_step)
+    monkeypatch.setattr(engine4d, "_recurrence4", no_step)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        run(c, 3000.0)
 
 
 def test_sweep_rejects_empty_range():

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasematch.engine2d import _BLOCK, AlgorithmParams, approx_b
+from phasematch.engine2d import _BLOCK, _UNIT_BOUND, AlgorithmParams, approx_b
 from phasematch.engine4d import (
     FourDimInputs,
     approx4,
     four_dim_coeffs,
-    _UNIT_BOUND,
     _UNITS,
     _recurrence4,
     iterate4,
@@ -96,6 +95,8 @@ _angles = st.floats(-math.pi, math.pi)
 @settings(max_examples=30, deadline=None)
 # Eigenvalues e^(+-i w) with cos w = 0.99999: unit entries reach 224, so the run keeps the loop.
 @example(FourDimInputs(0.0, 0.0, 0j, 0j, 0.99999 + 0j, 0j), 2049)
+# 4 x 512 steps: the longest run that keeps the loop for its four unit rows.
+@example(FourDimInputs.idealized(0.3, 0.1, 0.1), 4 * _BLOCK)
 def test_iterate4_is_bit_identical_to_the_four_store_loop(inp, k_max):
     """Filling b and d after the loop changes no bit of a run of k_max <= 4 _BLOCK
     steps, nor of rows k <= _BLOCK of a longer one, signs of zeros included.
