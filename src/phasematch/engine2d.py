@@ -289,7 +289,7 @@ def iterate2(
     """
     k_max = operator.index(k_max)
     _check_bound("k_max", k_max, 0)
-    units = _units(_recurrence2, c, _UNITS, k_max, np.size(c.alpha))
+    units = _units(_unit_trajectories2, c, k_max, np.size(c.alpha))
     if units is None:
         return _recurrence2(c, k_max, start, _row_pair((k_max + 1, *np.shape(c.alpha)), out))
     if out is not None:
@@ -345,22 +345,28 @@ def _channels(traj) -> tuple:
     return tuple(vars(traj).values())
 
 
-def _units(recurrence, c, starts: tuple, k_max: int, n: int = 1) -> np.ndarray | None:
+def _units(pack, c, k_max: int, n: int = 1) -> np.ndarray | None:
     """The unit trajectories a run of k_max steps of n instances superposes
-    with, or None where it keeps the loop: the rule of both engines, for the
-    loop ``recurrence`` and its C unit rows ``starts``. A run superposes past
-    C x 512 steps (2D crossover near 1100), of at most ``_NARROW`` instances,
-    while no unit entry passes ``_UNIT_BOUND``. U[j, p, i] of the packed
-    (513, C, C[, n]) array is channel p at step j from starts[i]."""
-    if k_max <= len(starts) * _BLOCK or n > _NARROW:
+    with, or None where it keeps the loop: the rule of both engines. Each
+    engine runs two 512-step unit loops, so a run superposes past 2 x 512
+    steps (2D crossover near 1100), of at most ``_NARROW`` instances, while
+    no entry of ``pack(c)``, the engine's unit trajectories packed for
+    :func:`_superposed`, passes ``_UNIT_BOUND``; an inf or nan entry fails
+    the bound, silently."""
+    if k_max <= 2 * _BLOCK or n > _NARROW:
         return None
-    units = np.moveaxis(np.stack([_channels(recurrence(c, _BLOCK, e)) for e in starts], axis=1), 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        units = pack(c)
+        return units if np.all(np.abs(units) <= _UNIT_BOUND) else None
+
+
+def _unit_trajectories2(c: TwoDimCoefficients) -> np.ndarray:
+    """The 512-step trajectories from (1, 0) and (0, 1), packed: U[j, p, i]
+    of the (513, 2, 2[, n]) array is channel p at step j from ``_UNITS[i]``."""
+    units = np.moveaxis(np.stack([_channels(_recurrence2(c, _BLOCK, e)) for e in _UNITS], axis=1), 2, 0)
     # A batch multiplies by each U[:, p, i] whole, which this stacking keeps contiguous;
     # one instance takes U[j] as the rows of one matrix, so row-major.
-    if units.ndim == 3:
-        units = np.ascontiguousarray(units)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return units if np.all(np.abs(units) <= _UNIT_BOUND) else None
+    return np.ascontiguousarray(units) if units.ndim == 3 else units
 
 
 def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
@@ -368,18 +374,35 @@ def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
     chunks of up to ``steps`` steps, each starting at the last row of the one
     before: views of one array per channel, which the next chunk overwrites.
 
-    Rows k <= _BLOCK are those of ``head``'s channels, by default the unit
-    trajectory from the first unit row; with K the multiple of _BLOCK below
-    a later row k, row k is ``units[k - K]`` times row K. Block starts do not
-    depend on ``steps``, nor the products on where a slice of ``units``
-    begins, so every chunking gives the same rows, bit for bit.
+    ``units`` is a (513, C, L C[, n]) array of :func:`_units`. A block's
+    start row is the last L rows of each channel, oldest first: (a_K, b_K)
+    in 2D, (a_(K-1), a_K, c_(K-1), c_K) in 4D, whose b and d are lagged
+    negations of a and c. U[j, p, i] is channel p at step j from the start
+    row with 1 at entry i. Rows k <= _BLOCK are those of ``head``'s
+    channels, by default U[:, :, L - 1], the trajectory from a_0 = 1; with
+    K the multiple of _BLOCK below a later row k, row k is ``units[k - K]``
+    times the start row at K. Block starts do not depend on ``steps``, nor
+    the products on where a slice of ``units`` begins, so every chunking
+    gives the same rows, bit for bit.
+
+    Per block, one instance reads its start row, takes one matrix-vector
+    product, units as (m C, L C), into ``scratch`` and copies each channel
+    out of it; a batch multiplies and adds in place, channel by channel
+    (:func:`_block_product`).
     """
-    head = np.moveaxis(units[:, :, 0], 1, 0) if head is None else head
+    channels, width = units.shape[1:3]
+    lags = width // channels
+    head = np.moveaxis(units[:, :, lags - 1], 1, 0) if head is None else head
     # One array per channel, as the loop makes them: one (rows, C) array of a
     # long 4D run found no freed space it fit and took fresh pages each call.
     buf = [np.empty((min(steps, k_max) + 1, *part.shape[1:]), np.complex128) for part in head]
+    # Start entry i is channel i // L, L - 1 - i % L rows before the block.
+    reads = [(i, i // lags, lags - 1 - i % lags) for i in range(width)]
+    start = np.empty(units.shape[2:], np.complex128)
     # One instance's block rows, (m, C), or one term of a batch's sums, (m, n).
-    scratch = np.empty((min(steps, _BLOCK), *(units.shape[3:] or units.shape[1:2])), np.complex128)
+    scratch = np.empty((min(steps, _BLOCK), *(units.shape[3:] or (channels,))), np.complex128)
+    if units.ndim == 3:
+        product, flat, columns = units[1:].reshape(-1, width), scratch.reshape(-1), list(scratch.T)
     for done in range(0, k_max, steps):
         last = min(done + steps, k_max)
         for chan, part in zip(buf, head):
@@ -395,25 +418,27 @@ def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
                 if base == 0:
                     for chan, part in zip(rows, head):
                         chan[dest] = part[j]
+                elif units.ndim == 3:
+                    m = end - k
+                    np.dot(product[(k - base) * channels : (end - base) * channels], start,
+                           out=flat[: m * channels])
+                    for chan, column in zip(rows, columns):
+                        chan[dest] = column[:m]
                 else:
                     _block_product(units[j], start, rows, dest, scratch)
                 if end == base + _BLOCK:
-                    start = np.array([chan[end - done] for chan in rows])
+                    for i, p, back in reads:
+                        start[i] = rows[p][end - done - back]
                 k = end
         yield rows
 
 
 def _block_product(units: np.ndarray, start: np.ndarray, rows: list, dest: slice,
                    scratch: np.ndarray) -> None:
-    """Rows ``dest`` of a block into the channel arrays ``rows``, row j being
-    ``units[j] @ start``: for one instance one matrix-vector product, units
-    as (m C, C), into ``scratch``; for a batch, in place channel by channel."""
+    """A batch's rows ``dest`` of a block into the channel arrays ``rows``:
+    row j is ``units[j] @ start`` for each instance, multiplied and added in
+    place channel by channel, one term of each sum in ``scratch``."""
     part = scratch[: len(units)]
-    if units.ndim == 3:
-        np.matmul(units.reshape(-1, len(start)), start, out=part.reshape(-1))
-        for chan, column in zip(rows, part.T):
-            chan[dest] = column
-        return
     for p, chan in enumerate(rows):
         out = chan[dest]
         np.multiply(units[:, p, 0], start[0], out=out)
@@ -444,6 +469,9 @@ def _exponent_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _ALPHA_EXP, _DELTA_EXP = _exponent_tables(K_EXACT_MAX + 1)
+#: The exponents 0..K_EXACT_MAX as floats: int coefficients then take float powers, which do not wrap.
+_POWERS = np.arange(K_EXACT_MAX + 1.0)
+_POWERS.flags.writeable = False
 
 
 @functools.cache
@@ -501,14 +529,13 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, first_j: int) -> complex:
             f"ill-conditioned in double precision; use iterate2 for k = {k}"
         )
     coef, alpha_exp, delta_exp = _pyramid_grid(coeff, k, first_j)
-    # Python's float arithmetic makes inf and nan without a warning, and so does
-    # this. Float exponents give int coefficients float powers, which do not wrap.
+    # Python's float arithmetic makes inf and nan without a warning, and so does this.
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha_pow, delta_pow, bl_pow = np.power([[c.alpha], [c.delta], [c.beta * c.lam]],
-                                                np.arange(k + 1.0))
+        alpha_pow, delta_pow, bl_pow = np.power(np.array([c.alpha, c.delta, c.beta * c.lam])[:, None],
+                                                _POWERS[: k + 1])
         # take() gathers by the grid's strided exponent views faster than indexing.
-        rows = (coef * alpha_pow.take(alpha_exp) * delta_pow.take(delta_exp)).sum(axis=1)
-        total = rows @ bl_pow[first_j : first_j + len(rows)]
+        rows = np.add.reduce(coef * alpha_pow.take(alpha_exp) * delta_pow.take(delta_exp), axis=1)
+        total = np.dot(rows, bl_pow[first_j : first_j + len(rows)])
         if first_j:
             total += alpha_pow[k]
     return complex(total)
@@ -641,10 +668,17 @@ def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
 
     Reduces over axis 0, so ``b`` may run past k_max (>= 1, checked by the callers):
     a 1-D ``b`` gives a plain int and float, a batch of n columns two arrays of n.
+    Past overflow, whether a row is inf or nan depends on how its products
+    were summed, so the first k whose |b_k| is not finite takes the peak, as
+    inf; only a column that holds one pays a second pass.
     """
     magnitudes = np.abs(b[1 : k_max + 1])
-    k_star = np.argmax(magnitudes, axis=0) + 1
     max_abs_b = np.max(magnitudes, axis=0)
+    k_star = np.argmax(magnitudes, axis=0) + 1
+    finite = np.isfinite(max_abs_b)
+    if not finite.all():
+        k_star = np.where(finite, k_star, np.argmax(~np.isfinite(magnitudes), axis=0) + 1)
+        max_abs_b = np.where(finite, max_abs_b, math.inf)
     if k_star.ndim == 0:
         return SweepResult(k_star=int(k_star), max_abs_b=float(max_abs_b))
     return SweepResult(k_star=k_star, max_abs_b=max_abs_b)
@@ -661,7 +695,7 @@ def _chunks(c: TwoDimCoefficients, k_max: int, steps: int):
     per chunk of at most 1024 steps (which never superposes) into the
     buffers, from the last row of the one before.
     """
-    units = _units(_recurrence2, c, _UNITS, k_max, np.size(c.alpha))
+    units = _units(_unit_trajectories2, c, k_max, np.size(c.alpha))
     if units is not None:
         yield from (b for a, b in _superposed(units, None, k_max, steps))
         return
@@ -686,8 +720,10 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     later rows are superposed or looped by :func:`iterate2`'s rule, decided
     once per call.
     The result is bit-identical to ``_peak_of(iterate2(c, k_max).b, k_max)``:
-    a later chunk takes over only where its peak is strictly greater, or is
-    the first NaN, as argmax sees the whole trajectory.
+    a later chunk takes over only where its peak is strictly greater, as
+    argmax sees the whole trajectory. A chunk's first |b_k| that is not
+    finite is its peak, as inf (:func:`_peak_of`), so no later chunk takes
+    over from it.
     """
     k_max = operator.index(k_max)
     _check_bound("k_max", k_max, 1)
@@ -697,7 +733,7 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     for b in _chunks(c, k_max, max(1, SWEEP_BLOCK // n - 1)):
         steps = len(b) - 1
         peak = _peak_of(b, steps)
-        later = (peak.max_abs_b > max_abs_b) | (np.isnan(peak.max_abs_b) & ~np.isnan(max_abs_b))
+        later = peak.max_abs_b > max_abs_b
         k_star = np.where(later, done + peak.k_star, k_star)
         max_abs_b = np.where(later, peak.max_abs_b, max_abs_b)
         done += steps

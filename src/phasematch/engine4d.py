@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import AlgorithmParams, _superposed, _units, approx_b
+from .engine2d import _BLOCK, AlgorithmParams, _superposed, _units, approx_b
 from .rotations import _bounded, _check_bound, _finite_angles, phase_scale
 
 
@@ -119,28 +119,32 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     """Exact recurrence from (1, 0, 0, 0).
 
     a_{k+1} = l1 a + l2 b + l3 c + l4 d, c_{k+1} = p1 a + p2 b + p3 c + p4 d,
-    while b_{k+1} = -a_k and d_{k+1} = -c_k hold as exact negations. The loop
-    stores a and c only; b and d are set after it as -a and -c shifted by one
-    step, with b_0 = d_0 = 0.
+    while b_{k+1} = -a_k and d_{k+1} = -c_k hold as exact negations. Only a
+    and c are computed; b and d are set after them as -a and -c shifted by
+    one step, with b_0 = d_0 = 0, in every row.
 
-    Rows k <= 512 are always the plain recurrence, bit for bit. Later rows,
-    all four channels, are superposed as in :func:`~phasematch.engine2d.iterate2`,
-    from the four unit rows: past 2048 steps, while no unit entry passes 4
-    (idealized inputs with |u| < 0.4 stay within 1.3; near-coalescing
-    eigenvalues keep the loop). At k = 50 000 these rows were within 1.4e-13
-    of the loop's over 20 random idealized inputs.
+    Rows k <= 512 are always the plain recurrence, bit for bit. Later rows
+    of a and c are superposed by the rule of both engines
+    (:func:`~phasematch.engine2d._units`, as in
+    :func:`~phasematch.engine2d.iterate2`): past 1024 steps, while no unit
+    entry passes 4 (idealized inputs with |u| < 0.4 stay within 1.3;
+    near-coalescing eigenvalues keep the loop). Each block of up to 512 rows
+    is then its start row (a_K, -a_(K-1), c_K, -c_(K-1)) times the unit
+    trajectories of :func:`_unit_trajectories4`, two 512-step loops in all.
+    At k = 50 000 these rows were within 3e-13 of the loop's over 20 random
+    idealized inputs.
     """
     k_max = operator.index(k_max)
     _check_bound("k_max", k_max, 0)
-    units = _units(_recurrence4, c, _UNITS, k_max)
+    units = _units(_unit_trajectories4, c, k_max)
     if units is None:
         return _recurrence4(c, k_max, _UNITS[0])
-    return FourAmplitudes(*next(_superposed(units, None, k_max, k_max)))
+    return _lagged(*next(_superposed(units, None, k_max, k_max)), _UNITS[0])
 
 
 def _recurrence4(c: FourDimCoefficients, k_max: int, start: tuple) -> FourAmplitudes:
-    """The recurrence loop of :func:`iterate4` on a and c; b and d are
-    ``start``'s b_0 and d_0, then -a and -c shifted by one step."""
+    """The recurrence loop of :func:`iterate4` on a and c, from ``start``,
+    with b and d filled by :func:`_lagged`."""
     a = np.empty(k_max + 1, dtype=np.complex128)
     cc = np.empty(k_max + 1, dtype=np.complex128)
     ak, bk, ck, dk = start
@@ -153,9 +157,39 @@ def _recurrence4(c: FourDimCoefficients, k_max: int, start: tuple) -> FourAmplit
             -ck,
         )
         a[k], cc[k] = ak, ck
-    b = np.concatenate(([start[1]], -a[:-1]))
-    d = np.concatenate(([start[3]], -cc[:-1]))
+    return _lagged(a, cc, start)
+
+
+def _lagged(a: np.ndarray, cc: np.ndarray, start: tuple) -> FourAmplitudes:
+    """The four channels from a and c: b and d are ``start``'s b_0 and d_0,
+    then -a and -c shifted by one step, each negated into its place."""
+    b, d = np.empty_like(a), np.empty_like(cc)
+    b[0], d[0] = start[1], start[3]
+    np.negative(a[:-1], out=b[1:])
+    np.negative(cc[:-1], out=d[1:])
     return FourAmplitudes(a, b, cc, d)
+
+
+def _unit_trajectories4(c: FourDimCoefficients) -> np.ndarray:
+    """a and c of the 512-step unit trajectories, packed for
+    :func:`~phasematch.engine2d._superposed`: U[j, p, i] of the (513, 2, 4)
+    array is channel p of (a, c) at step j from -e_b, e_a, -e_d, e_c for
+    i = 0..3, the unit rows of a start row (a_(K-1), a_K, c_(K-1), c_K)
+    whose b and d are lagged negations.
+
+    Only e_a and e_c run the loop. One step takes e_b to its row of ``m``,
+    l2 e_a + p2 e_c, and e_d to l4 e_a + p4 e_c, so by linearity
+    T_b[k] = l2 T_a[k-1] + p2 T_c[k-1] and T_d[k] = l4 T_a[k-1] + p4 T_c[k-1]
+    for k >= 1; row 0 of both is 0 in a and c.
+    """
+    units = np.zeros((_BLOCK + 1, 2, 4), dtype=np.complex128)
+    for i, e in ((1, _UNITS[0]), (3, _UNITS[2])):
+        traj = _recurrence4(c, _BLOCK, e)
+        units[:, 0, i], units[:, 1, i] = traj.a, traj.c
+    lag_a, lag_c = units[:-1, :, 1], units[:-1, :, 3]
+    units[1:, :, 0] = -(c.l2 * lag_a + c.p2 * lag_c)
+    units[1:, :, 2] = -(c.l4 * lag_a + c.p4 * lag_c)
+    return units
 
 
 def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, complex]:
@@ -172,6 +206,7 @@ def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, comp
     share the same sum length; the signs were verified against the exact
     recurrence at small |u| before being hard-coded here.
     """
+    k = operator.index(k)
     _check_bound("k", k, 1)
     m = k // 2
     if k % 2:

@@ -37,7 +37,7 @@ from phasematch.engine2d import (
     _peak_of,
     _pyramid_grid,
 )
-from phasematch.engine4d import FourDimInputs, four_dim_coeffs, iterate4
+from phasematch.engine4d import FourDimInputs, approx4, four_dim_coeffs, iterate4
 from phasematch.linalg import basis_state
 from phasematch.rotations import build, phase_scale
 
@@ -311,7 +311,9 @@ def test_batch_runs_overflow_silently_as_their_scalar_runs():
     """Under the pytest settings, which turn warnings into errors, each of 40
     instances run as one batch equals its scalar run in iterate2 and in
     sweep_max, where three of them overflow to inf and nan: the batch loop
-    is as silent as Python's complex arithmetic, and k* is the first nan."""
+    is as silent as Python's complex arithmetic, and k* is the first k whose
+    |b_k| is not finite, an inf two steps before the first nan (or one, for
+    the third), with max |b_k| inf."""
     rng = np.random.default_rng(22)
     coeffs = [present_coeffs(AlgorithmParams(*rng.uniform(-math.pi, math.pi, 2).tolist(),
                                              cmath.rect(rng.uniform(0, 0.9), rng.uniform(-3, 3))))
@@ -331,8 +333,9 @@ def test_batch_runs_overflow_silently_as_their_scalar_runs():
         np.testing.assert_allclose(res.max_abs_b[i], peak.max_abs_b, rtol=1e-11)
         tied = np.sum(np.abs(one.b[1:]) >= peak.max_abs_b - 1e-11) > 1
         assert res.k_star[i] == peak.k_star or tied
-    assert res.k_star[5:8].tolist() == [515, 515, 514]
-    assert np.isnan(res.max_abs_b[5:8]).all()
+    assert res.k_star[5:8].tolist() == [513, 513, 513]
+    assert np.isposinf(res.max_abs_b[5:8]).all()
+    assert np.argmax(np.isnan(np.abs(traj.b[:, 5:8])), axis=0).tolist() == [515, 515, 514]
 
 
 def test_quadratic_expansion_of_b2():
@@ -874,15 +877,16 @@ def _whole_peak(c, k_max):
 
 
 # Present theta = 0.01: k* = 86 of 100. (0, 1, 1, 0): |b_k| alternates 1, 0,
-# so every chunk ties the first and k* = 1. 2 throughout keeps the loop (its
-# unit entries pass _UNIT_BOUND): |b_k| overflows to inf at k = 513 and is
-# first nan at k = 515, so k* is the first nan, found in a later chunk than
-# the first inf; at kmax 1600 the loop chunks take at most 1024 steps. The
-# next two maps superpose (unit entries at most 3.68 and 2.44). In the first,
-# |b_k| is first nan at its first row that is not finite, k = 279 041. In the
-# second, a real map, |b_k| is first inf at k = 284 546 and first nan at
-# k = 284 673, the first row of the block after. Chunks cut superposed blocks
-# at any k.
+# so every chunk ties the first and k* = 1. Past overflow k* is the first k
+# whose |b_k| is not finite, with max |b_k| inf, and no later chunk takes
+# over from it. 2 throughout keeps the loop (its unit entries pass
+# _UNIT_BOUND): |b_k| overflows to inf at k = 513, its k*, and is first nan
+# at k = 515, in a later chunk for some chunk sizes; at kmax 1600 the loop
+# chunks take at most 1024 steps. The next two maps superpose (unit entries
+# at most 3.68 and 2.44). In the first, |b_k| is first nan at its first row
+# that is not finite, k = 279 041. In the second, a real map, |b_k| is
+# first inf at k = 284 546, its k*, and first nan at k = 284 673, the first
+# row of the block after. Chunks cut superposed blocks at any k.
 @pytest.mark.parametrize("coeffs, k_max, blocks", [
     (present_coeffs(AlgorithmParams(0.01, 0.0, 0.1)), 100, range(2, 120)),
     (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
@@ -922,6 +926,21 @@ def test_sweep_max_chunks_keep_the_whole_trajectory_peak(monkeypatch, coeffs, k_
         assert type(got.max_abs_b) is type(want.max_abs_b)
         np.testing.assert_array_equal(got.k_star, want.k_star)
         np.testing.assert_array_equal(got.max_abs_b, want.max_abs_b)
+
+
+def test_the_first_row_past_overflow_takes_the_peak_alone_and_in_a_batch():
+    """Once rows overflow, a lone run's matrix-vector product gives |b_k| nan
+    where a batch's multiply-adds give inf, at the same k; either way that
+    first k whose |b_k| is not finite is k*, with max |b_k| inf."""
+    c = TwoDimCoefficients(1.0025, 0.01, 0.01, 1.0025 * cmath.exp(1j))
+    with np.errstate(over="ignore"):
+        lone = np.abs(iterate2(c, 279_041).b)
+        pair = np.abs(iterate2(stacked([c, c]), 279_041).b)
+    assert np.isfinite(lone[:-1]).all() and np.isnan(lone[-1])
+    assert np.isfinite(pair[:-1]).all() and np.isposinf(pair[-1]).all()
+    for got in (sweep_max(c, 300_000), sweep_max(stacked([c, c]), 300_000)):
+        np.testing.assert_array_equal(got.k_star, 279_041)
+        np.testing.assert_array_equal(got.max_abs_b, math.inf)
 
 
 def _bit_equal(got, want):
@@ -1008,7 +1027,7 @@ def test_iterate2_fills_out_or_refuses_it(coeffs, k_max):
     that superposes."""
     shape = (k_max + 1, *np.shape(coeffs.alpha))
     rows = np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
-    if engine2d._units(engine2d._recurrence2, coeffs, engine2d._UNITS, k_max,
+    if engine2d._units(engine2d._unit_trajectories2, coeffs, k_max,
                        np.size(coeffs.alpha)) is not None:
         with pytest.raises(ValueError, match=r"^out is not taken by a run that superposes "):
             iterate2(coeffs, k_max, out=rows)
@@ -1089,15 +1108,17 @@ def test_a_fractional_step_count_is_a_type_error(call):
     (iterate2, grover_coeffs(0.1)),
     (sweep_max, grover_coeffs(0.1)),
     (iterate4, four_dim_coeffs(FourDimInputs.idealized(0.3, 0.1, 0.1))),
-], ids=["iterate2", "sweep_max", "iterate4"])
+    (lambda params, k: approx4(params.theta, params.phi, params.u, k), AlgorithmParams(0.3, 0.1, 0.1)),
+], ids=["iterate2", "sweep_max", "iterate4", "approx4"])
 def test_a_float_k_max_is_refused_before_any_step(monkeypatch, run, c):
     """3000.0 steps would superpose; the float is refused as a float before
-    a unit trajectory runs."""
+    a unit trajectory runs, and approx4's k before its first-order sum."""
     def no_step(*args):
         raise AssertionError("a step ran")
 
     monkeypatch.setattr(engine2d, "_recurrence2", no_step)
     monkeypatch.setattr(engine4d, "_recurrence4", no_step)
+    monkeypatch.setattr(engine4d, "approx_b", no_step)
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         run(c, 3000.0)
 

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasematch.engine2d import _BLOCK, _UNIT_BOUND, AlgorithmParams, approx_b
+from phasematch import engine4d
+from phasematch.engine2d import _BLOCK, _UNIT_BOUND, AlgorithmParams, _units, approx_b
 from phasematch.engine4d import (
     FourDimInputs,
     approx4,
     four_dim_coeffs,
     _UNITS,
     _recurrence4,
+    _unit_trajectories4,
     iterate4,
 )
 
@@ -56,16 +58,44 @@ def test_p_coefficients_vanish_at_half_pi_phi():
 
 
 def test_exact_negation_channels():
+    """In a short run and in a long one, every row of b and d is the lagged
+    negation of a and c: the long runs of the idealized inputs superpose, and
+    those of the others keep the loop (their unit entries pass the bound)."""
     rng = np.random.default_rng(5)
+    superposed = 0
     for _ in range(10):
         u, v, vu_gg, uv_tt = _random_inputs(rng)
-        theta, phi = rng.uniform(-math.pi, math.pi, 2)
-        c = four_dim_coeffs(FourDimInputs(float(theta), float(phi), u, v, vu_gg, uv_tt))
-        traj = iterate4(c, 25)
-        # b and d start at zero and lag a and c by exactly one step with a sign flip
-        assert traj.b[0] == 0 and traj.d[0] == 0
-        np.testing.assert_array_equal(traj.b[1:], -traj.a[:-1])
-        np.testing.assert_array_equal(traj.d[1:], -traj.c[:-1])
+        theta, phi = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
+        for inp in (FourDimInputs(theta, phi, u, v, vu_gg, uv_tt),
+                    FourDimInputs.idealized(theta, phi, u)):
+            c = four_dim_coeffs(inp)
+            superposed += _units(_unit_trajectories4, c, 5000) is not None
+            for k_max in (25, 5000):
+                traj = iterate4(c, k_max)
+                # b and d start at zero and lag a and c by exactly one step with a sign flip
+                assert traj.b[0] == 0 and traj.d[0] == 0
+                np.testing.assert_array_equal(traj.b[1:], -traj.a[:-1])
+                np.testing.assert_array_equal(traj.d[1:], -traj.c[:-1])
+    assert superposed == 10
+
+
+def test_iterate4_runs_two_unit_loops(monkeypatch):
+    """A run that superposes takes the loop for 512 steps from e_a and from
+    e_c, and no more; the unit trajectories from e_b and e_d follow from them
+    by linearity, within rounding of their own loops."""
+    c = four_dim_coeffs(FourDimInputs.idealized(0.3, 0.1, 0.1))
+    loops = []
+    loop = engine4d._recurrence4
+    monkeypatch.setattr(engine4d, "_recurrence4",
+                        lambda c, k_max, start: loops.append((k_max, start)) or loop(c, k_max, start))
+    traj = iterate4(c, 5000)
+    assert loops == [(_BLOCK, _UNITS[0]), (_BLOCK, _UNITS[2])]
+    units = _unit_trajectories4(c)
+    for i, e in ((0, _UNITS[1]), (2, _UNITS[3])):
+        unit = loop(c, _BLOCK, e)
+        np.testing.assert_allclose(units[:, :, i], -np.stack([unit.a, unit.c], axis=1),
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_allclose(traj.a, _four_store_iterate4(c, 5000)[0], rtol=0, atol=1e-13)
 
 
 def _four_store_iterate4(c, k_max):
@@ -95,20 +125,22 @@ _angles = st.floats(-math.pi, math.pi)
 @settings(max_examples=30, deadline=None)
 # Eigenvalues e^(+-i w) with cos w = 0.99999: unit entries reach 224, so the run keeps the loop.
 @example(FourDimInputs(0.0, 0.0, 0j, 0j, 0.99999 + 0j, 0j), 2049)
-# 4 x 512 steps: the longest run that keeps the loop for its four unit rows.
-@example(FourDimInputs.idealized(0.3, 0.1, 0.1), 4 * _BLOCK)
+# 2 x 512 steps: the longest run that keeps the loop for its two unit loops.
+@example(FourDimInputs.idealized(0.3, 0.1, 0.1), 2 * _BLOCK)
+# The unit loops overflow near step 479, and the units derived from them overflow in NumPy.
+@example(FourDimInputs(0.0, 0.0, 0.9, -0.9), 2049)
 def test_iterate4_is_bit_identical_to_the_four_store_loop(inp, k_max):
-    """Filling b and d after the loop changes no bit of a run of k_max <= 4 _BLOCK
+    """Filling b and d after a and c changes no bit of a run of k_max <= 2 _BLOCK
     steps, nor of rows k <= _BLOCK of a longer one, signs of zeros included.
-    Later rows of a longer run are superposed blocks: within 1e-12 of the loop
-    relative to the largest entry so far (measured: 2.4e-14), up to where the
-    entries near overflow."""
+    Later rows of a longer run are superposed blocks of a and c, with b and d
+    their lagged negations: within 1e-12 of the loop relative to the largest
+    entry so far (measured: 2.4e-14), up to where the entries near overflow."""
     c = four_dim_coeffs(inp)
     for n in (0, 1, k_max):
         traj = iterate4(c, n)
         ref = _four_store_iterate4(c, n)
         got = np.stack([traj.a, traj.b, traj.c, traj.d])
-        head = slice(0, (n if n <= 4 * _BLOCK else _BLOCK) + 1)
+        head = slice(0, (n if n <= 2 * _BLOCK else _BLOCK) + 1)
         np.testing.assert_array_equal(got[:, head], ref[:, head])
         for part in (np.real, np.imag):
             np.testing.assert_array_equal(np.signbit(part(got[:, head])),
