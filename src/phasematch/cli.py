@@ -32,6 +32,7 @@ from .linalg import (
     EQUIVALENCE_TOL,
     STRUCTURAL_TOL,
     DegenerateBasisError,
+    _refuse_degenerate,
     hermitian_dev,
     involution_dev,
     random_unitary,
@@ -48,7 +49,7 @@ from .pairs import (
     zero_diagonal_dev,
 )
 from .reporting import FORMATS, make_report, render
-from .rotations import _check_bound
+from .rotations import _check_bound, _checked_index
 
 #: (N, k) rows of the fixed-point table; u = 1/sqrt(N), theta = phi = 0.
 TABLE1_CASES = ((100, 6), (400, 12), (625, 14), (900, 17))
@@ -130,7 +131,7 @@ def run_table2(k_max=100):
     argmax of |b_k| so that disagreements between the two are visible in
     the output instead of silently absorbed. ``k_max`` is at most ``MAX_K``.
     """
-    _check_bound("k_max", k_max, 1, MAX_K)
+    k_max = _checked_index("k_max", k_max, 1, MAX_K)
     rows = []
     for theta, k_listed in TABLE2_CASES:
         params = AlgorithmParams(theta, 0.0, 0.1)
@@ -157,7 +158,7 @@ def run_pyramid(max_k=12):
     k = 2j+1 .. min(2j+5, max_k) of the Pascal-like pyramid. ``max_k`` lies
     in [3, ``K_EXACT_MAX``]: the first row is k = 3, the last the closed form's.
     """
-    _check_bound("max_k", max_k, 3, K_EXACT_MAX)
+    max_k = _checked_index("max_k", max_k, 3, K_EXACT_MAX)
     rows = []
     for j in range(1, (max_k - 1) // 2 + 1):
         for k in range(2 * j + 1, min(2 * j + 5, max_k) + 1):
@@ -179,11 +180,14 @@ def run_sweep(thetas, phi, u, k_max=100):
     :func:`phase_condition` and one :func:`sweep_max` call, which cuts the
     batch into chunks of k; a lone theta runs on Python scalars. The report
     takes the results column by column, with phi, u and the threshold shared
-    by every row. No theta, or more than ``MAX_SWEEP_ENTRIES`` entries in
-    all, is rejected before any work.
+    by every row. No theta, more than ``MAX_SWEEP_ENTRIES`` entries in all,
+    or a degenerate basis is rejected before any work: the Gram matrix of
+    {|gamma>, U^-1|tau>} has cond (1 + |u|) / (1 - |u|), refused as
+    :func:`~phasematch.linalg.gram_decompose` refuses it, but as a
+    ``ValueError`` of the input.
     """
     _check_bound("theta count", len(thetas), 1)
-    _check_bound("k_max", k_max, 1, MAX_K)
+    k_max = _checked_index("k_max", k_max, 1, MAX_K)
     entries = len(thetas) * (k_max + 1)
     if entries > MAX_SWEEP_ENTRIES:
         raise ValueError(
@@ -191,6 +195,9 @@ def run_sweep(thetas, phi, u, k_max=100):
             f"entries exceeds the sweep limit {MAX_SWEEP_ENTRIES}"
         )
     params = AlgorithmParams(float(thetas[0]) if len(thetas) == 1 else thetas, phi, u)
+    m = abs(params.u)
+    _refuse_degenerate((1 + m) / (1 - m) if m < 1 else math.inf,
+                      f"degenerate 2D basis {{|gamma>, U^-1|tau>}} at |u| = {m}", ValueError)
     res = sweep_max(present_coeffs(params), k_max)
     cond = phase_condition(params)
     columns = {
@@ -327,8 +334,8 @@ def run_verify(scope="all", seed=1, n_cases=20):
     ``EQUIVALENCE_TOL``; the 4D product's checks use ``STRUCTURAL_TOL``.
     ``n_cases`` per suite is at most ``MAX_CASES``; ``seed`` is non-negative.
     """
-    _check_bound("n_cases", n_cases, 1, MAX_CASES)
-    _check_bound("seed", seed, 0)
+    n_cases = _checked_index("n_cases", n_cases, 1, MAX_CASES)
+    seed = _checked_index("seed", seed, 0)
     if scope not in VERIFY_SCOPES:
         raise ValueError(f"unknown verify scope {scope!r}")
     rng = np.random.default_rng(seed)
@@ -355,8 +362,8 @@ def run_construct(dim, seed=0):
     The JSON report embeds both matrices under metadata as nested lists of
     {re, im} objects; the CSV encoding carries the check rows only.
     """
-    _check_bound("dim", dim, 2, MAX_DIM)
-    _check_bound("seed", seed, 0)
+    dim = _checked_index("dim", dim, 2, MAX_DIM)
+    seed = _checked_index("seed", seed, 0)
     v = random_commuting_unitary(dim, seed)
     pair = companion(v)
     p = pair_swap(dim)

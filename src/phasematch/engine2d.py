@@ -21,24 +21,24 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .rotations import COS_SNAP, _bounded, _check_bound, _finite_angles, phase_scale, snapped_cos
+from .rotations import (COS_SNAP, _bounded, _check_bound, _checked_index, _finite_angles,
+                        phase_scale, snapped_cos)
 
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
 #: Terms of the first-order sum of :func:`approx_b` held in memory at once.
 _APPROX_BLOCK = 2**14
 #: Most trajectory entries per array of one chunk in :func:`sweep_max`: n
-#: instances run max(1, SWEEP_BLOCK // n - 1) steps per chunk, and a run
-#: that loops at most 1024, so a chunk array holds at most max(SWEEP_BLOCK,
-#: 2n) entries. Rows k <= _BLOCK (512) are the plain recurrence, bit for
-#: bit; later rows of a run that superposes by :func:`iterate2`'s rule are
-#: blocks, which a chunk may cut anywhere.
+#: instances run max(1, SWEEP_BLOCK // n - 1) steps per chunk, looped or
+#: superposed, so a chunk array holds at most max(SWEEP_BLOCK, 2n) entries.
+#: A run of ``iterate2(c, k_max)`` that superposes by its rule is blocks of
+#: 512 rows past row 512, which a chunk may cut anywhere; any other run is
+#: the plain loop, whose chunks continue it bit for bit.
 SWEEP_BLOCK = 2**16
 #: Rows per superposed block of a long trajectory (see :func:`_superposed`).
 _BLOCK = 512
@@ -256,9 +256,8 @@ def hoyer_coeffs(h: HoyerParams) -> TwoDimCoefficients:
     )
 
 
-def iterate2(
-    c: TwoDimCoefficients, k_max: int, start: tuple = _ORIGIN, out: tuple | None = None
-) -> AmplitudeTrajectory:
+def iterate2(c: TwoDimCoefficients, k_max: int, start: tuple | None = None,
+             out: tuple | None = None) -> AmplitudeTrajectory:
     """Run the exact recurrence from (a_0, b_0) = ``start``, by default (1, 0), up to k_max.
 
     With scalar coefficients the steps are Python complex arithmetic and
@@ -266,37 +265,34 @@ def iterate2(
     of n instances the same steps run elementwise in NumPy, each row written
     in place, and ``a``/``b`` have shape ``(k_max + 1, n)``: column i is
     instance i's trajectory, equal to its scalar run up to rounding (NumPy's
-    complex multiply is not bit-identical to Python's). A ``start`` given as
-    the last row of an earlier run continues it bit for bit while neither run
-    passes 512 steps: Python complex numbers for scalar coefficients (an
+    complex multiply is not bit-identical to Python's).
+
+    A run given ``start`` or ``out`` is always the plain loop. So a
+    ``start`` given as the last row of an earlier looped run continues it
+    bit for bit: Python complex numbers for scalar coefficients (an
     ``np.complex128`` would switch the steps to NumPy arithmetic), arrays of
-    n for a batch.
+    n for a batch. ``out``, a pair of complex128 arrays of that shape that
+    share no memory, receives ``a`` and ``b`` in place of two new arrays;
+    any other pair is refused. :func:`sweep_max` runs its loop chunks so, in
+    one pair of buffers.
 
-    ``out``, a pair of complex128 arrays of that shape that share no
-    memory, receives ``a`` and ``b`` in place of two new arrays, with the
-    same bits; any other pair is refused. :func:`sweep_max` runs its loop
-    chunks so, in one pair of buffers. A run that superposes refuses
-    ``out``.
-
-    Rows k <= 512 are always the plain recurrence, bit for bit. Later rows
-    are superposed by the rule of both engines (:func:`_units`: more than
-    1024 steps, at most 31 instances, no unit entry past 4): each block of up
-    to 512 rows is its start row times the 512-step trajectories from (1, 0)
-    and (0, 1) (:func:`_superposed`), 1024 loop steps and one NumPy product
-    per block in all. Against an exact rational recurrence at k <= 2000 the
-    rows are off by at most 1e-14 (the loop's, 5e-15), for present, Hoyer and
-    Grover coefficients; at k = 50 000 they are within 2.4e-13 of the loop's.
+    A run given neither may superpose, by the rule of both engines
+    (:func:`_units`: more than 1024 steps, at most 31 instances, no unit
+    entry past 4). Rows k <= 512 are then the plain recurrence, bit for bit,
+    and each later block of up to 512 rows is its start row times the
+    512-step trajectories from (1, 0) and (0, 1) (:func:`_superposed`), 1024
+    loop steps and one NumPy product per block in all. Against an exact
+    rational recurrence at k <= 2000 the rows are off by at most 1e-14 (the
+    loop's, 5e-15), for present, Hoyer and Grover coefficients; at
+    k = 50 000 they are within 2.4e-13 of the loop's.
     """
-    k_max = operator.index(k_max)
-    _check_bound("k_max", k_max, 0)
-    units = _units(_unit_trajectories2, c, k_max, np.size(c.alpha))
-    if units is None:
-        return _recurrence2(c, k_max, start, _row_pair((k_max + 1, *np.shape(c.alpha)), out))
-    if out is not None:
-        raise ValueError(f"out is not taken by a run that superposes (k_max = {k_max}, "
-                         f"{np.size(c.alpha)} instances, unit entries within {_UNIT_BOUND})")
-    head = None if start is _ORIGIN else _channels(_recurrence2(c, _BLOCK, start))
-    return AmplitudeTrajectory(*next(_superposed(units, head, k_max, k_max)))
+    k_max = _checked_index("k_max", k_max, 0)
+    if start is None and out is None:
+        units = _units(_unit_trajectories2, c, k_max, np.size(c.alpha))
+        if units is not None:
+            return AmplitudeTrajectory(*next(_superposed(units, k_max, k_max)))
+    return _recurrence2(c, k_max, _ORIGIN if start is None else start,
+                        _row_pair((k_max + 1, *np.shape(c.alpha)), out))
 
 
 def _row_pair(shape: tuple, out: tuple | None = None) -> tuple:
@@ -340,11 +336,6 @@ def _recurrence2(c: TwoDimCoefficients, k_max: int, start: tuple,
     return AmplitudeTrajectory(a, b)
 
 
-def _channels(traj) -> tuple:
-    """The amplitude arrays of a trajectory, in the order of its fields."""
-    return tuple(vars(traj).values())
-
-
 def _units(pack, c, k_max: int, n: int = 1) -> np.ndarray | None:
     """The unit trajectories a run of k_max steps of n instances superposes
     with, or None where it keeps the loop: the rule of both engines. Each
@@ -363,13 +354,14 @@ def _units(pack, c, k_max: int, n: int = 1) -> np.ndarray | None:
 def _unit_trajectories2(c: TwoDimCoefficients) -> np.ndarray:
     """The 512-step trajectories from (1, 0) and (0, 1), packed: U[j, p, i]
     of the (513, 2, 2[, n]) array is channel p at step j from ``_UNITS[i]``."""
-    units = np.moveaxis(np.stack([_channels(_recurrence2(c, _BLOCK, e)) for e in _UNITS], axis=1), 2, 0)
+    trajs = [_recurrence2(c, _BLOCK, e) for e in _UNITS]
+    units = np.moveaxis(np.stack([(t.a, t.b) for t in trajs], axis=1), 2, 0)
     # A batch multiplies by each U[:, p, i] whole, which this stacking keeps contiguous;
     # one instance takes U[j] as the rows of one matrix, so row-major.
     return np.ascontiguousarray(units) if units.ndim == 3 else units
 
 
-def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
+def _superposed(units: np.ndarray, k_max: int, steps: int):
     """Rows 0..k_max of a trajectory as a list of its C channel arrays, in
     chunks of up to ``steps`` steps, each starting at the last row of the one
     before: views of one array per channel, which the next chunk overwrites.
@@ -378,12 +370,11 @@ def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
     start row is the last L rows of each channel, oldest first: (a_K, b_K)
     in 2D, (a_(K-1), a_K, c_(K-1), c_K) in 4D, whose b and d are lagged
     negations of a and c. U[j, p, i] is channel p at step j from the start
-    row with 1 at entry i. Rows k <= _BLOCK are those of ``head``'s
-    channels, by default U[:, :, L - 1], the trajectory from a_0 = 1; with
-    K the multiple of _BLOCK below a later row k, row k is ``units[k - K]``
-    times the start row at K. Block starts do not depend on ``steps``, nor
-    the products on where a slice of ``units`` begins, so every chunking
-    gives the same rows, bit for bit.
+    row with 1 at entry i. Rows k <= _BLOCK are U[k, :, L - 1], the unit
+    trajectory from a_0 = 1; with K the multiple of _BLOCK below a later
+    row k, row k is ``units[k - K]`` times the start row at K. Block starts
+    do not depend on ``steps``, nor the products on where a slice of
+    ``units`` begins, so every chunking gives the same rows, bit for bit.
 
     Per block, one instance reads its start row, takes one matrix-vector
     product, units as (m C, L C), into ``scratch`` and copies each channel
@@ -392,10 +383,10 @@ def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
     """
     channels, width = units.shape[1:3]
     lags = width // channels
-    head = np.moveaxis(units[:, :, lags - 1], 1, 0) if head is None else head
+    head = units[:, :, lags - 1]
     # One array per channel, as the loop makes them: one (rows, C) array of a
     # long 4D run found no freed space it fit and took fresh pages each call.
-    buf = [np.empty((min(steps, k_max) + 1, *part.shape[1:]), np.complex128) for part in head]
+    buf = [np.empty((min(steps, k_max) + 1, *units.shape[3:]), np.complex128) for _ in range(channels)]
     # Start entry i is channel i // L, L - 1 - i % L rows before the block.
     reads = [(i, i // lags, lags - 1 - i % lags) for i in range(width)]
     start = np.empty(units.shape[2:], np.complex128)
@@ -405,8 +396,8 @@ def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
         product, flat, columns = units[1:].reshape(-1, width), scratch.reshape(-1), list(scratch.T)
     for done in range(0, k_max, steps):
         last = min(done + steps, k_max)
-        for chan, part in zip(buf, head):
-            chan[0] = chan[-1] if done else part[0]
+        for p, chan in enumerate(buf):
+            chan[0] = chan[-1] if done else head[0, p]
         rows = [chan[: last - done + 1] for chan in buf]
         k = done
         # Python's complex arithmetic makes inf and nan without a warning, and so does this.
@@ -416,8 +407,8 @@ def _superposed(units: np.ndarray, head: tuple | None, k_max: int, steps: int):
                 end = min(base + _BLOCK, last)
                 dest, j = slice(k + 1 - done, end + 1 - done), slice(k + 1 - base, end + 1 - base)
                 if base == 0:
-                    for chan, part in zip(rows, head):
-                        chan[dest] = part[j]
+                    for p, chan in enumerate(rows):
+                        chan[dest] = head[j, p]
                 elif units.ndim == 3:
                     m = end - k
                     np.dot(product[(k - base) * channels : (end - base) * channels], start,
@@ -520,8 +511,7 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, first_j: int) -> complex:
     lose (fl(xy) = xy(1 + d) + e, |e| <= 2^-1075). With every modulus at
     most 1, sum |terms|+ is 2^(k-1), and that part is below 2e-302.
     """
-    k = operator.index(k)
-    _check_bound("k", k, 1)
+    k = _checked_index("k", k, 1)
     if k > K_EXACT_MAX:
         raise ClosedFormRangeError(
             f"closed-form evaluation is limited to k <= {K_EXACT_MAX}: the integer "
@@ -593,8 +583,7 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     nearly in phase (|gap| below about 1/k); otherwise the error is far
     smaller.
     """
-    k = operator.index(k)
-    _check_bound("k", k, 1)
+    k = _checked_index("k", k, 1)
     _one_theta(params, "approx_b")
     _, gap = _threshold_and_gap(params)
     total = 0j
@@ -654,8 +643,7 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     for a tiny nonzero gap, sin rounds to the gap itself with full relative
     accuracy, down to the smallest subnormal.
     """
-    k = operator.index(k)
-    _check_bound("k", k, 1)
+    k = _checked_index("k", k, 1)
     _one_theta(params, "closed_form_magnitude")
     scale, gap = _threshold_and_gap(params)
     if gap == 0:
@@ -690,16 +678,16 @@ def _chunks(c: TwoDimCoefficients, k_max: int, steps: int):
 
     Every chunk is a view of one pair of (a, b) buffers of min(steps, k_max)
     + 1 rows, allocated once per call: a chunk holds until the caller asks
-    for the next, which overwrites it. A run that superposes takes its
-    chunks from :func:`_superposed`; any other runs :func:`iterate2` once
-    per chunk of at most 1024 steps (which never superposes) into the
-    buffers, from the last row of the one before.
+    for the next, which overwrites it. A run that superposes by
+    :func:`iterate2`'s rule takes its chunks from :func:`_superposed`; any
+    other runs :func:`iterate2` once per chunk into the buffers, given the
+    last row of the one before as ``start`` and the buffers as ``out``, so
+    the plain loop.
     """
     units = _units(_unit_trajectories2, c, k_max, np.size(c.alpha))
     if units is not None:
-        yield from (b for a, b in _superposed(units, None, k_max, steps))
+        yield from (b for a, b in _superposed(units, k_max, steps))
         return
-    steps = min(steps, 2 * _BLOCK)
     a, b = _row_pair((min(steps, k_max) + 1, *np.shape(c.alpha)))
     row = _ORIGIN
     for done in range(0, k_max, steps):
@@ -725,8 +713,7 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
     finite is its peak, as inf (:func:`_peak_of`), so no later chunk takes
     over from it.
     """
-    k_max = operator.index(k_max)
-    _check_bound("k_max", k_max, 1)
+    k_max = _checked_index("k_max", k_max, 1)
     n = np.size(c.alpha)
     _check_bound("instances", n, 1)
     k_star, max_abs_b, done = 0, -math.inf, 0

@@ -13,13 +13,12 @@ not checkable from the scalars; the full-space oracle validates it.
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine2d import _BLOCK, AlgorithmParams, _superposed, _units, approx_b
-from .rotations import _bounded, _check_bound, _finite_angles, phase_scale
+from .rotations import _bounded, _checked_index, _finite_angles, phase_scale
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,11 @@ def iterate4(c: FourDimCoefficients, k_max: int) -> FourAmplitudes:
     At k = 50 000 these rows were within 3e-13 of the loop's over 20 random
     idealized inputs.
     """
-    k_max = operator.index(k_max)
-    _check_bound("k_max", k_max, 0)
+    k_max = _checked_index("k_max", k_max, 0)
     units = _units(_unit_trajectories4, c, k_max)
     if units is None:
         return _recurrence4(c, k_max, _UNITS[0])
-    return _lagged(*next(_superposed(units, None, k_max, k_max)), _UNITS[0])
+    return _lagged(*next(_superposed(units, k_max, k_max)), _UNITS[0])
 
 
 def _recurrence4(c: FourDimCoefficients, k_max: int, start: tuple) -> FourAmplitudes:
@@ -206,8 +204,7 @@ def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, comp
     share the same sum length; the signs were verified against the exact
     recurrence at small |u| before being hard-coded here.
     """
-    k = operator.index(k)
-    _check_bound("k", k, 1)
+    k = _checked_index("k", k, 1)
     m = k // 2
     if k % 2:
         a_k = 0j

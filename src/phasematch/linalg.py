@@ -8,11 +8,10 @@ mutated, and randomness enters only through explicitly passed seeds.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .rotations import _check_bound
+from .rotations import _check_bound, _checked_index
 
 #: Tolerance of every structural check (unitarity, hermiticity, zero diagonals).
 STRUCTURAL_TOL = 1e-10
@@ -27,6 +26,13 @@ class DegenerateBasisError(ValueError):
     """The decomposition basis is numerically linearly dependent."""
 
 
+def _refuse_degenerate(cond: float, what: str, error: type = DegenerateBasisError) -> None:
+    """Raise ``error`` naming ``what`` and cond(G) unless cond(G) * eps is
+    within ``EQUIVALENCE_TOL``; a nan cond(G) is refused too."""
+    if not cond <= _GRAM_COND_MAX:
+        raise error(f"{what}: cond(Gram) = {cond:.3e} exceeds {_GRAM_COND_MAX:.3e}")
+
+
 def _as_square(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -36,8 +42,7 @@ def _as_square(w) -> np.ndarray:
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector with a 1 at ``index``."""
-    index = operator.index(index)
-    _check_bound("index", index, 0, dim - 1)
+    index = _checked_index("index", index, 0, dim - 1)
     e = np.zeros(dim, dtype=np.complex128)
     e[index] = 1.0
     return e
@@ -122,11 +127,7 @@ def gram_decompose(states, basis) -> np.recarray:
     gram = np.array([[di @ vj for vj in vecs] for di in duals])
     # The SVD behind cond() does not converge on non-finite input.
     cond = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
-    if not cond <= _GRAM_COND_MAX:
-        raise DegenerateBasisError(
-            f"basis is numerically dependent: cond(Gram) = {cond:.3e} "
-            f"exceeds {_GRAM_COND_MAX:.3e}"
-        )
+    _refuse_degenerate(cond, "basis is numerically dependent")
     s = np.asarray(states if isinstance(states, np.ndarray) else list(states), dtype=np.complex128)
     out = np.recarray(len(s), [("coefficients", np.complex128, (len(vecs),)),
                                ("residual", np.float64)])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .linalg import (
     random_unitary,
     require_unitary,
 )
-from .rotations import _check_bound, _finite_angles, build
+from .rotations import _check_bound, _checked_index, _finite_angles, build
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +45,7 @@ class OracleConfig:
 
     def __post_init__(self):
         _finite_angles(theta=self.theta, phi=self.phi)
-        object.__setattr__(self, "dim", operator.index(self.dim))
-        _check_bound("dim", self.dim, 2)
+        object.__setattr__(self, "dim", _checked_index("dim", self.dim, 2))
         matrices = (("U", "u_matrix"), ("V", "v_matrix"))
         for name, field in matrices if self.v_matrix is not None else matrices[:1]:
             m = np.asarray(getattr(self, field), dtype=np.complex128)

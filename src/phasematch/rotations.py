@@ -8,8 +8,8 @@ rotation at ``angle`` is Long's at ``t = 2*angle + pi``. Long's reduced
 coefficients are :func:`phasematch.engine2d.long_coeffs`. This module imports
 nothing from the package, so it holds the input checks every module shares:
 ``_finite_angles`` of every angle, ``_bounded`` of every matrix element, and
-``_check_bound`` of every size, count and index and of the two real
-parameters ``a`` and ``magnitude``.
+``_check_bound`` of every size and of the two real parameters ``a`` and
+``magnitude``, and ``_checked_index`` of every count and index.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ def _check_bound(name: str, value, low, high=math.inf) -> None:
         raise ValueError(f"{name} = {value} is outside [{low}, {high}]")
 
 
+def _checked_index(name: str, value, low, high=math.inf) -> int:
+    """``operator.index(value)`` checked by :func:`_check_bound`: a float
+    count or index raises ``TypeError`` before any bound is read."""
+    value = operator.index(value)
+    _check_bound(name, value, low, high)
+    return value
+
+
 def _bounded(name: str, z) -> complex:
     """The matrix element ``z`` as a complex number, checked to be finite with |z| <= 1 + 1e-12."""
     z = complex(z)
@@ -84,8 +92,7 @@ def phase_scale(angle: float) -> complex:
 def build(index: int, angle: float, dim: int) -> np.ndarray:
     """Dense matrix of the rotation: the identity with ``(index, index)``
     entry ``1 - 2 cos(angle) e^(i*angle)``."""
-    index = operator.index(index)
-    _check_bound("index", index, 0, dim - 1)
+    index = _checked_index("index", index, 0, dim - 1)
     m = np.eye(dim, dtype=np.complex128)
     m[index, index] = 1 - phase_scale(angle)
     return m

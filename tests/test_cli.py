@@ -121,14 +121,14 @@ def _scalar_sweep_rows(thetas, phi, u, k_max):
 def test_sweep_blocks_agree_with_scalar_sweeps(sweep_chunks, monkeypatch):
     """A grid of any size past one theta runs only as (n,)-shaped chunks of
     one batch, of max(1, SWEEP_BLOCK // n - 1) steps each, looped or
-    superposed (a looped run at most 1024), a lone theta as scalars, and
-    each gives the peaks of the scalar trajectories."""
+    superposed, a lone theta as scalars, and each gives the peaks of the
+    scalar trajectories."""
     phi, u = 0.3, 0.1 * np.exp(0.5j)
     for count, k_max, block, chunks in (
         (1, SWEEP_BLOCK, SWEEP_BLOCK, [SWEEP_BLOCK - 1, 1]),
         (75, 2000, SWEEP_BLOCK, [872, 872, 256]),
         (65, 2000, SWEEP_BLOCK, [1007, 993]),
-        (40, 2000, SWEEP_BLOCK, [1024, 976]),
+        (40, 2000, SWEEP_BLOCK, [1637, 363]),
         # Past block // 2 theta: 1-step chunks of (2, n) arrays.
         (5, 6, 8, [1] * 6),
         (9, 3, 8, [1] * 3),
@@ -320,6 +320,29 @@ def test_run_bounds_hold_before_work(monkeypatch, run, name, low, high, first_ca
     for value in (low, high):
         with pytest.raises(Reached):
             run(**{name: value})
+    # A whole float within the bounds is refused at the entry, not deep in the run.
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        run(**{name: float(low)})
+
+
+def test_sweep_refuses_a_degenerate_basis_before_work(runner, monkeypatch):
+    """The Gram matrix of {|gamma>, U^-1|tau>} has cond (1 + |u|) / (1 - |u|).
+    Where cond * eps exceeds EQUIVALENCE_TOL, |u| >= 1 included, the sweep is
+    refused as a plain ValueError, a usage error naming the basis and the
+    cond, before sweep_max runs; |u| = 0.999 (cond 1999) runs."""
+    for u, cond in (("1", "inf"), ("1j", "inf"), ("0.9999999999", "2.000e+10")):
+        result = runner.invoke(main, ["sweep", "--theta", "0", "--phi", "0", "--u", u, "--kmax", "10"])
+        _assert_usage_error(result)
+        assert "degenerate 2D basis {|gamma>, U^-1|tau>}" in result.stderr
+        assert f"cond(Gram) = {cond} exceeds " in result.stderr
+    assert runner.invoke(main, ["sweep", "--u", "0.999", "--kmax", "10"]).exit_code == 0
+    monkeypatch.setattr(cli, "sweep_max", _reached)
+    for u in (1.0, 1 + 1e-13, -0.9999999999):
+        with pytest.raises(ValueError, match=r"^degenerate 2D basis ") as info:
+            run_sweep([0.0, 0.1], 0.0, u)
+        assert type(info.value) is ValueError
+    with pytest.raises(Reached):
+        run_sweep([0.0], 0.0, 0.999)
 
 
 @pytest.mark.parametrize("run, first_call", [
@@ -333,6 +356,8 @@ def test_seed_is_bounded_before_work(monkeypatch, run, first_call):
             run(seed=seed)
     with pytest.raises(Reached):
         run(seed=0)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        run(seed=0.0)
 
 
 @pytest.mark.parametrize("args", [

@@ -739,31 +739,39 @@ def test_sweep_max_result_types_follow_the_coefficient_shape():
 
 
 def test_iterate2_continues_from_a_start_row():
+    """12 steps and then 18 more from the last row are the 30 steps of one
+    run, bit for bit, for one instance and for a batch; so are 1500 and then
+    700 the 2200 steps from an explicit (1, 0), as a run given a start row
+    loops, however long."""
     c = present_coeffs(AlgorithmParams(0.4, -0.2, 0.3 + 0.1j))
     for coeffs, last in ((c, complex), (stacked([c, grover_coeffs(0.2)]), np.copy)):
-        whole = iterate2(coeffs, 30)
-        head = iterate2(coeffs, 12)
-        rest = iterate2(coeffs, 18, (last(head.a[-1]), last(head.b[-1])))
-        np.testing.assert_array_equal(rest.a, whole.a[12:])
-        np.testing.assert_array_equal(rest.b, whole.b[12:])
+        for first, then in ((12, 18), (1500, 700)):
+            whole = iterate2(coeffs, first + then, (1.0 + 0j, 0j))
+            head = iterate2(coeffs, first, (1.0 + 0j, 0j))
+            rest = iterate2(coeffs, then, (last(head.a[-1]), last(head.b[-1])))
+            assert _bit_equal(head.a, whole.a[: first + 1]) and _bit_equal(head.b, whole.b[: first + 1])
+            assert _bit_equal(rest.a, whole.a[first:]) and _bit_equal(rest.b, whole.b[first:])
 
 
 def test_iterate2_rows_up_to_a_block_are_the_plain_recurrence():
-    """A run of 2 _BLOCK steps is the loop throughout. In a longer one the
-    rows past _BLOCK are superposed, and rows k <= _BLOCK stay those of a
-    run that stops there, from any start."""
+    """From the origin, a run of 2 _BLOCK steps is the loop throughout, and
+    in a longer one, whose rows past _BLOCK are superposed, rows k <= _BLOCK
+    stay those of a run that stops there. A run given a start row, (1, 0)
+    included, is the loop throughout."""
     c = present_coeffs(AlgorithmParams(0.4, -0.2, 0.3 + 0.1j))
     batch = stacked([c, grover_coeffs(0.2)])
+    for coeffs in (c, batch):
+        short = iterate2(coeffs, 2 * _BLOCK)
+        loop = engine2d._recurrence2(coeffs, 2 * _BLOCK, engine2d._ORIGIN)
+        assert _bit_equal(short.a, loop.a) and _bit_equal(short.b, loop.b)
+        head = iterate2(coeffs, _BLOCK)
+        whole = iterate2(coeffs, 3 * _BLOCK + 7)
+        assert _bit_equal(whole.a[: _BLOCK + 1], head.a) and _bit_equal(whole.b[: _BLOCK + 1], head.b)
     for coeffs, start in ((c, (1.0 + 0j, 0j)), (c, (0.3 - 0.2j, -0.5j)),
                           (batch, (1.0 + 0j, 0j)), (batch, (np.array([0.3, 1j]), np.zeros(2)))):
-        short = iterate2(coeffs, 2 * _BLOCK, start)
-        loop = engine2d._recurrence2(coeffs, 2 * _BLOCK, start)
-        np.testing.assert_array_equal(short.a, loop.a)
-        np.testing.assert_array_equal(short.b, loop.b)
-        head = iterate2(coeffs, _BLOCK, start)
         whole = iterate2(coeffs, 3 * _BLOCK + 7, start)
-        np.testing.assert_array_equal(whole.a[: _BLOCK + 1], head.a)
-        np.testing.assert_array_equal(whole.b[: _BLOCK + 1], head.b)
+        loop = engine2d._recurrence2(coeffs, 3 * _BLOCK + 7, start)
+        assert _bit_equal(whole.a, loop.a) and _bit_equal(whole.b, loop.b)
 
 
 def _exact_trajectory(c, k_max):
@@ -882,11 +890,11 @@ def _whole_peak(c, k_max):
 # over from it. 2 throughout keeps the loop (its unit entries pass
 # _UNIT_BOUND): |b_k| overflows to inf at k = 513, its k*, and is first nan
 # at k = 515, in a later chunk for some chunk sizes; at kmax 1600 the loop
-# chunks take at most 1024 steps. The next two maps superpose (unit entries
-# at most 3.68 and 2.44). In the first, |b_k| is first nan at its first row
-# that is not finite, k = 279 041. In the second, a real map, |b_k| is
-# first inf at k = 284 546, its k*, and first nan at k = 284 673, the first
-# row of the block after. Chunks cut superposed blocks at any k.
+# chunks take block - 1 steps, as superposed ones do. The next two maps
+# superpose (unit entries at most 3.68 and 2.44). In the first, |b_k| is
+# first nan at its first row that is not finite, k = 279 041. In the
+# second, a real map, |b_k| is first inf at k = 284 546, its k*, and first
+# nan at k = 284 673, the first row of the block after. Chunks cut superposed blocks at any k.
 @pytest.mark.parametrize("coeffs, k_max, blocks", [
     (present_coeffs(AlgorithmParams(0.01, 0.0, 0.1)), 100, range(2, 120)),
     (stacked([present_coeffs(AlgorithmParams(t, 0.0, 0.1)) for t in (0.01, 0.02, 0.05)]),
@@ -1021,18 +1029,16 @@ def test_sweep_max_peak_holds_over_a_partial_last_chunk():
 ], ids=["scalar", "batch", "wide batch"])
 @pytest.mark.parametrize("k_max", [10, 3 * _BLOCK], ids=["short", "long"])
 def test_iterate2_fills_out_or_refuses_it(coeffs, k_max):
-    """``out`` receives the rows of the run without it, bit for bit, where
-    the run keeps the loop; a pair of the wrong shape, dtype or length, or
-    two arrays that share memory, is refused, and so is ``out`` on a run
-    that superposes."""
+    """``out`` receives the rows of the loop, bit for bit, also where the
+    run without it superposes (long scalar and batch runs); a pair of the
+    wrong shape, dtype or length, or two arrays that share memory, is
+    refused."""
     shape = (k_max + 1, *np.shape(coeffs.alpha))
     rows = np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
-    if engine2d._units(engine2d._unit_trajectories2, coeffs, k_max,
-                       np.size(coeffs.alpha)) is not None:
-        with pytest.raises(ValueError, match=r"^out is not taken by a run that superposes "):
-            iterate2(coeffs, k_max, out=rows)
-        return
-    want = iterate2(coeffs, k_max)
+    superposes = engine2d._units(engine2d._unit_trajectories2, coeffs, k_max,
+                                 np.size(coeffs.alpha)) is not None
+    assert superposes == (k_max > 2 * _BLOCK and np.size(coeffs.alpha) <= engine2d._NARROW)
+    want = engine2d._recurrence2(coeffs, k_max, engine2d._ORIGIN)
     got = iterate2(coeffs, k_max, out=rows)
     for part, expected, buffer in zip((got.a, got.b), (want.a, want.b), rows):
         assert np.shares_memory(part, buffer) and _bit_equal(part, expected)

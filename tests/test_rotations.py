@@ -23,7 +23,7 @@ from phasematch.engine2d import (
 from phasematch.engine4d import FourDimInputs, approx4, four_dim_coeffs, iterate4
 from phasematch.linalg import basis_state, random_unitary
 from phasematch.oracle import OracleConfig, build_q, evolve, unitary_with_overlap
-from phasematch.rotations import build, phase_scale, snapped_cos
+from phasematch.rotations import _checked_index, build, phase_scale, snapped_cos
 
 from helpers import stacked
 
@@ -66,6 +66,17 @@ def test_families_are_unitary(theta):
 def test_build_rejects_bad_index():
     with pytest.raises(ValueError):
         build(4, 0.1, 4)
+
+
+def test_a_count_is_an_index_then_a_bound():
+    """The one check of every count and index: a NumPy integer comes back a
+    Python int, and a float is a TypeError, even outside the bounds."""
+    got = _checked_index("k", np.int64(3), 1)
+    assert got == 3 and type(got) is int
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        _checked_index("k", -0.5, 1)
+    with pytest.raises(ValueError, match=re.escape("k = 0 is outside [1, 2]")):
+        _checked_index("k", 0, 1, 2)
 
 
 _C2 = grover_coeffs(0.1)
