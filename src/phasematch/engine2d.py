@@ -611,14 +611,14 @@ def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:
     return threshold, _reduced_gap(params.theta, params.phi)
 
 
-def _reduced_gap(theta, phi):
-    """``math.remainder(theta - phi, math.pi)``, elementwise for an array of theta.
+#: ``math.remainder`` applied to each entry of an array.
+_REMAINDER = np.frompyfunc(math.remainder, 2, 1)
 
-    An array takes CPython's steps of ``math.remainder`` in NumPy, bit for
-    bit: m = fmod(|x|, pi), which is exact, then m or m - pi, whichever is
-    smaller in magnitude (at a tie, the one of even quotient), with the sign
-    of x. A difference that overflows raises ``ValueError``, as
-    ``math.remainder`` does for a float.
+
+def _reduced_gap(theta, phi):
+    """``math.remainder(theta - phi, math.pi)``, elementwise for an array of
+    theta. A difference that overflows raises ``ValueError``: for an array
+    one that names the entry, for a float ``math.remainder``'s own.
     """
     if not isinstance(theta, np.ndarray):
         return math.remainder(theta - phi, math.pi)
@@ -627,11 +627,7 @@ def _reduced_gap(theta, phi):
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"theta - phi overflows at theta[{i}]={theta[i]}, phi={phi}")
-    ax = np.abs(x)
-    m = np.fmod(ax, math.pi)
-    c = math.pi - m
-    r = np.where(m < c, m, np.where(m > c, -c, m - 2.0 * np.fmod(0.5 * (ax - m), math.pi)))
-    return np.copysign(1.0, x) * r
+    return _REMAINDER(x, math.pi).astype(np.float64)
 
 
 def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .rotations import _check_bound, _checked_index
+from .rotations import _checked_index
 
 #: Tolerance of every structural check (unitarity, hermiticity, zero diagonals).
 STRUCTURAL_TOL = 1e-10
@@ -155,7 +155,7 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     passing a generator draws from it, which lets callers derive several
     matrices from one seed.
     """
-    _check_bound("dim", dim, 1)
+    dim = _checked_index("dim", dim, 1)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     z /= math.sqrt(2)

@@ -122,7 +122,7 @@ def invariant_basis(cfg: OracleConfig) -> list[np.ndarray]:
 
 def evolve(q: np.ndarray, cfg: OracleConfig, k_max: int) -> OracleRun:
     """Apply Q repeatedly to |gamma>, then decompose every state over the invariant basis."""
-    _check_bound("k_max", k_max, 0)
+    k_max = _checked_index("k_max", k_max, 0)
     states = np.empty((k_max + 1, cfg.dim), dtype=np.complex128)
     states[0] = basis_state(cfg.dim, cfg.gamma_index)
     for prev, nxt in zip(states, states[1:]):
@@ -160,7 +160,7 @@ def unitary_with_overlap(dim: int, seed, magnitude: float) -> np.ndarray:
     that are not powers of two.
     """
     _check_bound("magnitude", magnitude, 0, 1)
-    _check_bound("dim", dim, 2)
+    dim = _checked_index("dim", dim, 2)
     w = random_unitary(dim, seed)
     tau_row = w[dim - 1]
     # Column gamma = 0 is excluded; np.argmax takes the first maximum.

@@ -14,6 +14,7 @@ exposed as a pair of independently computed flags.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,15 +31,17 @@ from .linalg import (
 )
 
 
-def _check_even_dim(dim: int) -> None:
-    """Raise ``ValueError`` unless ``dim`` is an even number >= 2."""
+def _checked_even_dim(dim: int) -> int:
+    """``operator.index(dim)``, a ``ValueError`` unless it is an even number >= 2."""
+    dim = operator.index(dim)
     if dim < 2 or dim % 2:
         raise ValueError(f"dim = {dim} is not an even dimension >= 2")
+    return dim
 
 
 def pair_swap(dim: int) -> np.ndarray:
     """The block-diagonal of 2x2 swaps: entries (2i, 2i+1) and (2i+1, 2i) are 1."""
-    _check_even_dim(dim)
+    dim = _checked_even_dim(dim)
     p = np.zeros((dim, dim), dtype=np.complex128)
     even = np.arange(0, dim, 2)
     p[even, even + 1] = 1.0
@@ -59,7 +62,7 @@ def block_symmetry_dev(v) -> float:
     """
     v = _as_square(v)
     n = v.shape[0]
-    _check_even_dim(n)
+    _checked_even_dim(n)
     blocks = v.reshape(n // 2, 2, n // 2, 2).transpose(0, 2, 1, 3)
     return float(max(
         np.max(np.abs(blocks[:, :, 0, 0] - blocks[:, :, 1, 1])),
@@ -81,7 +84,7 @@ def random_commuting_unitary(dim: int, seed) -> np.ndarray:
     involution, V = PVP is the same as VP = PV, which holds exactly when V is
     block-diagonal in P's eigenbasis; so this spans the whole admissible set.
     """
-    _check_even_dim(dim)
+    dim = _checked_even_dim(dim)
     rng = np.random.default_rng(seed)
     half = dim // 2
     i = np.arange(half)

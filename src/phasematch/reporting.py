@@ -2,9 +2,10 @@
 
 Float values are rounded to 12 significant digits when a report is
 assembled, so the two encodings render bit-identical numbers (both go
-through Python's shortest-roundtrip float repr). All floats of a report are
-formatted in one ``"%.12g"`` string and parsed back, each rounded to 12
-significant digits. A non-finite float keeps its text, so it becomes the
+through Python's shortest-roundtrip float repr). Each container is rounded
+where it is copied: its floats are formatted in one ``"%.12g"`` string and
+parsed back, each rounded to 12 significant digits, so a column of floats or
+a matrix is one string. A non-finite float keeps its text, so it becomes the
 string "inf", "-inf" or "nan" in both encodings. A 2-D complex array becomes
 nested lists of {re, im} objects, as its ``tolist()`` would.
 
@@ -20,7 +21,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import groupby, islice, repeat
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -38,22 +39,35 @@ _NUMBERS = frozenset({int, float})
 _LABELS = frozenset({str, bool, type(None)})
 
 
-def _normalize(value, floats: list, fills: list):
-    """A copy of ``value`` with numpy scalars unwrapped and complex values as
-    {re, im} objects. Its floats go to ``floats``; ``fills`` gets functions
-    that write them back, rounded, in order from an iterator (a copied list
-    or matrix stays empty until then)."""
+#: Parses a report's ``"%.12g"`` texts back as one JSON array, so that no
+#: list of texts is held: an integral text ("1", "-0") stays a float, a
+#: non-finite one gets its name.
+_PARSER = json.JSONDecoder(parse_int=float, parse_constant=_NAMES.__getitem__)
+
+
+def _rounded(floats) -> list:
+    """``floats`` rounded to 12 significant digits, formatted in one
+    ``"%.12g"`` string and parsed back."""
+    text = ("[" + ",".join([f"%.{SIG_DIGITS}g"] * len(floats)) + "]") % tuple(floats)
+    return _PARSER.decode(text.replace("inf", "Infinity").replace("nan", "NaN"))
+
+
+def _normalize(value):
+    """A copy of ``value`` with numpy scalars unwrapped, complex values as
+    {re, im} objects, and the floats of each container it copies rounded by
+    one :func:`_rounded` call. A float alone is its container's to round."""
+    if isinstance(value, list):
+        types = set(map(type, value))
+        if types == {float}:
+            return _rounded(value)
+        if types <= _SCALARS and float not in types:
+            return list(value)
     if isinstance(value, (dict, list, tuple)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
-        out = {k: v if type(v) in _SCALARS else _normalize(v, floats, fills) for k, v in items}
+        out = {k: v if type(v) in _SCALARS else _normalize(v) for k, v in items}
         keys = [k for k, v in out.items() if type(v) is float]
-        floats += map(out.__getitem__, keys)
-        fills.append(lambda rounded: out.update(zip(keys, rounded)))
-        if isinstance(value, dict):
-            return out
-        listed = []
-        fills.append(lambda rounded: listed.extend(out.values()))
-        return listed
+        out.update(zip(keys, _rounded([out[k] for k in keys])))
+        return out if isinstance(value, dict) else list(out.values())
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, (int, str)) or value is None:
@@ -61,29 +75,13 @@ def _normalize(value, floats: list, fills: list):
     if isinstance(value, float):
         return float(value)
     if isinstance(value, complex):
-        return _normalize({"re": value.real, "im": value.imag}, floats, fills)
+        return _normalize({"re": value.real, "im": value.imag})
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.complex128:
-        floats += np.ascontiguousarray(value).view(np.float64).ravel().tolist()
-        matrix, (rows, cols) = [], value.shape
-        fills.append(lambda rounded: matrix.extend([
-            [{"re": next(rounded), "im": next(rounded)} for _ in range(cols)] for _ in range(rows)
-        ]))
-        return matrix
+        rounded = iter(_rounded(np.ascontiguousarray(value).view(np.float64).ravel().tolist()))
+        rows, cols = value.shape
+        return [[{"re": next(rounded), "im": next(rounded)} for _ in range(cols)]
+                for _ in range(rows)]
     raise TypeError(f"cannot put a {type(value).__name__} in a report")
-
-
-def _normalize_column(values: list, floats: list, fills: list) -> list:
-    """:func:`_normalize` of one column of values, taking a column of floats
-    or of scalars without floats whole."""
-    types = set(map(type, values))
-    if types == {float}:
-        column, size = [], len(values)
-        floats += values
-        fills.append(lambda rounded: column.extend(islice(rounded, size)))
-        return column
-    if types <= _SCALARS and float not in types:
-        return list(values)
-    return _normalize(values, floats, fills)
 
 
 class _Shared(NamedTuple):
@@ -165,27 +163,15 @@ def make_report(command: str, metadata: dict, rows, passed: bool | None = None) 
 
     ``rows`` is a list of row dicts, or a dict of columns: each column a list
     of one value per row, or any other value, shared by every row. A shared
-    value is normalized and rounded once.
+    value is normalized and rounded once, with the other shared values.
     """
-    floats, fills = [], []
-    metadata = _normalize(metadata, floats, fills)
+    metadata = _normalize(metadata)
     if isinstance(rows, dict):
-        shared = _normalize({k: v for k, v in rows.items() if not isinstance(v, list)},
-                            floats, fills)
-        lists = {k: _normalize_column(v, floats, fills)
-                 for k, v in rows.items() if isinstance(v, list)}
+        shared = _normalize({k: v for k, v in rows.items() if not isinstance(v, list)})
+        rows = {k: _normalize(v) if isinstance(v, list) else _Shared(shared[k])
+                for k, v in rows.items()}
     else:
-        rows = [_normalize(row, floats, fills) for row in rows]
-    # Parsed back as one JSON array, so that no list of texts is held: an
-    # integral text ("1", "-0") stays a float, a non-finite one gets its name.
-    text = ("[" + ",".join([f"%.{SIG_DIGITS}g"] * len(floats)) + "]") % tuple(floats)
-    del floats  # a matrix's unrounded parts go before its rounded ones come
-    text = text.replace("inf", "Infinity").replace("nan", "NaN")
-    rounded = iter(json.loads(text, parse_int=float, parse_constant=_NAMES.__getitem__))
-    for fill in fills:
-        fill(rounded)
-    if isinstance(rows, dict):
-        rows = {k: lists[k] if k in lists else _Shared(shared[k]) for k in rows}
+        rows = [_normalize(row) for row in rows]
     return Report(command, metadata, rows, passed)
 
 

@@ -4,6 +4,7 @@ Verdict lines are written with capture suspended so they stay visible in
 the terminal whatever capture mode pytest runs under.
 """
 
+import cmath
 import math
 import time
 
@@ -25,7 +26,13 @@ from phasematch.engine2d import (
 )
 from phasematch.engine4d import FourDimInputs, four_dim_coeffs, iterate4
 from phasematch.linalg import EQUIVALENCE_TOL, random_unitary
-from phasematch.oracle import OracleConfig, build_q, evolve, unitary_with_overlap
+from phasematch.oracle import (
+    OracleConfig,
+    build_q,
+    evolve,
+    target_amplitude,
+    unitary_with_overlap,
+)
 from phasematch.pairs import (
     companion,
     hermitian_iff_involution,
@@ -278,3 +285,47 @@ def test_criterion_11_table1_by_the_dense_oracle(verdict):
     verdict(11, ok, f"N = 100..900: dev {worst:.2e}, residual {res_worst:.2e} <= "
                      f"{EQUIVALENCE_TOL:g}, |b_k| error {printed_worst:.2e} <= 5e-4, "
                      f"{elapsed:.2f}s")
+
+
+def _oracle_amplitudes(theta, phi, matrices):
+    """a_k u + b_k for k <= 40 by the dense oracle at N = 16."""
+    cfg = OracleConfig(dim=16, theta=float(theta), phi=float(phi), **matrices)
+    return target_amplitude(evolve(build_q(cfg), cfg, 40), cfg, np.arange(41))
+
+
+def test_criterion_12_measurable_amplitude_is_swap_symmetric(verdict):
+    """Swapping theta and phi leaves the measurable amplitude a_k u + b_k
+    unchanged, while |b_k| moves: the paper's non-symmetric effects are
+    effects on b_k, a coefficient over a non-orthogonal basis.
+
+    Proof sketch for 2D: U Q^k |gamma> = (-R_s(theta) I_tau(phi))^k |s>,
+    with |s> = U|gamma> and R_s = U I_gamma U^-1. Absorb u's phase into
+    |s>: then |s> and |tau> span a real plane, on which both rotations are
+    symmetric matrices. Transposing <tau|(R_s I_tau)^k|s> then gives
+    <s|(I_tau R_s)^k|tau>, and the reflection that swaps |s> and |tau>
+    turns it into <tau|(R_s(phi) I_tau(theta))^k|s>, the swapped amplitude.
+    The dense oracle checks the 2D amplitude and the 4D one's modulus.
+    """
+    rng = np.random.default_rng(12)
+    worst = b_gap = 0.0
+    for _ in range(300):
+        theta, phi = rng.uniform(-math.pi, math.pi, 2)
+        u = cmath.rect(rng.uniform(0.01, 0.9), rng.uniform(-math.pi, math.pi))
+        one, two = (iterate2(present_coeffs(AlgorithmParams(float(x), float(y), u)), 200)
+                    for x, y in ((theta, phi), (phi, theta)))
+        worst = max(worst, float(np.max(np.abs(one.a * u + one.b - (two.a * u + two.b)))))
+        b_gap = max(b_gap, float(np.max(np.abs(np.abs(one.b) - np.abs(two.b)))))
+    oracle_2d = oracle_4d = 0.0
+    for _ in range(20):
+        theta, phi = rng.uniform(-math.pi, math.pi, 2)
+        seed = int(rng.integers(2**32))
+        u_only = {"u_matrix": random_unitary(16, seed)}
+        one, two = _oracle_amplitudes(theta, phi, u_only), _oracle_amplitudes(phi, theta, u_only)
+        oracle_2d = max(oracle_2d, float(np.max(np.abs(one - two))))
+        pair = companion(random_commuting_unitary(16, seed))
+        both = {"u_matrix": pair.u, "v_matrix": pair.v}
+        one, two = _oracle_amplitudes(theta, phi, both), _oracle_amplitudes(phi, theta, both)
+        oracle_4d = max(oracle_4d, float(np.max(np.abs(np.abs(one) - np.abs(two)))))
+    ok = max(worst, oracle_2d, oracle_4d) <= EQUIVALENCE_TOL and b_gap > 0.1
+    verdict(12, ok, f"theta <-> phi: a_k u + b_k moved {worst:.2e}, oracle 2D {oracle_2d:.2e}, "
+                    f"|4D| {oracle_4d:.2e}, all <= {EQUIVALENCE_TOL:g}; |b_k| moved {b_gap:.2f} > 0.1")

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -355,3 +356,44 @@ def test_column_wise_rows_need_list_columns_of_one_length():
     report = make_report("c", {}, {"a": [], "b": 0.5})
     assert report.rows == [] and to_csv(report) == "a,b\n"
     assert json.loads(to_json(report))["rows"] == []
+
+
+def test_each_container_is_rounded_in_one_call():
+    """A report's floats are rounded container by container: a column of
+    floats or a matrix in one call, never one call per float."""
+    thetas = np.linspace(-math.pi, math.pi, 1001).tolist()
+    columns = {"theta": thetas, "phi": 0.3, "u_re": 0.1, "u_im": -0.0,
+               "k_star": list(range(1001)), "max_abs_b": [t / 7 for t in thetas],
+               "threshold": 0.2, "ratio_l": [t * 3 for t in thetas],
+               "satisfied": [t > 0 for t in thetas]}
+    metadata = {"seed": 0, "tolerance": 1e-9, "phi": 0.3, "k_max": 400}
+    with mock.patch.object(reporting, "_rounded", wraps=reporting._rounded) as rounded:
+        report = make_report("sweep", metadata, columns)
+    sizes = sorted(len(call.args[0]) for call in rounded.call_args_list)
+    # The metadata, the shared values, and each float column once.
+    assert sizes == [2, 4, 1001, 1001, 1001]
+    assert report.rows[1000]["theta"] == round_sig(math.pi)
+
+    dim = 8
+    v = random_unitary(dim, 1)
+    with mock.patch.object(reporting, "_rounded", wraps=reporting._rounded) as rounded:
+        make_report("construct", {"tolerance": 1e-9, "v": v, "u": v.conj().T},
+                    [{"check": "v_unitary", "deviation": 1e-15, "ok": True}])
+    sizes = [len(call.args[0]) for call in rounded.call_args_list]
+    assert sizes.count(2 * dim * dim) == 2 and len(sizes) == 4
+
+
+def test_a_matrix_report_holds_no_second_copy_of_its_floats():
+    """Each matrix is rounded alone, so the peak memory of assembling a
+    ``construct``-sized report is little more than the report it keeps."""
+    v = random_unitary(128, 0)
+    u = v.conj().T
+    rows = [{"check": "v_unitary", "deviation": 1e-15, "tol": 1e-9, "ok": True}]
+    tracemalloc.start()
+    try:
+        report = make_report("construct", {"seed": 0, "dim": 128, "v": v, "u": u}, rows, True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.metadata["u"]) == 128
+    assert peak <= 1.1 * kept

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from phasematch.engine2d import (
 from phasematch.engine4d import FourDimInputs, approx4, four_dim_coeffs, iterate4
 from phasematch.linalg import basis_state, random_unitary
 from phasematch.oracle import OracleConfig, build_q, evolve, unitary_with_overlap
+from phasematch.pairs import pair_swap, random_commuting_unitary
 from phasematch.rotations import _checked_index, build, phase_scale, snapped_cos
 
 from helpers import stacked
@@ -77,6 +79,25 @@ def test_a_count_is_an_index_then_a_bound():
         _checked_index("k", -0.5, 1)
     with pytest.raises(ValueError, match=re.escape("k = 0 is outside [1, 2]")):
         _checked_index("k", 0, 1, 2)
+
+
+def test_a_float_count_is_refused_before_any_work():
+    """The dimension of each seeded draw, evolve's k_max and pair_swap's
+    dimension are counts too: a float is a TypeError before a generator is
+    made or an array sized, and an integral NumPy count is taken."""
+    draws = (lambda dim: random_unitary(dim, 1), lambda dim: unitary_with_overlap(dim, 1, 0.3),
+             lambda dim: random_commuting_unitary(dim, 1))
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        for draw in draws:
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                draw(4.0)
+    for draw in draws:
+        assert draw(np.int64(4)).shape == (4, 4)
+    for call in (lambda: evolve(build_q(_CFG), _CFG, 3.0), lambda: pair_swap(4.0)):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+    assert evolve(build_q(_CFG), _CFG, np.int64(3)).k_max == 3
+    assert pair_swap(np.int64(4)).shape == (4, 4)
 
 
 _C2 = grover_coeffs(0.1)
