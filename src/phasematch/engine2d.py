@@ -448,69 +448,88 @@ def t_coeff(k: int, i: int, j: int) -> int:
     return math.comb(i + j - 1, j - 1) * math.comb(k - i - j, j)
 
 
-def _exponent_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables of the exponents of alpha and delta in term i of a row
-    whose exponents add up to ``rest``: [rest, i] holds rest - i and i where
-    i <= rest, and 0 and 0 (a padding cell) where i > rest."""
-    rest, i = np.ogrid[:size, :size]
-    tables = np.where(i <= rest, rest - i, 0), np.where(i <= rest, i, 0)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-_ALPHA_EXP, _DELTA_EXP = _exponent_tables(K_EXACT_MAX + 1)
 #: The exponents 0..K_EXACT_MAX as floats: int coefficients then take float powers, which do not wrap.
 _POWERS = np.arange(K_EXACT_MAX + 1.0)
 _POWERS.flags.writeable = False
 
 
 @functools.cache
-def _pyramid_grid(coeff, k: int, first_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The inner sums of :func:`_closed_form` as one grid, a row per j = first_j..top//2
-    with top = k - 1 + first_j.
-
-    Row j holds ``float(coeff(k, i, j))`` for i = 0..top-2j, then 0.0 up to a
-    common width, and beside it the exponents of alpha (top-2j-i) and delta
-    (i), 0 for both in a padding cell, so that a padding term is +0.0. The
-    exponents are views of rows top-2j of ``_ALPHA_EXP`` and ``_DELTA_EXP``,
-    so a cached grid holds only its coefficients. All three arrays are
-    read-only, as every caller shares them.
-    """
-    top = k - 1 + first_j
-    js = range(first_j, top // 2 + 1)
-    width = max(top + 1 - 2 * first_j, 1)
-    coef = np.zeros((len(js), width))
-    for row, j in enumerate(js):
-        terms = range(top - 2 * j + 1)
-        coef[row, : len(terms)] = [float(coeff(k, i, j)) for i in terms]
-    coef.flags.writeable = False
-    # [: len(js)] leaves no row for a_1, whose first row top - 2 first_j is -1.
-    return coef, *(table[top - 2 * first_j :: -2][: len(js), :width]
-                   for table in (_ALPHA_EXP, _DELTA_EXP))
-
-
-def _closed_form(c: TwoDimCoefficients, k: int, coeff, first_j: int) -> complex:
-    """sum_{j >= first_j} (beta*lambda)^j sum_{i=0}^{top-2j} coeff(k, i, j) alpha^(top-2j-i) delta^i,
-    with top = k - 1 + first_j.
+def _term_table(coeff, first_j: int) -> tuple[np.ndarray, ...]:
+    """The terms of, per k = 1..K_EXACT_MAX,
+    sum_{j >= first_j} (beta*lambda)^j sum_{i=0}^{top-2j} coeff(k, i, j) alpha^(top-2j-i) delta^i,
+    top = k - 1 + first_j, built on first use with no list of its terms.
 
     With ``l_coeff`` and first_j = 0 (top = k-1) this is b_k / beta; with
     ``t_coeff`` and first_j = 1 (top = k) it is a_k, whose j = 0 term
-    alpha^k has no ``t_coeff`` (its C(i-1, -1) is undefined) and is added to
-    the total.
-
-    The inner sums over i come from :func:`_pyramid_grid`, built once per
-    (coeff, k) and cached. A call takes the powers 0..k of alpha, delta and
-    beta*lambda in one NumPy power, gathers those of alpha and delta into the
-    grid and takes the dot product of the row sums with the powers of
-    beta*lambda: no loop in Python. The result is within
-    2k eps sum |terms| + 12 (k + 2) 2^-1075 sum |terms|+ of the exact value,
-    the sums taken over the moduli of the terms above, in sum |terms|+ each
-    modulus taken as at least 1; the tests check it against the exact
-    rational recurrence. The second part bounds what products that underflow
-    lose (fl(xy) = xy(1 + d) + e, |e| <= 2^-1075). With every modulus at
-    most 1, sum |terms|+ is 2^(k-1), and that part is below 2e-302.
+    alpha^k has no ``t_coeff`` (its C(i-1, -1) is undefined) and is row
+    (k, 0) with coefficient 1. Seven read-only arrays, in rows by (k, j):
+    each term's ``float(coeff(k, i, j))`` and its exponents top-2j-i and i
+    as uint8; each row's first term, k and j; and each k's first row.
     """
+    row_k, row_j = np.array([(k, j) for k in range(1, K_EXACT_MAX + 1)
+                             for j in range((k - 1 + first_j) // 2 + 1)]).T
+    rest = row_k - 1 + first_j - 2 * row_j
+    sizes = np.where(row_j < first_j, 1, rest + 1)
+    row_start = np.cumsum(sizes) - sizes
+    delta_exp = np.arange(sizes.sum()) - np.repeat(row_start, sizes)
+    coef = np.fromiter((coeff(k, i, j) if j >= first_j else 1 for k, j, n in
+                        zip(row_k.tolist(), row_j.tolist(), sizes.tolist()) for i in range(n)),
+                       np.float64, len(delta_exp))
+    table = (coef, (np.repeat(rest, sizes) - delta_exp).astype(np.uint8), delta_exp.astype(np.uint8),
+             row_start, row_k, row_j.astype(np.uint8), np.searchsorted(row_k, np.arange(1, K_EXACT_MAX + 1)))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _every_k(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """b_k / beta and a_k for k = 1..K_EXACT_MAX, two read-only arrays, for
+    the (alpha, beta, lambda, delta) whose complex128 bytes are ``key``, so
+    -0.0 and +0.0, or two nan payloads, never share an entry.
+
+    One NumPy power takes alpha, delta and beta*lambda to the powers
+    0..K_EXACT_MAX. For each form's :func:`_term_table` the powers of alpha
+    are gathered by exponent and multiplied in place by those of delta and
+    by the coefficients, ``np.add.reduceat`` sums each row, which is then
+    weighted, and a second ``reduceat`` sums each k's rows.
+
+    Rounding, to first order in u = eps/2: a complex product is off by at
+    most sqrt(5) u, and NumPy takes a power n <= 64 by squaring, off by at
+    most (n - 1) sqrt(5) u. So a term's factors and products carry at most
+    (k sqrt(5) + 2) u, the product by beta included for b_k. ``reduceat``
+    adds m terms as ``add.reduce`` does, in four interleaved partial sums
+    past 4 terms: about m/4 + 5 additions of sqrt(2) u each. Over a row
+    (m <= k + 1) and over k's rows (m <= k/2 + 1) that is (3k/8 + 10)
+    sqrt(2) u, so in all (1.4k + 8) eps sum |terms|, below 2k eps from
+    k = 13. The tests check 2k eps at every k against the exact rational
+    recurrence. A product that underflows may lose 2^-1075 outright (fl(xy)
+    = xy(1 + d) + e), which later factors scale: a term passes through at
+    most 4 (k + 2) products, counted by how often later ones reuse each, so
+    this adds at most 12 (k + 2) 2^-1075 sum |terms|+, each modulus taken as
+    at least 1; with every modulus at most 1 that is below 2e-302.
+    """
+    alpha, beta, lam, delta = np.frombuffer(key, np.complex128).tolist()
+    sums = []
+    # Python's float arithmetic makes inf and nan without a warning, and so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_pow, delta_pow, bl_pow = np.power(np.array([alpha, delta, beta * lam])[:, None], _POWERS)
+        for coef, alpha_exp, delta_exp, row_start, _, row_j, k_start in (
+                _term_table(l_coeff, 0), _term_table(t_coeff, 1)):
+            terms = alpha_pow.take(alpha_exp)
+            terms *= delta_pow.take(delta_exp)
+            terms *= coef
+            rows = np.add.reduceat(terms, row_start)
+            rows *= bl_pow.take(row_j)
+            sums.append(np.add.reduceat(rows, k_start))
+            sums[-1].flags.writeable = False
+    return tuple(sums)
+
+
+def _closed_form_entry(c: TwoDimCoefficients, k: int, form: int, caller: str) -> complex:
+    """Entry k of :func:`_every_k`'s form ``form`` (0: b_k / beta, 1: a_k),
+    after ``c`` is found one instance and k an index in [1, K_EXACT_MAX]."""
+    _one_instance(c, caller)
     k = _checked_index("k", k, 1)
     if k > K_EXACT_MAX:
         raise ClosedFormRangeError(
@@ -518,17 +537,8 @@ def _closed_form(c: TwoDimCoefficients, k: int, coeff, first_j: int) -> complex:
             f"coefficients grow combinatorially and the polynomial becomes "
             f"ill-conditioned in double precision; use iterate2 for k = {k}"
         )
-    coef, alpha_exp, delta_exp = _pyramid_grid(coeff, k, first_j)
-    # Python's float arithmetic makes inf and nan without a warning, and so does this.
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha_pow, delta_pow, bl_pow = np.power(np.array([c.alpha, c.delta, c.beta * c.lam])[:, None],
-                                                _POWERS[: k + 1])
-        # take() gathers by the grid's strided exponent views faster than indexing.
-        rows = np.add.reduce(coef * alpha_pow.take(alpha_exp) * delta_pow.take(delta_exp), axis=1)
-        total = np.dot(rows, bl_pow[first_j : first_j + len(rows)])
-        if first_j:
-            total += alpha_pow[k]
-    return complex(total)
+    key = np.array([c.alpha, c.beta, c.lam, c.delta], dtype=np.complex128).tobytes()
+    return complex(_every_k(key)[form][k - 1])
 
 
 def _one_instance(c: TwoDimCoefficients, caller: str) -> None:
@@ -541,26 +551,26 @@ def _one_instance(c: TwoDimCoefficients, caller: str) -> None:
 def exact_b(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form b_k = beta * sum_j c_kj (beta*lambda)^j.
 
-    Evaluated by :func:`_closed_form` on the cached ``l_coeff`` grid of k,
-    within 2k eps |beta| sum |terms| of the exact value, plus the underflow
-    part :func:`_closed_form` states, with max(1, |beta|). Cross-checked
-    against :func:`iterate2` to 1e-9 for k <= 25 whenever |alpha|,
-    |delta| <= 1; refuses k beyond ``K_EXACT_MAX`` and a batch by name.
+    Read from :func:`_every_k`, which evaluates every k <= ``K_EXACT_MAX``
+    of both forms once per coefficient set: a lone call pays for all of
+    them, and each further k of the set is a cache read. Within
+    2k eps |beta| sum |terms| of the exact value, plus the underflow part
+    :func:`_every_k` states, with max(1, |beta|). Cross-checked against
+    :func:`iterate2` to 1e-9 for k <= 25 whenever |alpha|, |delta| <= 1;
+    refuses a batch, a k that is no index and k beyond ``K_EXACT_MAX`` by
+    name, before any evaluation.
     """
-    _one_instance(c, "exact_b")
-    return c.beta * _closed_form(c, k, l_coeff, 0)
+    return c.beta * _closed_form_entry(c, k, 0, "exact_b")
 
 
 def exact_a(c: TwoDimCoefficients, k: int) -> complex:
     """Closed-form a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j.
 
-    Evaluated by :func:`_closed_form` on the cached ``t_coeff`` grid of k,
-    within 2k eps sum |terms| of the exact value, alpha^k among the terms,
-    plus the underflow part :func:`_closed_form` states; refuses k beyond
-    ``K_EXACT_MAX`` and a batch by name.
+    Read from :func:`_every_k` as :func:`exact_b` is. Within
+    2k eps sum |terms| of the exact value, alpha^k among the terms, plus
+    the underflow part :func:`_every_k` states; refuses as :func:`exact_b`.
     """
-    _one_instance(c, "exact_a")
-    return _closed_form(c, k, t_coeff, 1)
+    return _closed_form_entry(c, k, 1, "exact_a")
 
 
 def approx_b(params: AlgorithmParams, k: int) -> complex:

@@ -52,7 +52,9 @@ def _check_bound(name: str, value, low, high=math.inf) -> None:
 
 def _checked_index(name: str, value, low, high=math.inf) -> int:
     """``operator.index(value)`` checked by :func:`_check_bound`: a float
-    count or index raises ``TypeError`` before any bound is read."""
+    or bool count or index raises ``TypeError`` before any bound is read."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} = {value} is a bool, not an integer")
     value = operator.index(value)
     _check_bound(name, value, low, high)
     return value

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import re
+import struct
 import sys
 from fractions import Fraction
 
@@ -34,8 +35,9 @@ from phasematch.engine2d import (
     t_coeff,
     _BLOCK,
     _UNIT_BOUND,
+    _every_k,
     _peak_of,
-    _pyramid_grid,
+    _term_table,
 )
 from phasematch.engine4d import FourDimInputs, approx4, four_dim_coeffs, iterate4
 from phasematch.linalg import basis_state
@@ -548,46 +550,95 @@ def test_closed_form_range_guard():
         exact_b(c, K_EXACT_MAX + 1)
 
 
-def test_closed_form_caches_one_grid_per_form_and_k():
-    """A refused or fractional k never reaches the grid cache; an integer
-    type's k shares the int's entry."""
+def test_closed_form_evaluates_every_k_once_per_coefficient_set():
+    """A refused, float or bool k never reaches the cache; an integer type's
+    k reads the int's entry; 64 exact_b and 64 exact_a calls on one set
+    evaluate both forms once."""
     c = grover_coeffs(0.1)
-    _pyramid_grid.cache_clear()
-    for k in (0, K_EXACT_MAX + 1):
-        for form in (exact_b, exact_a):
+    _every_k.cache_clear()
+    for form in (exact_b, exact_a):
+        for k in (0, K_EXACT_MAX + 1):
             with pytest.raises(ValueError):
                 form(c, k)
-    for form in (exact_b, exact_a):
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
             form(c, 2.0)
-    info = _pyramid_grid.cache_info()
+        for k in (True, False):
+            with pytest.raises(TypeError, match=f"^k = {k} is a bool, not an integer$"):
+                form(c, k)
+    info = _every_k.cache_info()
     assert info.hits == info.misses == info.currsize == 0
     assert _bits(exact_b(c, np.int64(3))) == _bits(exact_b(c, 3))
-    assert _pyramid_grid.cache_info().currsize == 1
+    assert _bits(exact_a(c, np.int64(3))) == _bits(exact_a(c, 3))
+    _every_k.cache_clear()
     for k in range(1, K_EXACT_MAX + 1):
         exact_b(c, k)
         exact_a(c, k)
-    assert _pyramid_grid.cache_info().currsize == 2 * K_EXACT_MAX
+    info = _every_k.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2 * K_EXACT_MAX - 1, 1)
 
 
 @pytest.mark.parametrize("coeff,first_j", [(l_coeff, 0), (t_coeff, 1)], ids=["l_coeff", "t_coeff"])
-def test_pyramid_grid_rows_are_the_printed_integers(coeff, first_j):
-    """Row j of k's grid: coeff(k, i, j) as floats for i = 0..top-2j (for
-    l_coeff, the integers ``pyramid`` prints), then padding with coefficient
-    0.0 and both exponents 0."""
-    for k in range(1, K_EXACT_MAX + 1):
-        coef, alpha_exp, delta_exp = _pyramid_grid(coeff, k, first_j)
+def test_term_table_rows_are_the_printed_integers(coeff, first_j):
+    """Row (k, j) of a form's table holds coeff(k, i, j) as floats for
+    i = 0..top-2j, top = k - 1 + first_j (for l_coeff, the integers
+    ``pyramid`` prints), with exponents top-2j-i of alpha and i of delta as
+    uint8; a_k's row (k, 0) is alpha^k alone, coefficient 1. Rows run by k,
+    then j, and every array is read-only."""
+    table = _term_table(coeff, first_j)
+    coef, alpha_exp, delta_exp, row_start, row_k, row_j, k_start = table
+    assert not any(array.flags.writeable for array in table)
+    assert alpha_exp.dtype == delta_exp.dtype == np.uint8
+    expected = [(k, j) for k in range(1, K_EXACT_MAX + 1)
+                for j in ([0] if first_j else []) + list(range(first_j, (k - 1 + first_j) // 2 + 1))]
+    assert list(zip(row_k.tolist(), row_j.tolist())) == expected
+    assert k_start.tolist() == [[k for k, _ in expected].index(k) for k in range(1, K_EXACT_MAX + 1)]
+    ends = [*row_start[1:].tolist(), len(coef)]
+    for (k, j), start, end in zip(expected, row_start.tolist(), ends):
         top = k - 1 + first_j
-        js = range(first_j, top // 2 + 1)
-        width = max(top + 1 - 2 * first_j, 1)
-        assert coef.shape == alpha_exp.shape == delta_exp.shape == (len(js), width)
-        assert not any(grid.flags.writeable for grid in (coef, alpha_exp, delta_exp))
-        for row, j in enumerate(js):
-            rest = top - 2 * j
-            pad = [0] * (coef.shape[1] - rest - 1)
-            assert coef[row].tolist() == [float(coeff(k, i, j)) for i in range(rest + 1)] + pad
-            assert alpha_exp[row].tolist() == [*range(rest, -1, -1), *pad]
-            assert delta_exp[row].tolist() == [*range(rest + 1), *pad]
+        rest = top - 2 * j
+        coefs = [1.0] if first_j and not j else [float(coeff(k, i, j)) for i in range(rest + 1)]
+        assert coef[start:end].tolist() == coefs
+        assert alpha_exp[start:end].tolist() == list(range(rest, rest - len(coefs), -1))
+        assert delta_exp[start:end].tolist() == list(range(len(coefs)))
+
+
+def _payload_nan(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def _every_bits(c):
+    return [_bits(form(c, k)) for form in (exact_b, exact_a) for k in range(1, K_EXACT_MAX + 1)]
+
+
+def test_the_closed_form_cache_is_a_pure_memo():
+    """Every value read warm is the cold evaluation's, bit for bit, for sets
+    with signed zeros and nan parts; sets that differ only in the sign of a
+    zero, or in a nan payload, get entries of their own; and the cache holds
+    at most its fixed number of sets."""
+    base = (0.6 + 0.2j, 0.3 - 0.1j, -0.2 + 0.4j, 0.5 - 0.5j)
+    sets = [
+        TwoDimCoefficients(*base),
+        TwoDimCoefficients(complex(0.6, 0.0), complex(0.3, 0.0), complex(-0.2, -0.0), complex(-0.5, 0.0)),
+        TwoDimCoefficients(complex(0.6, -0.0), complex(0.3, 0.0), complex(-0.2, -0.0), complex(-0.5, 0.0)),
+        TwoDimCoefficients(complex(0.6, -0.0), complex(0.3, -0.0), complex(-0.2, 0.0), complex(-0.5, -0.0)),
+        TwoDimCoefficients(base[0], base[1], base[2], complex(0.5, _payload_nan(1))),
+        TwoDimCoefficients(base[0], base[1], base[2], complex(0.5, _payload_nan(2))),
+        TwoDimCoefficients(complex(_payload_nan(3), 0.2), *base[1:]),
+    ]
+    cold = []
+    for c in sets:
+        _every_k.cache_clear()
+        cold.append(_every_bits(c))
+    _every_k.cache_clear()
+    assert [_every_bits(c) for c in sets] == cold
+    assert [_every_bits(c) for c in reversed(sets)] == cold[::-1]
+    assert _every_k.cache_info().misses == _every_k.cache_info().currsize == len(sets)
+    size = _every_k.cache_parameters()["maxsize"]
+    rng = np.random.default_rng(5)
+    for _ in range(3 * size):
+        exact_b(TwoDimCoefficients(*(complex(z) for z in 0.5 * np.exp(1j * rng.uniform(-3, 3, 4)))), 7)
+    assert _every_k.cache_info().currsize == size
+    assert _every_bits(sets[-1]) == cold[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasematch import cli, engine2d
+from phasematch.cli import run_table2, run_verify
 from phasematch.engine2d import (
     AlgorithmParams,
     HoyerParams,
@@ -79,6 +81,29 @@ def test_a_count_is_an_index_then_a_bound():
         _checked_index("k", -0.5, 1)
     with pytest.raises(ValueError, match=re.escape("k = 0 is outside [1, 2]")):
         _checked_index("k", 0, 1, 2)
+    for flag in (True, False):
+        with pytest.raises(TypeError, match=f"^k = {flag} is a bool, not an integer$"):
+            _checked_index("k", flag, 0, 2)
+    with pytest.raises(TypeError, match="'numpy.bool' object cannot be interpreted as an integer"):
+        _checked_index("k", np.True_, 0, 2)
+
+
+def test_a_bool_count_is_refused_before_any_work(monkeypatch):
+    """operator.index takes True and False as 1 and 0; as a count either is
+    a TypeError naming the parameter, before the first call of the work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(cli, "AlgorithmParams", no_work)
+    monkeypatch.setattr(engine2d, "_every_k", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    for call, name, flag in ((lambda: run_table2(k_max=True), "k_max", True),
+                             (lambda: exact_b(_C2, True), "k", True),
+                             (lambda: exact_a(_C2, True), "k", True),
+                             (lambda: run_verify(n_cases=True, seed=0), "n_cases", True),
+                             (lambda: run_verify(n_cases=1, seed=False), "seed", False)):
+        with pytest.raises(TypeError, match=f"^{name} = {flag} is a bool, not an integer$"):
+            call()
 
 
 def test_a_float_count_is_refused_before_any_work():
