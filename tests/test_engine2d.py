@@ -613,8 +613,8 @@ def _every_bits(c):
 def test_the_closed_form_cache_is_a_pure_memo():
     """Every value read warm is the cold evaluation's, bit for bit, for sets
     with signed zeros and nan parts; sets that differ only in the sign of a
-    zero, or in a nan payload, get entries of their own; and the cache holds
-    at most its fixed number of sets."""
+    zero, or in a nan payload, get entries of their own, of read-only
+    arrays; and the cache holds at most its fixed number of sets."""
     base = (0.6 + 0.2j, 0.3 - 0.1j, -0.2 + 0.4j, 0.5 - 0.5j)
     sets = [
         TwoDimCoefficients(*base),
@@ -633,6 +633,8 @@ def test_the_closed_form_cache_is_a_pure_memo():
     assert [_every_bits(c) for c in sets] == cold
     assert [_every_bits(c) for c in reversed(sets)] == cold[::-1]
     assert _every_k.cache_info().misses == _every_k.cache_info().currsize == len(sets)
+    assert not any(form.flags.writeable
+                   for form in _every_k(np.array(base, dtype=np.complex128).tobytes()))
     size = _every_k.cache_parameters()["maxsize"]
     rng = np.random.default_rng(5)
     for _ in range(3 * size):
