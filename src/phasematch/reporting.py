@@ -3,16 +3,21 @@
 Float values are rounded to 12 significant digits when a report is
 assembled, so the two encodings render bit-identical numbers (both go
 through Python's shortest-roundtrip float repr). Each container is rounded
-where it is copied: its floats are formatted in one ``"%.12g"`` string and
-parsed back, each rounded to 12 significant digits, so a column of floats or
-a matrix is one string. A non-finite float keeps its text, so it becomes the
-string "inf", "-inf" or "nan" in both encodings. A 2-D complex array becomes
-nested lists of {re, im} objects, as its ``tolist()`` would.
+where it is copied: its floats are formatted in one ``"%.12g"`` string per
+``_CHUNK`` of them and parsed back, each rounded to 12 significant digits, so
+a column of 1 001 floats is one string. A non-finite float keeps its text, so
+it becomes the string "inf", "-inf" or "nan" in both encodings. A 2-D complex
+array becomes nested lists of {re, im} objects, as its ``tolist()`` would.
 
 Rows are held column by column, in blocks of consecutive rows with the same
 keys; in a block each column is a list of one value per row, or one value
-shared by every row. Each encoding renders a block from one template per
-row, in which the keys and the shared values are written once.
+shared by every row. A column of ints and finite floats also keeps the text
+of each value, which ``json.dumps`` and ``repr`` both write: a rounded
+column takes it from its ``"%.12g"`` string, any other from one
+``json.dumps`` when its block is built. Each encoding renders a block from
+one template per row, in which the keys and the shared values are written
+once, and fills the template from those texts, so that it formats no number
+of a column.
 """
 
 from __future__ import annotations
@@ -32,11 +37,18 @@ SIG_DIGITS = 12
 _SCALARS = frozenset({str, int, bool, float, type(None)})
 #: JSON's names of the non-finite floats, and the text a report holds for each.
 _NAMES = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
-#: Column value types an encoding writes through one call on the whole column.
+#: Column value types of which a column keeps one text per value, when all
+#: are finite.
 _NUMBERS = frozenset({int, float})
 #: Column value types an encoding writes once per distinct value; no two
 #: values of these types are equal but of different types.
 _LABELS = frozenset({str, bool, type(None)})
+#: Rows of a column rounded, and of a block filled, at a time, so that the
+#: texts of only so many rows are held apart.
+_CHUNK = 4096
+#: The smallest positive normal float: below it repr's shortest digits may
+#: be fewer than ``"%.12g"`` writes.
+_TINY = float.fromhex("0x1p-1022")
 
 
 #: Parses a report's ``"%.12g"`` texts back as one JSON array, so that no
@@ -45,11 +57,48 @@ _LABELS = frozenset({str, bool, type(None)})
 _PARSER = json.JSONDecoder(parse_int=float, parse_constant=_NAMES.__getitem__)
 
 
-def _rounded(floats) -> list:
+def _as_repr(text: str, values: list) -> str:
+    """``text``, the ``"%.12g"`` texts of the finite ``values`` joined by
+    commas, with each value as ``repr`` (and ``json.dumps``) writes it.
+
+    For a value with at most 12 significant digits ``repr`` writes the same
+    digits, except where the value is subnormal (``"4.94065645841e-324"`` is
+    ``5e-324``), and the same notation, except where it is integral below
+    1e16 (``repr`` adds ".0" and switches to an exponent at 1e16, not 1e12).
+    Only those values are written again.
+    """
+    y = np.array(values)
+    magnitude = np.abs(y)
+    odd = np.flatnonzero(((y == np.trunc(y)) & (magnitude < 1e16)) | (magnitude < _TINY))
+    if not odd.size:
+        return text
+    texts = text.split(",")
+    for i in odd.tolist():
+        texts[i] = repr(values[i])
+    return ",".join(texts)
+
+
+def _rounded(floats, texts: list | None = None) -> list:
     """``floats`` rounded to 12 significant digits, formatted in one
-    ``"%.12g"`` string and parsed back."""
-    text = ("[" + ",".join([f"%.{SIG_DIGITS}g"] * len(floats)) + "]") % tuple(floats)
-    return _PARSER.decode(text.replace("inf", "Infinity").replace("nan", "NaN"))
+    ``"%.12g"`` string per ``_CHUNK`` of them and parsed back.
+
+    If every float is finite, each chunk's string as :func:`_as_repr` writes
+    it is appended to ``texts``, when given; otherwise nothing is.
+    """
+    values, kept = [], []
+    for start in range(0, len(floats), _CHUNK):
+        chunk = floats[start : start + _CHUNK]
+        text = ",".join([f"%.{SIG_DIGITS}g"] * len(chunk)) % tuple(chunk)
+        if "n" in text:  # an "inf" or a "nan"
+            texts = None
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        parsed = _PARSER.decode(f"[{text}]")
+        if texts is not None:
+            kept.append(_as_repr(text, parsed))
+        values += parsed
+    if texts is not None:
+        texts += kept
+    return values
 
 
 def _normalize(value):
@@ -90,9 +139,42 @@ class _Shared(NamedTuple):
     value: object
 
 
+class _Numbers(NamedTuple):
+    """A column of ints and finite floats, and the text of each value as
+    ``json.dumps`` and ``repr`` both write it: the texts of each ``_CHUNK``
+    rows joined by commas, one string per chunk."""
+
+    values: list
+    texts: tuple
+
+
+def _column(values: list):
+    """A column of ``values`` as given: a :class:`_Numbers` when all are ints
+    and finite floats, its texts written by ``json.dumps``, else the list."""
+    if set(map(type, values)) <= _NUMBERS:
+        try:
+            return _Numbers(values, tuple(
+                json.dumps(values[start : start + _CHUNK], separators=(",", ":"),
+                           allow_nan=False)[1:-1]
+                for start in range(0, len(values), _CHUNK)))
+        except ValueError:  # a non-finite float, or an int json.dumps cannot write
+            pass
+    return values
+
+
+def _normalized_column(values: list):
+    """:func:`_column` of ``values`` normalized. A column of floats is rounded
+    in one :func:`_rounded` call, which writes its texts too."""
+    if set(map(type, values)) == {float}:
+        texts = []
+        values = _rounded(values, texts)
+        return _Numbers(values, tuple(texts)) if texts else values
+    return _column(_normalize(values))
+
+
 class _Block(NamedTuple):
     """Consecutive rows with the same keys: per key, a list of one value per
-    row, or a :class:`_Shared` value."""
+    row, a :class:`_Numbers` column, or a :class:`_Shared` value."""
 
     size: int
     keys: tuple
@@ -100,7 +182,8 @@ class _Block(NamedTuple):
 
     def values(self):
         """The values of each row, in the order of the keys."""
-        columns = [repeat(c.value, self.size) if isinstance(c, _Shared) else c
+        columns = [repeat(c.value, self.size) if isinstance(c, _Shared)
+                   else c.values if isinstance(c, _Numbers) else c
                    for c in self.columns]
         return zip(*columns) if columns else repeat((), self.size)
 
@@ -119,18 +202,26 @@ def _runs(rows):
                 yield list(part)
 
 
-def _blocks(rows) -> tuple:
+def _blocks(rows, normalized: bool = False) -> tuple:
     """The blocks of ``rows``, given as :func:`make_report` takes them: a
     dict of columns is one block, and a list of row dicts one block per run
-    of rows with the same keys."""
+    of rows with the same keys. Each list column is made by :func:`_column`,
+    or by :func:`_normalized_column` if ``normalized``, in which case the
+    shared values are normalized together, and rounded in one call."""
+    column = _normalized_column if normalized else _column
     if isinstance(rows, dict):
-        columns = tuple(c if isinstance(c, (list, _Shared)) else _Shared(c) for c in rows.values())
-        sizes = {len(c) for c in columns if isinstance(c, list)}
+        sizes = {len(c) for c in rows.values() if isinstance(c, list)}
         if len(sizes) != 1:
             raise ValueError(f"column-wise rows need list columns of one length, "
                              f"not of lengths {sorted(sizes)}")
+        shared = {k: c for k, c in rows.items() if not isinstance(c, list)}
+        if normalized:
+            shared = _normalize(shared)
+        columns = tuple(column(c) if isinstance(c, list) else _Shared(shared[k])
+                        for k, c in rows.items())
         return (_Block(sizes.pop(), tuple(rows), columns),)
-    return tuple(_Block(len(run), tuple(run[0]), tuple(map(list, zip(*map(dict.values, run)))))
+    return tuple(_Block(len(run), tuple(run[0]),
+                        tuple(map(column, map(list, zip(*map(dict.values, run))))))
                  for run in _runs(rows))
 
 
@@ -149,8 +240,11 @@ class Report:
 
     def __init__(self, command: str, metadata: dict, rows, passed: bool | None = None):
         """``rows`` in either form :func:`make_report` takes, kept as given."""
+        self._hold(command, metadata, _blocks(rows), passed)
+
+    def _hold(self, command: str, metadata: dict, blocks: tuple, passed: bool | None):
         for name, value in (("command", command), ("metadata", metadata),
-                            ("blocks", _blocks(rows)), ("passed", passed)):
+                            ("blocks", blocks), ("passed", passed)):
             object.__setattr__(self, name, value)
 
     @property
@@ -162,29 +256,33 @@ def make_report(command: str, metadata: dict, rows, passed: bool | None = None) 
     """Assemble a report, normalizing every value for stable rendering.
 
     ``rows`` is a list of row dicts, or a dict of columns: each column a list
-    of one value per row, or any other value, shared by every row. A shared
-    value is normalized and rounded once, with the other shared values.
+    of one value per row, or any other value, shared by every row. Either way
+    the rows are cut into blocks first, and each list column of a block is
+    normalized once, its floats rounded in one call. A shared value is
+    normalized and rounded once, with the other shared values.
     """
-    metadata = _normalize(metadata)
-    if isinstance(rows, dict):
-        shared = _normalize({k: v for k, v in rows.items() if not isinstance(v, list)})
-        rows = {k: _normalize(v) if isinstance(v, list) else _Shared(shared[k])
-                for k, v in rows.items()}
-    else:
-        rows = [_normalize(row) for row in rows]
-    return Report(command, metadata, rows, passed)
+    report = Report.__new__(Report)
+    report._hold(command, _normalize(metadata), _blocks(rows, normalized=True), passed)
+    return report
 
 
-#: Rows of a block filled at a time, so that the texts of only so many rows are held.
-_CHUNK = 4096
+def _texts(column: list, text) -> list:
+    """``text`` of each value of a column, once per distinct value when all
+    are strings, bools or None."""
+    if set(map(type, column)) <= _LABELS:
+        distinct = {value: text(value) for value in set(column)}
+        return list(map(distinct.__getitem__, column))
+    return list(map(text, column))
 
 
-def _filled(template: str, separator: str, columns: list, size: int, texts):
+def _filled(template: str, separator: str, columns: list, size: int, text):
     """``size`` copies of ``template``, each with its ``%s`` slots filled, in
-    order, from the next value of each column as ``texts`` writes a list of
-    them: the rows of each chunk of up to ``_CHUNK``, joined by ``separator``."""
+    order, from the next value of each column: the rows of each chunk of up
+    to ``_CHUNK``, joined by ``separator``. A :class:`_Numbers` column gives
+    its kept texts, any other list ``text`` of each value."""
     for start in range(0, size, _CHUNK):
-        rows = (zip(*(texts(c[start : start + _CHUNK]) for c in columns)) if columns
+        rows = (zip(*(c.texts[start // _CHUNK].split(",") if isinstance(c, _Numbers)
+                      else _texts(c[start : start + _CHUNK], text) for c in columns)) if columns
                 else repeat((), min(_CHUNK, size - start)))
         yield separator.join(map(template.__mod__, rows))
 
@@ -213,23 +311,6 @@ def _layout(value, level: int) -> str:
     return json.dumps(value)
 
 
-def _texts(column: list, text) -> list:
-    """``text`` of each value of a column, once per distinct value when all
-    are strings, bools or None."""
-    if set(map(type, column)) <= _LABELS:
-        distinct = {value: text(value) for value in set(column)}
-        return list(map(distinct.__getitem__, column))
-    return list(map(text, column))
-
-
-def _json_column(column: list, level: int) -> list:
-    """The JSON text of each value of a column ``level`` levels deep."""
-    if set(map(type, column)) <= _NUMBERS:
-        # One C encoder call writes each number, nan and inf included, as json.dumps does.
-        return json.dumps(column)[1:-1].split(", ")
-    return _texts(column, lambda value: _layout(value, level))
-
-
 def _json_rows(blocks: tuple, level: int) -> list:
     """A list of objects, held in ``blocks``, as ``json.dumps(..., indent=2)``
     lays it out ``level`` levels deep, as the pieces of its text: each block
@@ -248,7 +329,7 @@ def _json_rows(blocks: tuple, level: int) -> list:
                 columns.append(column)
         template = "{" + inner + f",{inner}".join(fields) + outer + "}" if fields else "{}"
         for chunk in _filled(template, f",{outer}", columns, block.size,
-                             lambda values: _json_column(values, level + 2)):
+                             lambda value: _layout(value, level + 2)):
             pieces += (f",{outer}", chunk)
     if not pieces:
         return ["[]"]
@@ -288,13 +369,6 @@ def _csv_cell(value) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_column(column: list) -> list:
-    """The CSV text of each value of a column."""
-    if set(map(type, column)) <= _NUMBERS:
-        return list(map(repr, column))
-    return _texts(column, _csv_cell)
-
-
 def to_csv(report: Report) -> str:
     """Header row then records; UTF-8, LF line endings, '.' decimal separator.
 
@@ -320,12 +394,12 @@ def to_csv(report: Report) -> str:
             else:
                 cells.append("%s")
                 values.append(column)
-        texts = _csv_column
+        text = _csv_cell
         if len(columns) == 1:
             # The csv module quotes a record's one field when it is empty.
             cells = [cell or '""' for cell in cells]
-            texts = lambda values: [text or '""' for text in _csv_column(values)]  # noqa: E731
-        parts += _filled(",".join(cells) + "\n", "", values, block.size, texts)
+            text = lambda value: _csv_cell(value) or '""'  # noqa: E731
+        parts += _filled(",".join(cells) + "\n", "", values, block.size, text)
     return "".join(parts)
 
 

@@ -405,14 +405,15 @@ def test_sweep_calls_each_engine_function_once(monkeypatch):
 
 
 #: Most bytes run_sweep and both renders of 20 000 theta at kmax 400 may
-#: allocate at once: measured 12.1 MB, plus half again as headroom. A row
-#: dict per theta took it to 36.1 MB.
+#: allocate at once: measured 13.0 MB, with the text of each number kept in
+#: the report (12.1 MB without), plus 38 % as headroom. A row dict per theta
+#: took it to 36.1 MB.
 SWEEP_PEAK_BYTES = 18e6
 
 
 def test_sweep_memory_peak_is_bounded():
     """Columns, not a Python object per theta, bound the tracemalloc peak
-    of a sweep and its JSON and CSV (100 000 theta: 60 MB, with row dicts
+    of a sweep and its JSON and CSV (100 000 theta: 65 MB, with row dicts
     180 MB)."""
     thetas = np.linspace(-0.5, 0.5, 20_000).tolist()
     tracemalloc.start()

@@ -503,8 +503,9 @@ _UNDERFLOWS = 1.5756784297558089e-65
 def test_closed_form_is_within_its_rounding_bound_of_the_exact_recurrence(c):
     """b_k = beta sum_j c_kj (beta*lambda)^j and a_k = alpha^k + sum_{j>=1} d_kj (beta*lambda)^j
     are within 2k eps |beta| sum |terms| and 2k eps sum |terms| of the exact
-    rational recurrence, for every k <= K_EXACT_MAX (measured: at most 0.47
-    of k eps |beta| sum |terms|). Non-finite coefficients give a non-finite
+    rational recurrence, for every k <= K_EXACT_MAX (measured: at most 0.60
+    of k eps |beta| sum |terms|, at k = 2, over 3 000 random maps with
+    coefficients in the unit disk). Non-finite coefficients give a non-finite
     value exactly where a term is non-finite, without a warning.
 
     That bound is relative. A product that underflows may lose up to

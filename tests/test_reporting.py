@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasematch import reporting
+from phasematch.cli import run_sweep
 from phasematch.linalg import random_unitary
 from phasematch.reporting import Report, make_report, render, to_csv, to_json
 
@@ -381,6 +382,58 @@ def test_each_container_is_rounded_in_one_call():
                     [{"check": "v_unitary", "deviation": 1e-15, "ok": True}])
     sizes = [len(call.args[0]) for call in rounded.call_args_list]
     assert sizes.count(2 * dim * dim) == 2 and len(sizes) == 4
+
+
+#: Finite floats where ``"%.12g"`` and ``repr`` of the rounded value differ
+#: (subnormal, integral below 1e16, signed zero), and an exponent both write.
+KEPT_TEXT_EDGES = [5e-324, -0.0, 123456789012.0, 1.5e12, 9.999999999995001e+119]
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+          | st.integers(-2**60, 2**60).map(float)
+          | st.floats(1e12, 1e16).flatmap(lambda x: st.sampled_from([x, -x]))
+          | st.sampled_from(KEPT_TEXT_EDGES))
+
+
+@given(st.lists(FINITE, min_size=1, max_size=12), st.lists(st.integers(), max_size=12))
+@settings(max_examples=300, deadline=None)
+@example(KEPT_TEXT_EDGES, [0, -1, 2**70])
+def test_each_kept_text_is_the_repr_of_the_value_held(floats, ints):
+    """A column of finite floats keeps, per value, ``repr`` of the float the
+    report holds, which is also what ``json.dumps`` writes; so does a column
+    of ints. The texts are one string per chunk of rows, here of 3."""
+    with mock.patch.object(reporting, "_CHUNK", 3):
+        report = make_report("c", {}, {"f": floats, "n": ints} if len(ints) == len(floats)
+                             else {"f": floats})
+        (block,) = report.blocks
+        for column in block.columns:
+            assert isinstance(column, reporting._Numbers)
+            assert len(column.texts) == -(-block.size // 3)
+            texts = ",".join(column.texts).split(",")
+            assert texts == [repr(v) for v in column.values]
+            assert texts == [json.dumps(v) for v in column.values]
+        assert block.columns[0].values == [round_sig(f) for f in floats]
+        assert to_json(report) == _reference_json(report)
+        assert to_csv(report) == _reference_csv(report)
+
+
+def test_rendering_a_sweep_formats_no_number_of_a_column():
+    """A sweep's number columns are written from the texts kept when it was
+    assembled: rendering it calls neither ``json.dumps`` on a column nor
+    ``repr`` once per row, so the formatting calls do not grow with it."""
+    def formatting_calls(report):
+        reprs = mock.Mock(wraps=repr)
+        with mock.patch.object(reporting.json, "dumps", wraps=json.dumps) as dumps, \
+                mock.patch.object(reporting, "repr", reprs, create=True):
+            render(report, "json"), render(report, "csv")
+        assert not [c for c in dumps.call_args_list if isinstance(c.args[0], (list, tuple))]
+        return dumps.call_count + reprs.call_count
+
+    small, large = (run_sweep(np.linspace(-0.2, 0.2, n).tolist(), 0.0, 0.1, k_max=20)
+                    for n in (11, 1001))
+    assert large.rows[500]["theta"] == 0.0  # a text that "%.12g" writes as "0"
+    assert formatting_calls(large) == formatting_calls(small)
+    (block,) = large.blocks
+    assert sum(isinstance(c, reporting._Numbers) for c in block.columns) == 4
 
 
 def test_a_matrix_report_holds_no_second_copy_of_its_floats():
