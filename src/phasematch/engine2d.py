@@ -31,8 +31,6 @@ from .rotations import (COS_SNAP, _bounded, _check_bound, _checked_index, _finit
 
 #: Largest k accepted by the closed-form evaluation (see ClosedFormRangeError).
 K_EXACT_MAX = 64
-#: Terms of the first-order sum of :func:`approx_b` held in memory at once.
-_APPROX_BLOCK = 2**14
 #: Most trajectory entries per array of one chunk in :func:`sweep_max`: n
 #: instances run max(1, SWEEP_BLOCK // n - 1) steps per chunk, looped or
 #: superposed, so a chunk array holds at most max(SWEEP_BLOCK, 2n) entries.
@@ -579,36 +577,43 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     Here sigma = e^(2i*theta) and delta1 = e^(2i*phi), which equals the
     one-step ``delta = 2 cos(phi) e^(i*phi) - 1`` algebraically. This is the
     arbitrary-phase sum of Hoyer, PRA 62, 052304 (2000). Accurate to
-    O(k^2 |u|^2) relative to the exact recurrence; its modulus in closed form
-    is :func:`closed_form_magnitude`.
+    O(k^2 |u|^2) relative to the exact recurrence; its modulus is
+    :func:`closed_form_magnitude`.
 
-    Evaluated as beta sigma^(k-1) sum_{i<k} e^(-2i gap i): one power of
-    sigma, and the gap theta - phi reduced modulo pi by
-    :func:`_threshold_and_gap`. The terms are summed in NumPy blocks of
-    ``_APPROX_BLOCK`` (pairwise within a block, in sequence across blocks),
-    so memory stays bounded for any k. Rounding error: the reduced gap is off
-    by up to about (|theta - phi| + 1) eps and sigma^(k-1) by a phase of about
-    2k eps, so the result is off by at most about
-    (|theta - phi| + 3) k^2 eps |beta|. That worst case needs the terms
-    nearly in phase (|gap| below about 1/k); otherwise the error is far
-    smaller.
+    Evaluated in closed form as beta sigma^(k-1) e^(-i(k-1) gap) D_k, with
+    the reduced gap and the ratio D_k of :func:`_first_order`. Rounding
+    error: the reduced gap is off by up to about (|theta - phi| + 1) eps and
+    the two powers by a phase of about 2k eps, so the result is off by at
+    most about (|theta - phi| + 3) k^2 eps |beta|. That worst case needs the
+    terms nearly in phase (|gap| below about 1/k); otherwise the error is far
+    smaller. A k where it reaches |beta| k is refused (:func:`_first_order_limit`).
     """
-    k = _checked_index("k", k, 1)
-    _one_theta(params, "approx_b")
-    _, gap = _threshold_and_gap(params)
-    total = 0j
-    for start in range(0, k, _APPROX_BLOCK):
-        phases = (2 * gap) * np.arange(start, min(start + _APPROX_BLOCK, k), dtype=np.float64)
-        total += complex(np.cos(phases).sum(), -np.sin(phases).sum())
+    k, _, gap, ratio = _first_order(params, k, "approx_b")
     sigma = cmath.exp(2j * params.theta)
-    return phase_scale(params.phi) * params.u * sigma ** (k - 1) * total
+    return phase_scale(params.phi) * params.u * sigma ** (k - 1) * cmath.exp(-1j * ((k - 1) * gap)) * ratio
 
 
-def _one_theta(params: AlgorithmParams, caller: str) -> None:
-    """Refuse an array of theta where only a float is taken: the first-order
-    sums would broadcast it against their terms."""
+def _first_order(params: AlgorithmParams, k, caller: str) -> tuple[int, float, float, float]:
+    """Both first-order forms' k, the threshold and reduced gap of
+    :func:`_threshold_and_gap`, and the Dirichlet ratio D_k = sin(k gap) /
+    sin(gap), k at a gap of exactly 0, for one theta (an array is refused).
+    No floor is needed: sin rounds a tiny nonzero gap to itself, down to 5e-324."""
     if isinstance(params.theta, np.ndarray):
         raise TypeError(f"{caller} takes one theta, not an array of {params.theta.size}")
+    k = _checked_index("k", k, 1, _first_order_limit(params))
+    threshold, gap = _threshold_and_gap(params)
+    return k, threshold, gap, math.sin(k * gap) / math.sin(gap) if gap else float(k)
+
+
+def _first_order_limit(params: AlgorithmParams) -> int:
+    """The largest k with (|theta - phi| + 3) k eps < 1: past it
+    :func:`approx_b`'s error bound exceeds |beta| k, the largest the sum can
+    be. It is below 2^53, so k * gap takes k exactly. A theta - phi that
+    overflows is refused."""
+    spread = abs(params.theta - params.phi)
+    if spread == math.inf:
+        raise ValueError(f"theta - phi overflows at theta={params.theta}, phi={params.phi}")
+    return math.ceil(1 / ((spread + 3) * math.ulp(1.0))) - 1
 
 
 def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:
@@ -641,20 +646,12 @@ def _reduced_gap(theta, phi):
 
 
 def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
-    """|approx_b| in closed form.
-
-    ``2 k |cos(phi)| |u|``, the limit, where the gap theta - phi reduced
-    modulo pi by :func:`_threshold_and_gap` is exactly 0, else
-    ``2 |cos(phi)| |u| |sin(k gap) / sin(gap)|``. The ratio needs no floor:
-    for a tiny nonzero gap, sin rounds to the gap itself with full relative
-    accuracy, down to the smallest subnormal.
+    """|approx_b| in closed form: 2 |cos(phi)| |u| |D_k|, with the Dirichlet
+    ratio D_k = sin(k gap) / sin(gap) of :func:`_first_order` (k where the
+    reduced gap is exactly 0). Refuses k as :func:`approx_b` does.
     """
-    k = _checked_index("k", k, 1)
-    _one_theta(params, "closed_form_magnitude")
-    scale, gap = _threshold_and_gap(params)
-    if gap == 0:
-        return k * scale
-    return scale * abs(math.sin(k * gap) / math.sin(gap))
+    _, scale, _, ratio = _first_order(params, k, "closed_form_magnitude")
+    return scale * abs(ratio)
 
 
 def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import _BLOCK, AlgorithmParams, _superposed, _units, approx_b
+from .engine2d import _BLOCK, AlgorithmParams, _first_order_limit, _superposed, _units, approx_b
 from .rotations import _bounded, _checked_index, _finite_angles, phase_scale
 
 
@@ -201,10 +201,11 @@ def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, comp
     where the sign s is (-1)^m for k = 2m and (-1)^(m+1) for k = 2m + 1.
     The product after s is the 2D first-order amplitude
     :func:`~phasematch.engine2d.approx_b` at step m + 1, so both parities
-    share the same sum length; the signs were verified against the exact
-    recurrence at small |u| before being hard-coded here.
+    share its closed form, error model and limit on m + 1; the signs were
+    verified against the exact recurrence at small |u| before being hard-coded here.
     """
-    k = _checked_index("k", k, 1)
+    params = AlgorithmParams(theta, phi, u)
+    k = _checked_index("k", k, 1, 2 * _first_order_limit(params) - 1)
     m = k // 2
     if k % 2:
         a_k = 0j
@@ -212,4 +213,4 @@ def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, comp
     else:
         a_k = (-1.0) ** m * cmath.exp(2j * m * theta)
         sign = (-1.0) ** m
-    return a_k, sign * approx_b(AlgorithmParams(theta, phi, u), m + 1)
+    return a_k, sign * approx_b(params, m + 1)

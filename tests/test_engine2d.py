@@ -254,9 +254,15 @@ def test_first_order_sums_refuse_a_theta_array():
 
 
 def test_a_theta_array_whose_gap_overflows_is_refused():
-    """math.remainder refuses an infinite theta - phi; the array path too."""
+    """math.remainder refuses an infinite theta - phi; the array path and
+    the first-order forms name it."""
     with pytest.raises(ValueError, match="math domain error"):
         phase_condition(AlgorithmParams(1e308, -1e308, 0.1))
+    params = AlgorithmParams(1e308, -1e308, 0.1)
+    for call in (lambda: approx_b(params, 1), lambda: closed_form_magnitude(params, 1),
+                 lambda: approx4(1e308, -1e308, 0.1, 1)):
+        with pytest.raises(ValueError, match=r"^theta - phi overflows at theta=1e\+308, phi=-1e\+308$"):
+            call()
     message = r"^theta - phi overflows at theta\[1\]=1e\+308, phi=-1e\+308$"
     with pytest.raises(ValueError, match=message):
         phase_condition(AlgorithmParams([0.5, 1e308], -1e308, 0.1))
@@ -655,15 +661,28 @@ def test_delta1_equals_exact_delta():
         assert c.delta == pytest.approx(cmath.exp(2j * phi), abs=1e-14)
 
 
-@given(angles, angles)
-@example(theta=3.1415926535897927, phi=1e-9)  # gap just below pi
+@given(angles, angles, st.integers(1, 10**4), st.floats(0, 1))
+@example(theta=3.1415926535897927, phi=1e-9, k=10**4, u=0.05)  # gap just below pi
+@example(theta=0.7, phi=0.7 - 3e-7, k=10**4, u=0.05)  # terms nearly in phase
+@example(theta=0.2, phi=0.2, k=10**4, u=1.0)  # a gap of exactly 0
 @settings(max_examples=60, deadline=None)
-def test_closed_form_magnitude_matches_approx(theta, phi):
-    params = AlgorithmParams(theta, phi, 0.05)
-    for k in (1, 3, 10):
-        assert abs(approx_b(params, k)) == pytest.approx(
-            closed_form_magnitude(params, k), abs=1e-10
-        )
+def test_approx_b_matches_the_term_sum(theta, phi, k, u):
+    """approx_b against beta sum_{i<k} sigma^(k-1-i) delta1^i, summed term by term in NumPy.
+
+    The term sum shares no step with the closed form but beta. The bound is
+    approx_b's error model, (|theta - phi| + 3) k^2 eps |beta|, plus the term
+    sum's own: each term's phases 2 theta (k-1-i) and 2 phi i round by up to
+    (|theta| + |phi|) k eps together, and the products and the pairwise sum
+    add far less than k^2 eps.
+    """
+    params = AlgorithmParams(theta, phi, u)
+    beta = phase_scale(phi) * u
+    i = np.arange(k)
+    expected = beta * (np.exp(1j * (2 * theta * (k - 1 - i))) * np.exp(1j * (2 * phi * i))).sum()
+    eps = np.finfo(np.float64).eps
+    bound = (abs(theta - phi) + 3 + abs(theta) + abs(phi) + 1) * k * k * eps * abs(beta)
+    assert abs(approx_b(params, k) - expected) <= bound
+    assert closed_form_magnitude(params, k) == pytest.approx(abs(expected), rel=0, abs=bound)
 
 
 def test_first_order_accuracy():
@@ -702,8 +721,8 @@ def test_closed_form_magnitude_at_tiny_gaps():
             assert closed_form_magnitude(params, k) == pytest.approx(float(exact), rel=1e-15)
 
 
-#: Step counts for the first-order sum: 3 * 2**14 + 5 ends three terms into a fourth block.
-_APPROX_KS = (1, 2, 7, 64, 3 * 2**14 + 5, 50_000)
+#: Step counts for the first-order sum, from one term to 10^12.
+_APPROX_KS = (1, 2, 7, 64, 3 * 2**14 + 5, 50_000, 10**6, 10**12)
 
 
 def _approx_b_cases():
@@ -737,18 +756,50 @@ def test_approx_b_matches_a_40_digit_geometric_sum(theta, phi):
             assert abs(approx_b(params, k) - complex(exact)) <= bound, k
 
 
-def test_approx_b_memory_is_bounded_by_its_block():
-    """k = 10^6 in one array would trace about 24 MB; blocks of 2^14 keep the peak below 0.5 MB."""
+def test_first_order_sums_at_k_1e12_take_constant_memory():
+    """approx_b and approx4's c channel at k = 10^12 are within approx_b's
+    error model of the 40-digit geometric sum, and a_k within its phase's
+    rounding, with a tracemalloc peak below 64 KB: the closed form holds no
+    term, where the 10^12 terms would take 16 TB."""
+    import mpmath
     import tracemalloc
 
-    params = AlgorithmParams(0.3, -0.4, 0.05)
+    theta, phi, u, k = 0.3, -0.4, 0.05, 10**12
     tracemalloc.start()
     try:
-        approx_b(params, 10**6)
+        b_k = approx_b(AlgorithmParams(theta, phi, u), k)
+        a_k, c_next = approx4(theta, phi, u, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 64 * 2**10
+    beta = phase_scale(phi) * u
+    eps = np.finfo(np.float64).eps
+    m = k // 2
+    with mpmath.workdps(40):
+        sigma = mpmath.exp(2j * mpmath.mpf(theta))
+        delta1 = mpmath.exp(2j * mpmath.mpf(phi))
+        for terms, got, sign in ((k, b_k, 1), (m + 1, c_next, (-1) ** m)):
+            exact = sign * mpmath.mpc(beta) * (sigma**terms - delta1**terms) / (sigma - delta1)
+            assert abs(got - complex(exact)) <= (abs(theta - phi) + 3) * terms**2 * eps * abs(beta)
+        assert abs(a_k - complex((-1) ** m * sigma**m)) <= 2 * m * abs(theta) * eps
+
+
+@pytest.mark.parametrize("k", [10**20, 10**400], ids=["1e20", "1e400"])
+def test_a_k_past_the_first_order_limit_is_refused_before_any_work(monkeypatch, k):
+    """Past (|theta - phi| + 3) k eps = 1 approx_b's error bound exceeds
+    |beta| k, the largest the sum can be: k is refused by name before any
+    sine or exponential is taken, so 10^400 overflows no float."""
+    def no_work(*args):
+        raise AssertionError("a first-order form was evaluated")
+
+    monkeypatch.setattr(math, "sin", no_work)
+    monkeypatch.setattr(cmath, "exp", no_work)
+    params = AlgorithmParams(0.3, -0.4, 0.05)
+    for call in (lambda: approx_b(params, k), lambda: closed_form_magnitude(params, k),
+                 lambda: approx4(0.3, -0.4, 0.05, k)):
+        with pytest.raises(ValueError, match=rf"^k = {k} is outside \[1, \d+\]$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,12 @@ _C4 = four_dim_coeffs(FourDimInputs.idealized(0.1, 0.2, 0.05))
 _CFG = OracleConfig(2, 0.1, 0.2, random_unitary(2, 0))
 _ABOVE_ONE = math.nextafter(1.0, 2.0)
 _BELOW_ZERO = -math.ulp(0.0)
+#: The largest k of the first-order forms at _PARAMS: the largest with
+#: (|theta - phi| + 3) k eps < 1, here 3.05 k eps, in exact rational arithmetic.
+_FIRST_ORDER_MAX = 1_476_590_041_760_818
+#: approx4's at (0.1, 0.2): its sum of k // 2 + 1 terms has at most
+#: 1_452_774_073_345_321, the limit at |theta - phi| = 0.1.
+_APPROX4_MAX = 2 * 1_452_774_073_345_321 - 1
 
 #: (site, call of the bounded value, name, low, high, a value just outside,
 #: the bound next to it, or None where another check may refuse the bound itself).
@@ -140,13 +146,20 @@ BOUNDS = (
     ("iterate2", lambda k: iterate2(_C2, k), "k_max", 0, math.inf, -1, 0),
     ("exact_b", lambda k: exact_b(_C2, k), "k", 1, math.inf, 0, 1),
     ("exact_a", lambda k: exact_a(_C2, k), "k", 1, math.inf, 0, 1),
-    ("approx_b", lambda k: approx_b(_PARAMS, k), "k", 1, math.inf, 0, 1),
-    ("closed_form_magnitude", lambda k: closed_form_magnitude(_PARAMS, k), "k", 1, math.inf, 0, 1),
+    ("approx_b", lambda k: approx_b(_PARAMS, k), "k", 1, _FIRST_ORDER_MAX, 0, 1),
+    ("approx_b-high", lambda k: approx_b(_PARAMS, k), "k", 1, _FIRST_ORDER_MAX,
+     _FIRST_ORDER_MAX + 1, _FIRST_ORDER_MAX),
+    ("closed_form_magnitude", lambda k: closed_form_magnitude(_PARAMS, k), "k", 1, _FIRST_ORDER_MAX,
+     0, 1),
+    ("closed_form_magnitude-high", lambda k: closed_form_magnitude(_PARAMS, k), "k", 1,
+     _FIRST_ORDER_MAX, _FIRST_ORDER_MAX + 1, _FIRST_ORDER_MAX),
     ("sweep_max", lambda k: sweep_max(_C2, k), "k_max", 1, math.inf, 0, 1),
     ("sweep_max-instances", lambda n: sweep_max(stacked([_C2] * n), 1), "instances", 1, math.inf,
      0, 1),
     ("iterate4", lambda k: iterate4(_C4, k), "k_max", 0, math.inf, -1, 0),
-    ("approx4", lambda k: approx4(0.1, 0.2, 0.05, k), "k", 1, math.inf, 0, 1),
+    ("approx4", lambda k: approx4(0.1, 0.2, 0.05, k), "k", 1, _APPROX4_MAX, 0, 1),
+    ("approx4-high", lambda k: approx4(0.1, 0.2, 0.05, k), "k", 1, _APPROX4_MAX, _APPROX4_MAX + 1,
+     _APPROX4_MAX),
     ("basis_state-low", lambda i: basis_state(4, i), "index", 0, 3, -1, 0),
     ("basis_state-high", lambda i: basis_state(4, i), "index", 0, 3, 4, 3),
     ("random_unitary", lambda d: random_unitary(d, 0), "dim", 1, math.inf, 0, 1),
