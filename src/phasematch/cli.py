@@ -176,15 +176,17 @@ def run_pyramid(max_k=12):
 def run_sweep(thetas, phi, u, k_max=100):
     """Optimal iteration count and phase-condition check per theta.
 
-    All theta values go as one array into one :func:`present_coeffs`, one
-    :func:`phase_condition` and one :func:`sweep_max` call, which cuts the
+    All theta values go as one array into one :func:`phase_condition`, one
+    :func:`present_coeffs` and one :func:`sweep_max` call, which cuts the
     batch into chunks of k; a lone theta runs on Python scalars. The report
-    takes the results column by column, with phi, u and the threshold shared
-    by every row. No theta, more than ``MAX_SWEEP_ENTRIES`` entries in all,
-    or a degenerate basis is rejected before any work: the Gram matrix of
-    {|gamma>, U^-1|tau>} has cond (1 + |u|) / (1 - |u|), refused as
+    takes the results column by column, one list entry per theta, with phi,
+    u and the threshold shared by every row. No theta, more than
+    ``MAX_SWEEP_ENTRIES`` entries in all, or a degenerate basis is rejected
+    before any work: the Gram matrix of {|gamma>, U^-1|tau>} has cond
+    (1 + |u|) / (1 - |u|), refused as
     :func:`~phasematch.linalg.gram_decompose` refuses it, but as a
-    ``ValueError`` of the input.
+    ``ValueError`` of the input. A theta - phi that overflows is refused by
+    :func:`phase_condition`, before any step.
     """
     _check_bound("theta count", len(thetas), 1)
     k_max = _checked_index("k_max", k_max, 1, MAX_K)
@@ -198,19 +200,18 @@ def run_sweep(thetas, phi, u, k_max=100):
     m = abs(params.u)
     _refuse_degenerate((1 + m) / (1 - m) if m < 1 else math.inf,
                       f"degenerate 2D basis {{|gamma>, U^-1|tau>}} at |u| = {m}", ValueError)
-    res = sweep_max(present_coeffs(params), k_max)
     cond = phase_condition(params)
+    res = sweep_max(present_coeffs(params), k_max)
     columns = {
         "theta": np.atleast_1d(params.theta).tolist(),
         "phi": float(phi),
         "u_re": params.u.real,
         "u_im": params.u.imag,
-        # A list holds one value per theta, a lone theta's scalar is its one row's.
-        "k_star": np.asarray(res.k_star).tolist(),
-        "max_abs_b": np.asarray(res.max_abs_b).tolist(),
+        "k_star": np.atleast_1d(res.k_star).tolist(),
+        "max_abs_b": np.atleast_1d(res.max_abs_b).tolist(),
         "threshold": cond.threshold,
-        "ratio_l": np.asarray(cond.ratio_l).tolist(),
-        "satisfied": np.asarray(cond.satisfied).tolist(),
+        "ratio_l": np.atleast_1d(cond.ratio_l).tolist(),
+        "satisfied": np.atleast_1d(cond.satisfied).tolist(),
     }
     meta = _base_metadata(0, EQUIVALENCE_TOL, phi=float(phi), k_max=k_max)
     return make_report("sweep", meta, columns)

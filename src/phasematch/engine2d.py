@@ -600,49 +600,51 @@ def _first_order(params: AlgorithmParams, k, caller: str) -> tuple[int, float, f
     No floor is needed: sin rounds a tiny nonzero gap to itself, down to 5e-324."""
     if isinstance(params.theta, np.ndarray):
         raise TypeError(f"{caller} takes one theta, not an array of {params.theta.size}")
-    k = _checked_index("k", k, 1, _first_order_limit(params))
-    threshold, gap = _threshold_and_gap(params)
+    threshold, difference, gap = _threshold_and_gap(params)
+    k = _checked_index("k", k, 1, _first_order_limit(difference))
     return k, threshold, gap, math.sin(k * gap) / math.sin(gap) if gap else float(k)
 
 
-def _first_order_limit(params: AlgorithmParams) -> int:
-    """The largest k with (|theta - phi| + 3) k eps < 1: past it
-    :func:`approx_b`'s error bound exceeds |beta| k, the largest the sum can
-    be. It is below 2^53, so k * gap takes k exactly. A theta - phi that
-    overflows is refused."""
-    spread = abs(params.theta - params.phi)
-    if spread == math.inf:
-        raise ValueError(f"theta - phi overflows at theta={params.theta}, phi={params.phi}")
-    return math.ceil(1 / ((spread + 3) * math.ulp(1.0))) - 1
+def _first_order_limit(difference: float) -> int:
+    """The largest k with (|theta - phi| + 3) k eps < 1, given theta - phi as
+    :func:`_difference` gives it: past it :func:`approx_b`'s error bound
+    exceeds |beta| k, the largest the sum can be. It is below 2^53, so
+    k * gap takes k exactly."""
+    return math.ceil(1 / ((abs(difference) + 3) * math.ulp(1.0))) - 1
 
 
-def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:
-    """The first-order threshold 2 |cos(phi)| |u|, and the gap theta - phi
-    reduced modulo pi to [-pi/2, pi/2] (:func:`_reduced_gap`): the operator
-    depends on each angle only modulo pi, and near a nonzero multiple of pi
-    an unreduced gap puts a rounding error of O(eps / |sin(gap)|) into
-    sin(k gap) / sin(gap)."""
+def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float, float]:
+    """The first-order threshold 2 |cos(phi)| |u|, theta - phi as
+    :func:`_difference` gives it, and that gap reduced modulo pi to
+    [-pi/2, pi/2] by ``math.remainder``, elementwise for an array of theta:
+    the operator depends on each angle only modulo pi, and near a nonzero
+    multiple of pi an unreduced gap puts a rounding error of
+    O(eps / |sin(gap)|) into sin(k gap) / sin(gap)."""
     threshold = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
-    return threshold, _reduced_gap(params.theta, params.phi)
+    difference = _difference(params.theta, params.phi)
+    if isinstance(difference, np.ndarray):
+        return threshold, difference, _REMAINDER(difference, math.pi).astype(np.float64)
+    return threshold, difference, math.remainder(difference, math.pi)
 
 
 #: ``math.remainder`` applied to each entry of an array.
 _REMAINDER = np.frompyfunc(math.remainder, 2, 1)
 
 
-def _reduced_gap(theta, phi):
-    """``math.remainder(theta - phi, math.pi)``, elementwise for an array of
-    theta. A difference that overflows raises ``ValueError``: for an array
-    one that names the entry, for a float ``math.remainder``'s own.
-    """
+def _difference(theta, phi):
+    """theta - phi, elementwise for an array of theta; one that overflows
+    raises ``ValueError`` naming theta (its entry, for an array) and phi."""
     if not isinstance(theta, np.ndarray):
-        return math.remainder(theta - phi, math.pi)
+        x = theta - phi
+        if not math.isfinite(x):
+            raise ValueError(f"theta - phi overflows at theta={theta}, phi={phi}")
+        return x
     with np.errstate(over="ignore"):
         x = theta - phi
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"theta - phi overflows at theta[{i}]={theta[i]}, phi={phi}")
-    return _REMAINDER(x, math.pi).astype(np.float64)
+    return x
 
 
 def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
@@ -670,8 +672,13 @@ def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
     if not finite.all():
         k_star = np.where(finite, k_star, np.argmax(~np.isfinite(magnitudes), axis=0) + 1)
         max_abs_b = np.where(finite, max_abs_b, math.inf)
+    return _sweep_result(k_star, max_abs_b)
+
+
+def _sweep_result(k_star: np.ndarray, max_abs_b: np.ndarray) -> SweepResult:
+    """A :class:`SweepResult` of two arrays of one shape, a plain int and float where 0-d."""
     if k_star.ndim == 0:
-        return SweepResult(k_star=int(k_star), max_abs_b=float(max_abs_b))
+        k_star, max_abs_b = int(k_star), float(max_abs_b)
     return SweepResult(k_star=k_star, max_abs_b=max_abs_b)
 
 
@@ -727,9 +734,7 @@ def sweep_max(c: TwoDimCoefficients, k_max: int) -> SweepResult:
         k_star = np.where(later, done + peak.k_star, k_star)
         max_abs_b = np.where(later, peak.max_abs_b, max_abs_b)
         done += steps
-    if k_star.ndim == 0:
-        return SweepResult(k_star=int(k_star), max_abs_b=float(max_abs_b))
-    return SweepResult(k_star=k_star, max_abs_b=max_abs_b)
+    return _sweep_result(k_star, max_abs_b)
 
 
 def phase_condition(params: AlgorithmParams) -> PhaseCondition:
@@ -742,7 +747,7 @@ def phase_condition(params: AlgorithmParams) -> PhaseCondition:
     the sweep maximum near 1/l. An array of theta gives arrays of l and of
     the verdict, each entry bit-identical to the call on its angle alone.
     """
-    threshold, gap = _threshold_and_gap(params)
+    threshold, _, gap = _threshold_and_gap(params)
     if threshold > 0:
         # Python's float division makes inf without a warning, and so does this.
         with np.errstate(over="ignore"):

@@ -1,5 +1,11 @@
 """Report container with CSV and JSON encodings.
 
+:func:`make_report` is the one way rows become a :class:`Report`. Every key
+in a report is a ``str``: the keys of the rows, of a dict of columns, of the
+metadata and of any dict nested in a value. Any other key is refused with a
+``TypeError`` that names it, before any float is rounded: as JSON object
+keys 1 and "1" would both read "1", and None and "null" both "null".
+
 Float values are rounded to 12 significant digits when a report is
 assembled, so the two encodings render bit-identical numbers (both go
 through Python's shortest-roundtrip float repr). Each container is rounded
@@ -149,8 +155,15 @@ class _Numbers(NamedTuple):
 
 
 def _column(values: list):
-    """A column of ``values`` as given: a :class:`_Numbers` when all are ints
-    and finite floats, its texts written by ``json.dumps``, else the list."""
+    """A column of ``values`` normalized: a :class:`_Numbers` when all are
+    ints and finite floats, else the list. A column of floats is rounded in
+    one :func:`_rounded` call, which writes its texts too; any other column
+    of numbers takes its texts from ``json.dumps``."""
+    if set(map(type, values)) == {float}:
+        texts = []
+        values = _rounded(values, texts)
+        return _Numbers(values, tuple(texts)) if texts else values
+    values = _normalize(values)
     if set(map(type, values)) <= _NUMBERS:
         try:
             return _Numbers(values, tuple(
@@ -160,16 +173,6 @@ def _column(values: list):
         except ValueError:  # a non-finite float, or an int json.dumps cannot write
             pass
     return values
-
-
-def _normalized_column(values: list):
-    """:func:`_column` of ``values`` normalized. A column of floats is rounded
-    in one :func:`_rounded` call, which writes its texts too."""
-    if set(map(type, values)) == {float}:
-        texts = []
-        values = _rounded(values, texts)
-        return _Numbers(values, tuple(texts)) if texts else values
-    return _column(_normalize(values))
 
 
 class _Block(NamedTuple):
@@ -188,46 +191,47 @@ class _Block(NamedTuple):
         return zip(*columns) if columns else repeat((), self.size)
 
 
-def _runs(rows):
-    """Runs of consecutive rows whose keys read the same in both encodings.
-
-    1, 1.0 and True, or 0.0 and -0.0, are one dict key but different texts,
-    so a run whose keys are not all strings is split by type and repr too.
-    """
-    for keys, run in groupby(rows, tuple):
-        if all(type(key) is str for key in keys):
-            yield list(run)
-        else:
-            for _, part in groupby(run, lambda row: [(type(k), repr(k)) for k in row]):
-                yield list(part)
-
-
-def _blocks(rows, normalized: bool = False) -> tuple:
+def _blocks(rows) -> tuple:
     """The blocks of ``rows``, given as :func:`make_report` takes them: a
     dict of columns is one block, and a list of row dicts one block per run
-    of rows with the same keys. Each list column is made by :func:`_column`,
-    or by :func:`_normalized_column` if ``normalized``, in which case the
-    shared values are normalized together, and rounded in one call."""
-    column = _normalized_column if normalized else _column
+    of rows with the same keys. Each list column is made by :func:`_column`;
+    the shared values are normalized together, and rounded in one call.
+    Rows already normalized, as :func:`_layout` hands them over, come out
+    the same, as rounding is idempotent."""
     if isinstance(rows, dict):
         sizes = {len(c) for c in rows.values() if isinstance(c, list)}
         if len(sizes) != 1:
             raise ValueError(f"column-wise rows need list columns of one length, "
                              f"not of lengths {sorted(sizes)}")
-        shared = {k: c for k, c in rows.items() if not isinstance(c, list)}
-        if normalized:
-            shared = _normalize(shared)
-        columns = tuple(column(c) if isinstance(c, list) else _Shared(shared[k])
+        shared = _normalize({k: c for k, c in rows.items() if not isinstance(c, list)})
+        columns = tuple(_column(c) if isinstance(c, list) else _Shared(shared[k])
                         for k, c in rows.items())
         return (_Block(sizes.pop(), tuple(rows), columns),)
     return tuple(_Block(len(run), tuple(run[0]),
-                        tuple(map(column, map(list, zip(*map(dict.values, run))))))
-                 for run in _runs(rows))
+                        tuple(map(_column, map(list, zip(*map(dict.values, run))))))
+                 for run in (list(run) for _, run in groupby(rows, tuple)))
 
 
-@dataclass(frozen=True, init=False)
+def _refuse_keys(value) -> None:
+    """Raise ``TypeError`` naming the first key, in ``value`` or in any dict,
+    list or tuple it holds, that is not a ``str``."""
+    if isinstance(value, dict):
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"a report key must be a str, not the "
+                                f"{type(key).__name__} {key!r}")
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return
+    if not set(map(type, value)) <= _SCALARS:
+        for item in value:
+            _refuse_keys(item)
+
+
+@dataclass(frozen=True)
 class Report:
-    """Rows plus metadata, optionally with an overall pass verdict.
+    """Rows plus metadata, optionally with an overall pass verdict, as
+    :func:`make_report` assembles them.
 
     ``rows`` reads as a list of row dicts, built when it is read. The rows
     are held in ``blocks`` (see the module docstring).
@@ -237,15 +241,6 @@ class Report:
     metadata: dict
     blocks: tuple
     passed: bool | None = None
-
-    def __init__(self, command: str, metadata: dict, rows, passed: bool | None = None):
-        """``rows`` in either form :func:`make_report` takes, kept as given."""
-        self._hold(command, metadata, _blocks(rows), passed)
-
-    def _hold(self, command: str, metadata: dict, blocks: tuple, passed: bool | None):
-        for name, value in (("command", command), ("metadata", metadata),
-                            ("blocks", blocks), ("passed", passed)):
-            object.__setattr__(self, name, value)
 
     @property
     def rows(self) -> list[dict]:
@@ -259,11 +254,12 @@ def make_report(command: str, metadata: dict, rows, passed: bool | None = None) 
     of one value per row, or any other value, shared by every row. Either way
     the rows are cut into blocks first, and each list column of a block is
     normalized once, its floats rounded in one call. A shared value is
-    normalized and rounded once, with the other shared values.
+    normalized and rounded once, with the other shared values. A key that
+    is not a ``str``, anywhere, is refused before anything is rounded.
     """
-    report = Report.__new__(Report)
-    report._hold(command, _normalize(metadata), _blocks(rows, normalized=True), passed)
-    return report
+    _refuse_keys(metadata)
+    _refuse_keys(rows)
+    return Report(command, _normalize(metadata), _blocks(rows), passed)
 
 
 def _texts(column: list, text) -> list:
@@ -287,11 +283,6 @@ def _filled(template: str, separator: str, columns: list, size: int, text):
         yield separator.join(map(template.__mod__, rows))
 
 
-def _json_key(key) -> str:
-    """``key`` as json writes it as an object key, a non-string one too."""
-    return json.dumps({key: 0})[1:-4]
-
-
 def _layout(value, level: int) -> str:
     """``json.dumps(value, indent=2)`` as it reads ``level`` levels deep.
 
@@ -301,12 +292,12 @@ def _layout(value, level: int) -> str:
     """
     pad = "\n" + "  " * level
     outer = pad + "  "
-    if isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
         return "".join(_json_rows(_blocks(value), level))
     if isinstance(value, dict) and value:
-        items = [f"{_json_key(k)}: {_layout(v, level + 1)}" for k, v in value.items()]
+        items = [f"{json.dumps(k)}: {_layout(v, level + 1)}" for k, v in value.items()]
         return f"{{{outer}{f',{outer}'.join(items)}{pad}}}"
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, list) and value:
         return f"[{outer}{f',{outer}'.join(_layout(v, level + 1) for v in value)}{pad}]"
     return json.dumps(value)
 
@@ -321,7 +312,7 @@ def _json_rows(blocks: tuple, level: int) -> list:
     for block in blocks:
         fields, columns = [], []
         for key, column in zip(block.keys, block.columns):
-            field = _json_key(key) + ": "
+            field = json.dumps(key) + ": "
             if isinstance(column, _Shared):
                 fields.append((field + _layout(column.value, level + 2)).replace("%", "%%"))
             else:

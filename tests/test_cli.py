@@ -345,6 +345,17 @@ def test_sweep_refuses_a_degenerate_basis_before_work(runner, monkeypatch):
         run_sweep([0.0], 0.0, 0.999)
 
 
+def test_sweep_refuses_an_overflowing_gap_before_work(runner, monkeypatch):
+    """theta - phi = 2e308 overflows: the sweep is a usage error naming
+    theta and phi, before sweep_max runs, for one theta or a grid."""
+    monkeypatch.setattr(cli, "sweep_max", _reached)
+    result = runner.invoke(main, ["sweep", "--theta", "1e308", "--phi", "-1e308"])
+    _assert_usage_error(result)
+    assert "theta - phi overflows at theta=1e+308, phi=-1e+308" in result.stderr
+    with pytest.raises(ValueError, match=r"^theta - phi overflows at theta\[1\]=1e\+308, phi=-1e\+308$"):
+        run_sweep([0.0, 1e308], -1e308, 0.1)
+
+
 @pytest.mark.parametrize("run, first_call", [
     (run_verify, "_verify_2d_case"),
     (functools.partial(run_construct, 8), "random_commuting_unitary"),

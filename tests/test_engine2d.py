@@ -219,7 +219,7 @@ def test_theta_array_entries_equal_the_scalar_calls_bit_for_bit(thetas, phi, r, 
         assert _bits(cond.threshold) == _bits(p.threshold)
     # ratio_l takes |gap|, so the sign of the reduced gap, which math.remainder
     # sets at a tie (3 pi/2 - 0.0 is one), is checked on the gap itself.
-    gaps = engine2d._reduced_gap(batch.theta, phi)
+    _, _, gaps = engine2d._threshold_and_gap(batch)
     assert [_bits(g) for g in gaps.tolist()] == [_bits(math.remainder(t - phi, math.pi))
                                                  for t in thetas]
 
@@ -254,12 +254,11 @@ def test_first_order_sums_refuse_a_theta_array():
 
 
 def test_a_theta_array_whose_gap_overflows_is_refused():
-    """math.remainder refuses an infinite theta - phi; the array path and
-    the first-order forms name it."""
-    with pytest.raises(ValueError, match="math domain error"):
-        phase_condition(AlgorithmParams(1e308, -1e308, 0.1))
+    """A theta - phi that overflows is refused by name, for one theta by
+    phase_condition and the first-order forms, and for an array by entry."""
     params = AlgorithmParams(1e308, -1e308, 0.1)
-    for call in (lambda: approx_b(params, 1), lambda: closed_form_magnitude(params, 1),
+    for call in (lambda: phase_condition(params), lambda: approx_b(params, 1),
+                 lambda: closed_form_magnitude(params, 1),
                  lambda: approx4(1e308, -1e308, 0.1, 1)):
         with pytest.raises(ValueError, match=r"^theta - phi overflows at theta=1e\+308, phi=-1e\+308$"):
             call()
@@ -665,6 +664,7 @@ def test_delta1_equals_exact_delta():
 @example(theta=3.1415926535897927, phi=1e-9, k=10**4, u=0.05)  # gap just below pi
 @example(theta=0.7, phi=0.7 - 3e-7, k=10**4, u=0.05)  # terms nearly in phase
 @example(theta=0.2, phi=0.2, k=10**4, u=1.0)  # a gap of exactly 0
+@example(theta=1.0, phi=0.0, k=2, u=2.225073858507e-311)  # a subnormal beta
 @settings(max_examples=60, deadline=None)
 def test_approx_b_matches_the_term_sum(theta, phi, k, u):
     """approx_b against beta sum_{i<k} sigma^(k-1-i) delta1^i, summed term by term in NumPy.
@@ -673,14 +673,17 @@ def test_approx_b_matches_the_term_sum(theta, phi, k, u):
     approx_b's error model, (|theta - phi| + 3) k^2 eps |beta|, plus the term
     sum's own: each term's phases 2 theta (k-1-i) and 2 phi i round by up to
     (|theta| + |phi|) k eps together, and the products and the pairwise sum
-    add far less than k^2 eps.
+    add far less than k^2 eps. Where beta is subnormal each product rounds
+    by up to 2^-1075 absolute, not relative: 8 k 2^-1074 bounds that part
+    for both sums.
     """
     params = AlgorithmParams(theta, phi, u)
     beta = phase_scale(phi) * u
     i = np.arange(k)
     expected = beta * (np.exp(1j * (2 * theta * (k - 1 - i))) * np.exp(1j * (2 * phi * i))).sum()
     eps = np.finfo(np.float64).eps
-    bound = (abs(theta - phi) + 3 + abs(theta) + abs(phi) + 1) * k * k * eps * abs(beta)
+    bound = ((abs(theta - phi) + 3 + abs(theta) + abs(phi) + 1) * k * k * eps * abs(beta)
+             + 8 * k * 2.0**-1074)
     assert abs(approx_b(params, k) - expected) <= bound
     assert closed_form_magnitude(params, k) == pytest.approx(abs(expected), rel=0, abs=bound)
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -62,6 +63,28 @@ def test_unsupported_values_rejected():
                   np.zeros((2, 2), dtype=np.complex64)):
         with pytest.raises(TypeError):
             make_report("demo", {"seed": 0, "tolerance": 0.0}, [{"x": value}])
+
+
+@pytest.mark.parametrize("key", [1, 1.0, True, None])
+def test_a_key_that_is_not_a_str_is_refused_before_any_rounding(key):
+    """Every key of a report is a str. Any other, in a row, in a dict of
+    columns, in the metadata or in a dict nested in a value, is refused by
+    name before anything is normalized: ``{1: "a", "1": "b"}`` would render
+    as two "1" keys."""
+    placements = [
+        ({}, [{"a": 0.5}, {key: "a", "1": "b"}]),
+        ({}, {"a": [0.5, 1.5], key: [1, 2]}),
+        ({"t": 0.5, key: 1}, [{"a": 0.5}]),
+        ({"t": 0.5, "m": [{"x": {key: 0.5}}]}, [{"a": 0.5}]),
+        ({}, [{"a": 0.5, "b": ({"c": 1}, {key: 1})}]),
+        ({}, {"a": [0.5], "b": {"c": {key: 1.5}}}),
+    ]
+    message = re.escape(f"a report key must be a str, not the {type(key).__name__} {key!r}")
+    with mock.patch.object(reporting, "_rounded", side_effect=AssertionError), \
+            mock.patch.object(reporting, "_normalize", side_effect=AssertionError):
+        for metadata, rows in placements:
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                make_report("c", metadata, rows)
 
 
 def test_complex_matrix_normalizes_like_its_nested_lists():
@@ -153,7 +176,7 @@ def _rounded(value):
         return _rounded(value.tolist())
     if isinstance(value, dict):
         return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_rounded(v) for v in value]
     return value
 
@@ -211,8 +234,9 @@ SCALARS = (TEXT | st.integers() | st.integers(2**63, 2**70) | FLOATS | st.boolea
 @settings(max_examples=150, deadline=None)
 @example("c", {}, [{"-0": -0.0, "tiny": 5e-324, "huge": 1e300, "big": 2**64 + 1}], None)
 def test_scalar_rows_encode_as_json_dumps_does(command, metadata, rows, passed):
-    report = Report(command, metadata, rows, passed)
-    assert repr(report.rows) == repr(rows)
+    report = make_report(command, metadata, rows, passed)
+    assert repr(report.metadata) == repr(_rounded(metadata))
+    assert repr(report.rows) == repr(_rounded(rows))
     text, calls = _to_json_counting(report)
     assert text == _reference_json(report)
     # One template for each run of rows with the same keys.
@@ -220,10 +244,10 @@ def test_scalar_rows_encode_as_json_dumps_does(command, metadata, rows, passed):
 
 
 @pytest.mark.parametrize("report, calls", [
-    (Report("c", {"seed": 1}, []), 0),
-    (Report("c", {"seed": 1}, [], True), 0),
-    (Report("c", {}, [{"a": 1}, {}], False), 2),
-    (Report("c", {}, [{}]), 1),
+    (make_report("c", {"seed": 1}, []), 0),
+    (make_report("c", {"seed": 1}, [], True), 0),
+    (make_report("c", {}, [{"a": 1}, {}], False), 2),
+    (make_report("c", {}, [{}]), 1),
     (make_report("c", {}, [{"a": 1.5}, {"z": 1 + 2j}]), 2),
     (make_report("c", {}, [{"m": np.eye(2, dtype=np.complex128)}]), 3),
 ], ids=["no rows", "no rows with verdict", "a row with no keys", "only a row with no keys",
@@ -246,30 +270,26 @@ def test_metadata_holding_the_rows_text_does_not_move_the_splice():
         assert calls == 3  # the copy in the metadata, then the rows' two key sets
 
 
-KEYS = TEXT | st.integers() | st.booleans() | st.none() | FLOATS
 DOCUMENTS = st.recursive(
     SCALARS,
     lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(KEYS, inner, max_size=3)),
+                   | st.dictionaries(TEXT, inner, max_size=3)),
     max_leaves=10,
 )
 
 
-@given(TEXT, st.dictionaries(KEYS, DOCUMENTS, max_size=4), st.lists(MATRICES, max_size=2),
-       st.lists(st.dictionaries(KEYS, DOCUMENTS, max_size=4), max_size=4),
+@given(TEXT, st.dictionaries(TEXT, DOCUMENTS, max_size=4), st.lists(MATRICES, max_size=2),
+       st.lists(st.dictionaries(TEXT, DOCUMENTS, max_size=4), max_size=4),
        st.none() | st.booleans())
 @settings(max_examples=200, deadline=None)
 @example("construct", {"dim": 2}, [np.eye(2, dtype=np.complex128) * (1 - 1j)] * 2,
          [{"check": "v_unitary", "deviation": 0.0, "ok": True}], True)
-@example("c", {}, [], [{1: "int"}, {1.0: "float"}, {True: "bool"}, {0.0: 0}, {-0.0: 0}], None)
 def test_json_is_json_dumps_with_indent(command, metadata, matrices, rows, passed):
-    """Any report renders as ``json.dumps(..., indent=2)``: as given, tuples
-    and all, and as assembled, with complex matrices in its metadata, each
+    """Any report renders as ``json.dumps(..., indent=2)`` of what it holds,
+    tuples become lists, with complex matrices in its metadata, each
     non-empty matrix row of which fills one template."""
-    raw = Report(command, metadata, rows, passed)
-    assert repr(raw.rows) == repr(rows)  # so the reference is over the rows as given
-    assert to_json(raw) == _reference_json(raw)
     report = make_report(command, {**metadata, "z": 1 - 2j, "matrices": matrices}, rows, passed)
+    assert repr(report.rows) == repr(_rounded(rows))
     text, calls = _to_json_counting(report)
     assert text == _reference_json(report)
     assert calls >= sum(len(m) for m in matrices if m.size)
@@ -293,7 +313,7 @@ def _reference_csv(report):
 #: and text that the templates must not read as a format.
 CSV_TRICKY = [",", '"', "\n", "\r", "\r\n", "a,b", 'say "hi"', "", " ", "%", "%s", "%%", "%(x)s"]
 CSV_TEXT = st.sampled_from(CSV_TRICKY) | TEXT
-CSV_KEYS = CSV_TEXT | st.sampled_from(["a", "b", "c"]) | st.integers(0, 2) | st.booleans() | FLOATS
+CSV_KEYS = CSV_TEXT | st.sampled_from(["a", "b", "c"])
 
 
 @given(st.lists(st.dictionaries(CSV_KEYS, CSV_TEXT | DOCUMENTS, max_size=4), max_size=6))
@@ -301,16 +321,12 @@ CSV_KEYS = CSV_TEXT | st.sampled_from(["a", "b", "c"]) | st.integers(0, 2) | st.
 @example([{"a": -0.0, "b": math.nan, "c": math.inf}, {}, {"b": None, "a": True},
           {"c": "", "a": -math.inf, "b": False}, {"a": 'x,"y"\n', "b": 2**70}])
 @example([{"a": ""}, {"a": None}, {}, {"a": "%s"}])
-@example([{1: "int", True: "bool"}, {1.0: "float"}, {0.0: 0}, {-0.0: 0}])
 @example([])
 def test_csv_is_csv_writer_over_the_rows(rows):
     """Any rows render as csv.writer writes them one at a time: mixed key
-    sets, empty rows, quoting, None, bools, -0.0 and non-finite floats; as
-    given, and as assembled."""
-    raw = Report("c", {}, rows)
-    assert repr(raw.rows) == repr(rows)
-    assert to_csv(raw) == _reference_csv(raw)
+    sets, empty rows, quoting, None, bools, -0.0 and non-finite floats."""
     report = make_report("c", {}, rows)
+    assert repr(report.rows) == repr(_rounded(rows))
     assert to_csv(report) == _reference_csv(report)
 
 
