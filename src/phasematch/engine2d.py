@@ -586,65 +586,59 @@ def approx_b(params: AlgorithmParams, k: int) -> complex:
     the two powers by a phase of about 2k eps, so the result is off by at
     most about (|theta - phi| + 3) k^2 eps |beta|. That worst case needs the
     terms nearly in phase (|gap| below about 1/k); otherwise the error is far
-    smaller. A k where it reaches |beta| k is refused (:func:`_first_order_limit`).
+    smaller. A k where it reaches |beta| k is refused (:func:`_gap_and_limit`).
     """
-    k, _, gap, ratio = _first_order(params, k, "approx_b")
+    k, gap, ratio = _first_order(params, k, "approx_b")
     sigma = cmath.exp(2j * params.theta)
     return phase_scale(params.phi) * params.u * sigma ** (k - 1) * cmath.exp(-1j * ((k - 1) * gap)) * ratio
 
 
-def _first_order(params: AlgorithmParams, k, caller: str) -> tuple[int, float, float, float]:
-    """Both first-order forms' k, the threshold and reduced gap of
-    :func:`_threshold_and_gap`, and the Dirichlet ratio D_k = sin(k gap) /
-    sin(gap), k at a gap of exactly 0, for one theta (an array is refused).
-    No floor is needed: sin rounds a tiny nonzero gap to itself, down to 5e-324."""
+def _first_order(params: AlgorithmParams, k, caller: str) -> tuple[int, float, float]:
+    """Both first-order forms' k, checked against the limit of
+    :func:`_gap_and_limit`, the reduced gap, and the Dirichlet ratio
+    D_k = sin(k gap) / sin(gap), k at a gap of exactly 0, for one theta (an
+    array is refused). No floor is needed: sin rounds a tiny nonzero gap to
+    itself, down to 5e-324."""
     if isinstance(params.theta, np.ndarray):
         raise TypeError(f"{caller} takes one theta, not an array of {params.theta.size}")
-    threshold, difference, gap = _threshold_and_gap(params)
-    k = _checked_index("k", k, 1, _first_order_limit(difference))
-    return k, threshold, gap, math.sin(k * gap) / math.sin(gap) if gap else float(k)
+    gap, limit = _gap_and_limit(params.theta, params.phi)
+    k = _checked_index("k", k, 1, limit)
+    return k, gap, math.sin(k * gap) / math.sin(gap) if gap else float(k)
 
 
-def _first_order_limit(difference: float) -> int:
-    """The largest k with (|theta - phi| + 3) k eps < 1, given theta - phi as
-    :func:`_difference` gives it: past it :func:`approx_b`'s error bound
-    exceeds |beta| k, the largest the sum can be. It is below 2^53, so
-    k * gap takes k exactly."""
-    return math.ceil(1 / ((abs(difference) + 3) * math.ulp(1.0))) - 1
+def _gap_and_limit(theta: float, phi: float) -> tuple[float, int]:
+    """For one theta: theta - phi reduced modulo pi to [-pi/2, pi/2] by
+    ``math.remainder``, and the first-order limit, the largest k with
+    (|theta - phi| + 3) k eps < 1. The operator depends on each angle only
+    modulo pi, and near a nonzero multiple of pi an unreduced gap puts a
+    rounding error of O(eps / |sin(gap)|) into sin(k gap) / sin(gap). Past
+    the limit :func:`approx_b`'s error bound exceeds |beta| k, the largest
+    the sum can be; it is below 2^53, so k * gap takes k exactly. A
+    theta - phi that overflows is refused by name."""
+    difference = theta - phi
+    if not math.isfinite(difference):
+        raise ValueError(f"theta - phi overflows at theta={theta}, phi={phi}")
+    return math.remainder(difference, math.pi), math.ceil(1 / ((abs(difference) + 3) * math.ulp(1.0))) - 1
 
 
-def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float, float]:
-    """The first-order threshold 2 |cos(phi)| |u|, theta - phi as
-    :func:`_difference` gives it, and that gap reduced modulo pi to
-    [-pi/2, pi/2] by ``math.remainder``, elementwise for an array of theta:
-    the operator depends on each angle only modulo pi, and near a nonzero
-    multiple of pi an unreduced gap puts a rounding error of
-    O(eps / |sin(gap)|) into sin(k gap) / sin(gap)."""
+def _threshold_and_gap(params: AlgorithmParams) -> tuple[float, float]:
+    """The first-order threshold 2 |cos(phi)| |u|, and the gap theta - phi
+    reduced as :func:`_gap_and_limit` reduces it, elementwise for an array
+    of theta, whose entry with a difference that overflows is refused by name."""
     threshold = 2 * abs(snapped_cos(params.phi)) * abs(params.u)
-    difference = _difference(params.theta, params.phi)
-    if isinstance(difference, np.ndarray):
-        return threshold, difference, _REMAINDER(difference, math.pi).astype(np.float64)
-    return threshold, difference, math.remainder(difference, math.pi)
-
-
-#: ``math.remainder`` applied to each entry of an array.
-_REMAINDER = np.frompyfunc(math.remainder, 2, 1)
-
-
-def _difference(theta, phi):
-    """theta - phi, elementwise for an array of theta; one that overflows
-    raises ``ValueError`` naming theta (its entry, for an array) and phi."""
+    theta, phi = params.theta, params.phi
     if not isinstance(theta, np.ndarray):
-        x = theta - phi
-        if not math.isfinite(x):
-            raise ValueError(f"theta - phi overflows at theta={theta}, phi={phi}")
-        return x
+        return threshold, _gap_and_limit(theta, phi)[0]
     with np.errstate(over="ignore"):
         x = theta - phi
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"theta - phi overflows at theta[{i}]={theta[i]}, phi={phi}")
-    return x
+    return threshold, _REMAINDER(x, math.pi).astype(np.float64)
+
+
+#: ``math.remainder`` applied to each entry of an array.
+_REMAINDER = np.frompyfunc(math.remainder, 2, 1)
 
 
 def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
@@ -652,8 +646,8 @@ def closed_form_magnitude(params: AlgorithmParams, k: int) -> float:
     ratio D_k = sin(k gap) / sin(gap) of :func:`_first_order` (k where the
     reduced gap is exactly 0). Refuses k as :func:`approx_b` does.
     """
-    _, scale, _, ratio = _first_order(params, k, "closed_form_magnitude")
-    return scale * abs(ratio)
+    _, _, ratio = _first_order(params, k, "closed_form_magnitude")
+    return 2 * abs(snapped_cos(params.phi)) * abs(params.u) * abs(ratio)
 
 
 def _peak_of(b: np.ndarray, k_max: int) -> SweepResult:
@@ -747,7 +741,7 @@ def phase_condition(params: AlgorithmParams) -> PhaseCondition:
     the sweep maximum near 1/l. An array of theta gives arrays of l and of
     the verdict, each entry bit-identical to the call on its angle alone.
     """
-    threshold, _, gap = _threshold_and_gap(params)
+    threshold, gap = _threshold_and_gap(params)
     if threshold > 0:
         # Python's float division makes inf without a warning, and so does this.
         with np.errstate(over="ignore"):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine2d import (_BLOCK, AlgorithmParams, _difference, _first_order_limit, _superposed,
-                       _units, approx_b)
+from .engine2d import _BLOCK, AlgorithmParams, _gap_and_limit, _superposed, _units, approx_b
 from .rotations import _bounded, _checked_index, _finite_angles, phase_scale
 
 
@@ -206,7 +205,7 @@ def approx4(theta: float, phi: float, u: complex, k: int) -> tuple[complex, comp
     verified against the exact recurrence at small |u| before being hard-coded here.
     """
     params = AlgorithmParams(theta, phi, u)
-    k = _checked_index("k", k, 1, 2 * _first_order_limit(_difference(params.theta, params.phi)) - 1)
+    k = _checked_index("k", k, 1, 2 * _gap_and_limit(params.theta, params.phi)[1] - 1)
     m = k // 2
     if k % 2:
         a_k = 0j
