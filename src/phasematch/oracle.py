@@ -3,6 +3,8 @@
 Q = -(I_gamma V I_tau U) is built as an explicit N x N matrix (V defaults to
 U^-1, the two-rotation algorithm) with one dense product: each rotation
 touches one row or one column of V, and only (I_gamma V I_tau) U costs N^3.
+Neither rotation is built as an N x N matrix; a 2 x N block and an N-vector
+carry their entries, so Q costs two N x N arrays, V's copy and Q itself.
 |gamma> is evolved step by step into one (k_max + 1) x N array of states.
 All of a run's states are decomposed over the invariant basis by one stacked
 solve of the Gram normal equations, into one record array. Its residuals
@@ -91,20 +93,27 @@ def build_q(cfg: OracleConfig) -> np.ndarray:
 
     Each rotation differs from the identity in one diagonal entry, so
     I_gamma touches only row gamma of V and I_tau only column tau of
-    I_gamma V; the one N^3 product is (I_gamma V I_tau) U. The row is a
-    2-row block product (gamma = 0 and dim >= 2, so rows 0 and 1) and the
-    column a matrix-vector product: on the numpy/BLAS build the goldens were
-    made with, those round like the same entries of the full products, and
-    the 1-row form and plain scaling do not
-    (``test_build_q_rounds_like_the_three_product_form``).
+    I_gamma V; the one N^3 product is (I_gamma V I_tau) U. No dense
+    rotation is built. Row gamma is a 2-row block product (gamma = 0 and
+    dim >= 2, so rows 0 and 1 of I_gamma) and column tau a matrix-vector
+    product (column tau of I_tau); both operands are zero-padded from the
+    2 x 2 corners ``build(0, theta, 2)`` and ``build(1, phi, 2)``, which
+    hold every entry of those rows and that column that is not 0. On the
+    numpy/BLAS build the goldens were made with, these round like the same
+    entries of the full products, and the 1-row form and plain scaling do
+    not (``test_build_q_rounds_like_the_three_product_form``). Apart from
+    the 2 x N block and the N-vector, the work arrays are V's copy, which
+    becomes I_gamma V I_tau, and Q.
     """
-    g, t = cfg.gamma_index, cfg.tau_index
-    i_gamma = build(g, cfg.theta, cfg.dim)
-    i_tau = build(t, cfg.phi, cfg.dim)
+    dim, g, t = cfg.dim, cfg.gamma_index, cfg.tau_index
+    rows = np.zeros((2, dim), dtype=np.complex128)
+    rows[:, :2] = build(0, cfg.theta, 2)
+    column = np.zeros((dim, 1), dtype=np.complex128)
+    column[t - 1:] = build(1, cfg.phi, 2)[:, 1:]
     u = cfg.u_matrix
     a = adjoint(u) if cfg.v_matrix is None else cfg.v_matrix.copy()
-    a[g] = (i_gamma[g:g + 2] @ a)[0]
-    a[:, t] = (a @ i_tau[:, t:t + 1])[:, 0]
+    a[g] = (rows @ a)[0]
+    a[:, t] = (a @ column)[:, 0]
     q = a @ u
     return np.negative(q, out=q)
 

@@ -664,6 +664,12 @@ def test_delta1_equals_exact_delta():
 @example(theta=3.1415926535897927, phi=1e-9, k=10**4, u=0.05)  # gap just below pi
 @example(theta=0.7, phi=0.7 - 3e-7, k=10**4, u=0.05)  # terms nearly in phase
 @example(theta=0.2, phi=0.2, k=10**4, u=1.0)  # a gap of exactly 0
+# Subnormal beta, where the relative bound rounds to 0 or to a few 2^-1074; the
+# last case is off by 2.17 k 2^-1074 past it:
+@example(theta=0.0, phi=0.5, k=179, u=5e-324)
+@example(theta=1.04296875, phi=0.5, k=435, u=5e-324)
+@example(theta=1.0, phi=0.0, k=2, u=2.225073858507e-311)
+@example(theta=1.124735498128036, phi=1.1247321317983972, k=155, u=1.67904079775e-313)
 @settings(max_examples=60, deadline=None)
 def test_approx_b_matches_the_term_sum(theta, phi, k, u):
     """approx_b against beta sum_{i<k} sigma^(k-1-i) delta1^i, summed term by term in NumPy.
@@ -673,13 +679,22 @@ def test_approx_b_matches_the_term_sum(theta, phi, k, u):
     sum's own: each term's phases 2 theta (k-1-i) and 2 phi i round by up to
     (|theta| + |phi|) k eps together, and the products and the pairwise sum
     add far less than k^2 eps.
+
+    A subnormal result rounds by up to half of 2^-1074 absolute, which no
+    relative bound covers. Per component, approx_b's products beta sigma^(k-1)
+    and then times e^(-i(k-1) gap) add up to 2^-1074 each (modulus sqrt(2)
+    2^-1074), and the ratio |D_k| <= k scales both; its last product, the
+    term sum's product with beta, the rounded bound and the modulus of the
+    difference add under 4 2^-1074. That is 2 sqrt(2) k + 4 < 3k + 4 units of
+    2^-1074; closed_form_magnitude needs about 1.2k + 4 of them.
     """
     params = AlgorithmParams(theta, phi, u)
     beta = phase_scale(phi) * u
     i = np.arange(k)
     expected = beta * (np.exp(1j * (2 * theta * (k - 1 - i))) * np.exp(1j * (2 * phi * i))).sum()
     eps = np.finfo(np.float64).eps
-    bound = (abs(theta - phi) + 3 + abs(theta) + abs(phi) + 1) * k * k * eps * abs(beta)
+    bound = ((abs(theta - phi) + 3 + abs(theta) + abs(phi) + 1) * k * k * eps * abs(beta)
+             + (3 * k + 4) * math.ulp(0.0))
     assert abs(approx_b(params, k) - expected) <= bound
     assert closed_form_magnitude(params, k) == pytest.approx(abs(expected), rel=0, abs=bound)
 

@@ -1,5 +1,7 @@
 """Tests for the dense linear algebra helpers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from phasematch.linalg import (
     basis_state,
     gram_decompose,
     hermitian_dev,
+    involution_dev,
     is_unitary,
     random_unitary,
     row_norms,
+    unitary_dev,
 )
 from test_goldens import _build
 
@@ -37,6 +41,24 @@ def test_adjoint_is_conjugate_transpose():
     w = np.array([[1 + 2j, 3], [4j, 5 - 1j]])
     np.testing.assert_array_equal(adjoint(w), w.conj().T)
     np.testing.assert_array_equal(adjoint(adjoint(w)), w)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+def test_adjoint_is_a_c_contiguous_copy_of_the_conjugate_transpose(order):
+    """``build_q``'s BLAS path, and so its bits, depend on a C-ordered adjoint."""
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    w[2, 3] = complex(-0.0, -0.0)
+    w = {"C": w, "F": np.asfortranarray(w), "strided": w[::-1, ::2][:4]}[order]
+    a = adjoint(w)
+    assert a.flags.c_contiguous
+    assert _same_bits(a, w.conj().T.copy())
+    assert not np.shares_memory(a, w)
 
 
 def test_seeded_random_unitary_is_unitary():
@@ -64,6 +86,66 @@ def test_random_unitary_accepts_generator():
     w2 = random_unitary(4, rng)
     assert np.max(np.abs(w1 - w2)) > 1e-3
     assert is_unitary(w1) and is_unitary(w2)
+
+
+def _literal_random_unitary(dim, seed):
+    """``random_unitary`` as first written: a C-ordered draw x + 1j*y, then QR."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    z /= math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 100, 900])
+def test_random_unitary_equals_the_c_ordered_draw_bit_for_bit(dim):
+    """The Fortran-ordered draw changes no bit, and no memory layout, of the
+    unitary, for an int seed and for a Generator, which it leaves at the same
+    point of its stream."""
+    build = f"running {_build()}"
+    assert _same_bits(random_unitary(dim, dim), _literal_random_unitary(dim, dim)), \
+        f"the Fortran-ordered draw differs from the C-ordered one (int seed); {build}"
+    rng, ref_rng = np.random.default_rng(7 * dim), np.random.default_rng(7 * dim)
+    w, ref = random_unitary(dim, rng), _literal_random_unitary(dim, ref_rng)
+    assert _same_bits(w, ref), f"the Fortran-ordered draw differs from the C-ordered one (Generator); {build}"
+    assert (w.flags.c_contiguous, w.flags.f_contiguous) == (ref.flags.c_contiguous, ref.flags.f_contiguous)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _identity_dev_cases():
+    w = random_unitary(6, 5)
+    signed, inf, nan = w.copy(), w.copy(), w.copy()
+    signed[0, :] = complex(-0.0, -0.0)
+    signed[:, 1] = complex(0.0, -0.0)
+    inf[2, 4] = complex(math.inf, 0.0)
+    nan[3, 3] = complex(0.0, math.nan)
+    rng = np.random.default_rng(11)
+    return {
+        "eye": np.eye(4), "minus-eye": -np.eye(3), "one": np.array([[1.0]]),
+        "dim-1-signed-zero": np.array([[complex(-0.0, -0.0)]]),
+        "dim-1-half": np.array([[complex(0.5, -0.0)]]),
+        "dim-1-nan": np.array([[math.nan]]), "dim-1-inf": np.array([[-math.inf]]),
+        "unitary": w, "scaled": 1.5 * w, "fortran": np.asfortranarray(w),
+        "signed-zeros": signed, "inf": inf, "nan": nan,
+        "gaussian": rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)),
+    }
+
+
+@pytest.mark.parametrize("w", [pytest.param(w, id=name) for name, w in _identity_dev_cases().items()])
+def test_identity_deviations_equal_the_eye_subtraction_form(w):
+    """``unitary_dev`` and ``involution_dev`` subtract 1 from the product's
+    diagonal in place; the result equals ``- np.eye(n)`` in every bit, at
+    dim 1, with signed zeros, and with inf and nan entries."""
+    before = w.copy()
+    c = np.asarray(w, dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev_u, dev_v = unitary_dev(w), involution_dev(w)
+        ref_u = float(np.max(np.abs(c @ c.conj().T - np.eye(len(c)))))
+        ref_v = float(np.max(np.abs(c @ c - np.eye(len(c)))))
+    assert type(dev_u) is float and type(dev_v) is float
+    assert _same_bits(dev_u, ref_u) and _same_bits(dev_v, ref_v)
+    assert _same_bits(w, before)
 
 
 def test_is_unitary_rejects_scaled_identity():

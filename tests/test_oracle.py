@@ -1,6 +1,7 @@
 """Tests for the full-space simulator and its agreement with the engines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,23 @@ def test_build_q_rounds_like_the_three_product_form(dim, mode):
             f"build_q differs from -(I_gamma V I_tau U) at {theta=}, {phi=}; {build_info}"
         assert _same_bits(cfg.u_matrix, u_before)
         assert v is None or _same_bits(cfg.v_matrix, v_before)
+
+
+@pytest.mark.parametrize("mode", ["2d", "4d"])
+def test_build_q_builds_no_dense_rotation(mode):
+    """At N = 512 the tracemalloc peak of ``build_q`` stays below 2.5 N^2
+    complex entries: V's copy and Q, with no N x N rotation (four N^2 with both)."""
+    dim = 512
+    rng = np.random.default_rng(dim)
+    cfg = OracleConfig(dim=dim, theta=0.4, phi=-1.1, u_matrix=_dense_unitary(rng, dim),
+                       v_matrix=_dense_unitary(rng, dim) if mode == "4d" else None)
+    tracemalloc.start()
+    try:
+        build_q(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * dim * dim * np.dtype(np.complex128).itemsize, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_oracle_matches_engine4d():
