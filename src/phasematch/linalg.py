@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .rotations import _checked_index
 
@@ -139,12 +140,13 @@ def gram_decompose(states, basis) -> np.recarray:
     cond = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
     _refuse_degenerate(cond, "basis is numerically dependent")
     s = np.asarray(states if isinstance(states, np.ndarray) else list(states), dtype=np.complex128)
+    # An empty sequence of states reads as shape (0,).
+    if s.shape != (0,) and (s.ndim != 2 or s.shape[1] != vecs.shape[1]):
+        raise ValueError(f"expected an (n, {vecs.shape[1]}) array of states, got shape {s.shape}")
     out = np.recarray(len(s), [("coefficients", np.complex128, (len(vecs),)),
                                ("residual", np.float64)])
     if len(s) == 0:
         return out
-    if s.ndim != 2 or s.shape[1] != vecs.shape[1]:
-        raise ValueError(f"expected an (n, {vecs.shape[1]}) array of states, got shape {s.shape}")
     rhs = (duals[None, :, None, :] @ s[:, None, :, None])[:, :, 0, 0]
     coeffs = np.linalg.solve(gram, rhs.T).T
     out.coefficients = coeffs
@@ -154,6 +156,11 @@ def gram_decompose(states, basis) -> np.recarray:
     # The synthesis buffer takes the residual vectors: one (n, N) array fewer.
     out.residual = row_norms(np.subtract(s, synth, out=synth))
     return out
+
+
+def _raise_qr_failure(err, flag):
+    """``np.errstate`` callback for the QR gufuncs: LAPACK refused an argument."""
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
@@ -166,11 +173,14 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     matrices from one seed.
 
     The real parts x are drawn first, then the imaginary parts y, and each
-    entry is the IEEE value of ``x + 1j*y``. The matrix is assembled and
-    scaled in place in one Fortran-ordered array: LAPACK works column-major,
-    so ``np.linalg.qr`` copies it column by column instead of transposing a
-    C-ordered one, and Q and R are the same as from a C-ordered draw. The
-    phases are folded into Q in place.
+    entry is the IEEE value of ``x + 1j*y``. The matrix z is assembled and
+    scaled in place in one Fortran-ordered array. It goes straight to the two
+    LAPACK gufuncs that ``np.linalg.qr`` calls, under the same error state:
+    ``qr_r_raw`` overwrites z with R on and above the diagonal and the
+    Householder reflectors below it, and ``qr_reduced`` forms Q from them.
+    So z is not copied, and no N x N R is built: R's diagonal is read from
+    z's. Q and its phases are the same as from ``np.linalg.qr`` of a
+    C-ordered draw, and the phases are folded into Q in place.
     """
     dim = _checked_index("dim", dim, 1)
     rng = np.random.default_rng(seed)
@@ -182,8 +192,10 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     z += x
     del x
     z /= math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
+    with np.errstate(call=_raise_qr_failure, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        q = _umath_linalg.qr_reduced(z, _umath_linalg.qr_r_raw(z, signature="D->D"),
+                                     signature="DD->D")
+    d = np.diagonal(z)
     q *= d / np.abs(d)
     return q
-

@@ -1,6 +1,8 @@
 """Tests for the dense linear algebra helpers."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,19 +100,38 @@ def _literal_random_unitary(dim, seed):
     return q * (d / np.abs(d))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 100, 900])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 31, 32, 33, 64, 100, 127, 128, 129, 255, 256, 900])
 def test_random_unitary_equals_the_c_ordered_draw_bit_for_bit(dim):
-    """The Fortran-ordered draw changes no bit, and no memory layout, of the
-    unitary, for an int seed and for a Generator, which it leaves at the same
-    point of its stream."""
+    """The Fortran-ordered draw, factored by NumPy's QR gufuncs in place,
+    changes no bit, and no memory layout, of the unitary, for an int seed and
+    for a Generator, which it leaves at the same point of its stream. The dims
+    straddle LAPACK's block sizes, where the blocked and unblocked QR meet."""
     build = f"running {_build()}"
-    assert _same_bits(random_unitary(dim, dim), _literal_random_unitary(dim, dim)), \
+    w = random_unitary(dim, dim)
+    assert _same_bits(w, _literal_random_unitary(dim, dim)), \
         f"the Fortran-ordered draw differs from the C-ordered one (int seed); {build}"
+    assert w.flags.owndata
     rng, ref_rng = np.random.default_rng(7 * dim), np.random.default_rng(7 * dim)
     w, ref = random_unitary(dim, rng), _literal_random_unitary(dim, ref_rng)
     assert _same_bits(w, ref), f"the Fortran-ordered draw differs from the C-ordered one (Generator); {build}"
     assert (w.flags.c_contiguous, w.flags.f_contiguous) == (ref.flags.c_contiguous, ref.flags.f_contiguous)
+    assert w.flags.owndata
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_unitary_holds_no_copy_of_the_draw():
+    """At N = 512 the tracemalloc peak of ``random_unitary`` stays below 2.5 N^2
+    complex entries: the draw z and Q, with no copy of z and no N x N R (about
+    4 N^2 with both). LAPACK's own work buffers are ``malloc``ed by NumPy's
+    gufuncs and are not traced."""
+    dim = 512
+    tracemalloc.start()
+    try:
+        random_unitary(dim, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * dim * dim * np.dtype(np.complex128).itemsize, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _identity_dev_cases():
@@ -289,3 +310,6 @@ def test_gram_decompose_of_no_states_is_empty():
         assert len(decs) == 0
         assert decs.coefficients.shape == (0, 2)
         assert decs.residual.shape == (0,)
+    for shape in ((0, 3), (0, 4, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"expected an (n, 4) array of states, got shape {shape}")):
+            gram_decompose(np.empty(shape, dtype=np.complex128), basis)
