@@ -19,6 +19,9 @@ STRUCTURAL_TOL = 1e-10
 #: Tolerance of every cross-validation of independent computation paths.
 EQUIVALENCE_TOL = 1e-9
 
+#: Rows of ``W W+`` formed per product in ``unitary_dev``.
+_PANEL = 128
+
 #: A Gram matrix with cond(G) * eps above EQUIVALENCE_TOL is degenerate.
 _GRAM_COND_MAX = EQUIVALENCE_TOL / np.finfo(np.float64).eps
 
@@ -60,9 +63,24 @@ def is_unitary(w) -> bool:
 
 
 def unitary_dev(w) -> float:
-    """Largest entry of ``|W W+ - I|``."""
+    """Largest entry of ``|W W+ - I|``.
+
+    ``W W+`` is hermitian, so only its diagonal and upper part are formed, in
+    rectangular panels of ``_PANEL`` rows, each starting at its diagonal
+    column: rows ``lo:lo + _PANEL`` of ``W`` times columns ``lo:`` of ``W+``.
+    The largest temporary is one panel, not a second N x N array. A W of at
+    most ``_PANEL`` rows is one panel, the plain product; above that the
+    panels' entries may round differently from it. A nan in any panel wins,
+    as in ``np.max``.
+    """
     w = _as_square(w)
-    return _identity_dev(w @ w.conj().T)
+    wh = w.conj().T
+    worst = _identity_dev(w[:_PANEL] @ wh)
+    for lo in range(_PANEL, len(w), _PANEL):
+        dev = _identity_dev(w[lo:lo + _PANEL] @ wh[:, lo:])
+        if dev > worst or math.isnan(dev):
+            worst = dev
+    return worst
 
 
 def require_unitary(w, symbol: str, purpose: str) -> np.ndarray:
@@ -93,10 +111,12 @@ def involution_dev(w) -> float:
 def _identity_dev(p: np.ndarray) -> float:
     """Largest entry of ``|P - I|`` for a fresh product ``P``, which it overwrites.
 
-    1 is subtracted from the diagonal in place: the same IEEE operation per
-    entry as subtracting the identity, without an N x N identity or difference.
+    ``P`` may be a rectangular panel of r <= m rows; its diagonal starts at
+    column 0, so ``I`` is the r x m identity. 1 is subtracted from the
+    diagonal in place: the same IEEE operation per entry as subtracting the
+    identity, without an identity or difference array.
     """
-    p.flat[:: len(p) + 1] -= 1
+    p.flat[:: p.shape[1] + 1] -= 1
     return float(np.max(np.abs(p)))
 
 
