@@ -198,8 +198,8 @@ def test_unitary_dev_keeps_a_non_finite_entry_of_any_panel(entry, value):
 
 def test_unitary_dev_holds_one_panel_not_a_second_square():
     """At N = 512 the tracemalloc peak of ``unitary_dev`` stays below 1.5 N^2
-    complex entries: W+ and one 128 x N panel with its moduli (the full
-    product held 2 N^2)."""
+    complex entries: W+ and one 128 x N panel with its moduli (one full
+    product would hold 2 N^2)."""
     dim = 512
     w = random_unitary(dim, dim)
     tracemalloc.start()
