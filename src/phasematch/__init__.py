@@ -68,6 +68,7 @@ from .pairs import (
 from .oracle import (
     OracleConfig,
     OracleRun,
+    QFactors,
     build_q,
     evolve,
     invariant_basis,

@@ -1,11 +1,15 @@
 """Brute-force full-space simulator, the ground truth for both engines.
 
-Q = -(I_gamma V I_tau U) is built as an explicit N x N matrix (V defaults to
-U^-1, the two-rotation algorithm) with one dense product: each rotation
-touches one row or one column of V, and only (I_gamma V I_tau) U costs N^3.
+Q = -(I_gamma V I_tau U) (V defaults to U^-1, the two-rotation algorithm) is
+held as its two factors: A = I_gamma V I_tau, an N x N array made in O(N^2)
+because each rotation touches one row or one column of V, and U itself.
 Neither rotation is built as an N x N matrix; a 2 x N block and an N-vector
-carry their entries, so Q costs two N x N arrays, V's copy and Q itself.
+carry their entries, so the factors cost one N x N array, A.
 |gamma> is evolved step by step into one (k_max + 1) x N array of states.
+A run of at least dim / 8 steps first forms the dense Q = -(A U) with one
+N^3 product and then takes one matrix-vector product per step; a shorter
+run, such as Table 1's (N = 900 at k = 17), takes two per step, U y and then
+A (U y), and forms no N x N product.
 All of a run's states are decomposed over the invariant basis by one stacked
 solve of the Gram normal equations, into one record array. Its residuals
 double as the subspace-preservation check: they stay at rounding level when
@@ -17,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,22 +93,49 @@ class OracleRun:
         return len(self.states) - 1
 
 
-def build_q(cfg: OracleConfig) -> np.ndarray:
-    """Assemble Q = -(I_gamma V I_tau U) as a dense matrix with one dense product.
+#: ``evolve`` forms the dense Q when dim <= DENSE_Q_DIM_PER_STEP * k_max and
+#: applies the factors otherwise. Measured with one BLAS thread, best of 5
+#: of ``build_q`` plus the steps: at N / k_max = 4 the dense product wins
+#: (N = 256: 3.9 against 4.3 ms; N = 900: 205 against 247 ms), at
+#: N / k_max = 8 the factors do (N = 400: 11.1 against 12.5 ms; N = 900:
+#: 120 against 142 ms), and at Table 1's N = 900, k = 17 they take 21
+#: against 95 ms.
+DENSE_Q_DIM_PER_STEP = 8
+
+
+class QFactors(NamedTuple):
+    """Q = -(a u) as its two factors: ``a`` = I_gamma V I_tau, ``u`` = U.
+
+    ``a`` is an array of its own; ``u`` is the config's ``u_matrix`` itself,
+    not a copy. Neither is written to by this module.
+    """
+
+    a: np.ndarray
+    u: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The dense Q = -(a u), formed with one N^3 product and negated in place."""
+        q = self.a @ self.u
+        return np.negative(q, out=q)
+
+
+def build_q(cfg: OracleConfig) -> QFactors:
+    """Q = -(I_gamma V I_tau U) as its factors I_gamma V I_tau and U, in O(N^2).
 
     Each rotation differs from the identity in one diagonal entry, so
     I_gamma touches only row gamma of V and I_tau only column tau of
-    I_gamma V; the one N^3 product is (I_gamma V I_tau) U. No dense
-    rotation is built. Row gamma is a 2-row block product (gamma = 0 and
-    dim >= 2, so rows 0 and 1 of I_gamma) and column tau a matrix-vector
-    product (column tau of I_tau); both operands are zero-padded from the
-    2 x 2 corners ``build(0, theta, 2)`` and ``build(1, phi, 2)``, which
-    hold every entry of those rows and that column that is not 0. On the
-    numpy/BLAS build the goldens were made with, these round like the same
-    entries of the full products, and the 1-row form and plain scaling do
-    not (``test_build_q_rounds_like_the_three_product_form``). Apart from
-    the 2 x N block and the N-vector, the work arrays are V's copy, which
-    becomes I_gamma V I_tau, and Q.
+    I_gamma V. No dense rotation is built. Row gamma is a 2-row block
+    product (gamma = 0 and dim >= 2, so rows 0 and 1 of I_gamma) and column
+    tau a matrix-vector product (column tau of I_tau); both operands are
+    zero-padded from the 2 x 2 corners ``build(0, theta, 2)`` and
+    ``build(1, phi, 2)``, which hold every entry of those rows and that
+    column that is not 0. On the numpy/BLAS build the goldens were made
+    with, these round like the same entries of the full products, and the
+    1-row form and plain scaling do not
+    (``test_build_q_rounds_like_the_three_product_form``). Apart from the
+    2 x N block and the N-vector, the one work array is V's copy, which
+    becomes I_gamma V I_tau. U is ``cfg.u_matrix``; no N^3 product is made
+    here (:meth:`QFactors.dense` makes it, when :func:`evolve` asks).
     """
     dim, g, t = cfg.dim, cfg.gamma_index, cfg.tau_index
     rows = np.zeros((2, dim), dtype=np.complex128)
@@ -114,8 +146,7 @@ def build_q(cfg: OracleConfig) -> np.ndarray:
     a = adjoint(u) if cfg.v_matrix is None else cfg.v_matrix.copy()
     a[g] = (rows @ a)[0]
     a[:, t] = (a @ column)[:, 0]
-    q = a @ u
-    return np.negative(q, out=q)
+    return QFactors(a, u)
 
 
 def invariant_basis(cfg: OracleConfig) -> list[np.ndarray]:
@@ -129,13 +160,32 @@ def invariant_basis(cfg: OracleConfig) -> list[np.ndarray]:
     return [e_gamma, v @ u[:, g], v[:, t].copy(), u_inv_tau]
 
 
-def evolve(q: np.ndarray, cfg: OracleConfig, k_max: int) -> OracleRun:
-    """Apply Q repeatedly to |gamma>, then decompose every state over the invariant basis."""
+def evolve(q: QFactors, cfg: OracleConfig, k_max: int) -> OracleRun:
+    """Apply Q repeatedly to |gamma>, then decompose every state over the invariant basis.
+
+    With dim <= ``DENSE_Q_DIM_PER_STEP`` * k_max, the dense Q is formed once
+    (:meth:`QFactors.dense`) and each state is ``Q @ prev``; the goldens are
+    made on this side. Otherwise each state is ``-(a @ (u @ prev))``, two
+    matrix-vector products and a negation, and no N x N array is made. The
+    two sides' states differ by rounding only, by at most 6.6e-15 over the
+    first 17 steps at N = 128..1024 (``test_factored_and_dense_states_agree``),
+    and both stay within 4.2e-15 of the 2D recurrence at N = 900, k = 17.
+    Neither side writes to ``q`` or ``cfg``.
+    """
     k_max = _checked_index("k_max", k_max, 0)
     states = np.empty((k_max + 1, cfg.dim), dtype=np.complex128)
     states[0] = basis_state(cfg.dim, cfg.gamma_index)
-    for prev, nxt in zip(states, states[1:]):
-        np.matmul(q, prev, out=nxt)
+    steps = zip(states, states[1:])
+    if cfg.dim <= DENSE_Q_DIM_PER_STEP * k_max:
+        dense = q.dense()
+        for prev, nxt in steps:
+            np.matmul(dense, prev, out=nxt)
+    else:
+        u_prev = np.empty(cfg.dim, dtype=np.complex128)
+        for prev, nxt in steps:
+            np.matmul(q.u, prev, out=u_prev)
+            np.matmul(q.a, u_prev, out=nxt)
+            np.negative(nxt, out=nxt)
     return OracleRun(states=states, decompositions=gram_decompose(states, invariant_basis(cfg)))
 
 

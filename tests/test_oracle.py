@@ -12,6 +12,7 @@ from phasematch.engine2d import AlgorithmParams, iterate2, present_coeffs
 from phasematch.engine4d import FourDimInputs, four_dim_coeffs, iterate4
 from phasematch.linalg import adjoint, basis_state, gram_decompose, is_unitary, random_unitary
 from phasematch.oracle import (
+    DENSE_Q_DIM_PER_STEP,
     OracleConfig,
     build_q,
     evolve,
@@ -62,7 +63,7 @@ def test_oracle_matches_cubic_expansion():
 def test_half_pi_target_phase_reduces_q_to_start_rotation():
     """At phi = pi/2 the target rotation is the identity, so Q = -I_gamma."""
     cfg = OracleConfig(dim=8, theta=1.1, phi=math.pi / 2, u_matrix=random_unitary(8, 4))
-    q = build_q(cfg)
+    q = build_q(cfg).dense()
     i_gamma = build(0, 1.1, 8)
     np.testing.assert_allclose(q, -i_gamma, atol=1e-12)
 
@@ -83,12 +84,13 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("mode", ["2d", "4d"])
 @pytest.mark.parametrize("dim", [2, 3, 4, 16, 64, 100, 128, 256, 900])
 def test_build_q_rounds_like_the_three_product_form(dim, mode):
-    """The premise that lets ``build_q`` make one dense product without a golden change.
+    """The premise that lets ``build_q`` skip the dense rotations without a golden change.
 
     On the build the goldens were made with, the 2-row block product gives
     row gamma of I_gamma V, and the matrix-vector product gives column tau
-    of (I_gamma V) I_tau, bit for bit as the full products do; so Q equals
-    the literal -(I_gamma V I_tau U) in every bit.
+    of (I_gamma V) I_tau, bit for bit as the full products do; so the factor
+    equals the literal I_gamma V I_tau, and the Q that ``evolve``'s dense
+    side forms equals the literal -(I_gamma V I_tau U), in every bit.
     """
     rng = np.random.default_rng(10 * dim + (mode == "4d"))
     build_info = f"running {_build()}"
@@ -110,16 +112,18 @@ def test_build_q_rounds_like_the_three_product_form(dim, mode):
             f"2-row block differs from the full product in row gamma; {build_info}"
         assert _same_bits((gamma_v @ i_tau[:, t:t + 1])[:, 0], gamma_v_tau[:, t]), \
             f"matrix-vector product differs from the full product in column tau; {build_info}"
-        assert _same_bits(build_q(cfg), -(gamma_v_tau @ u)), \
-            f"build_q differs from -(I_gamma V I_tau U) at {theta=}, {phi=}; {build_info}"
+        factors = build_q(cfg)
+        assert _same_bits(factors.a, gamma_v_tau) and factors.u is cfg.u_matrix
+        assert _same_bits(factors.dense(), -(gamma_v_tau @ u)), \
+            f"dense Q differs from -(I_gamma V I_tau U) at {theta=}, {phi=}; {build_info}"
         assert _same_bits(cfg.u_matrix, u_before)
         assert v is None or _same_bits(cfg.v_matrix, v_before)
 
 
 @pytest.mark.parametrize("mode", ["2d", "4d"])
 def test_build_q_builds_no_dense_rotation(mode):
-    """At N = 512 the tracemalloc peak of ``build_q`` stays below 2.5 N^2
-    complex entries: V's copy and Q, with no N x N rotation (four N^2 with both)."""
+    """At N = 512 the tracemalloc peak of ``build_q`` stays below 1.5 N^2
+    complex entries: V's copy, with no N x N rotation and no dense Q."""
     dim = 512
     rng = np.random.default_rng(dim)
     cfg = OracleConfig(dim=dim, theta=0.4, phi=-1.1, u_matrix=_dense_unitary(rng, dim),
@@ -130,7 +134,7 @@ def test_build_q_builds_no_dense_rotation(mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * dim * dim * np.dtype(np.complex128).itemsize, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 1.5 * dim * dim * np.dtype(np.complex128).itemsize, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_oracle_matches_engine4d():
@@ -197,24 +201,79 @@ def test_invariant_basis_reads_rows_and_columns(dim):
             assert not (np.shares_memory(got, u) or np.shares_memory(got, v))
 
 
-@pytest.mark.parametrize("mode", ["2d", "4d"])
-def test_evolve_equals_per_state_solves(mode):
+def _evolve_cfg(mode, dim, seed):
     if mode == "2d":
-        cfg = OracleConfig(dim=16, theta=0.9, phi=-0.4, u_matrix=random_unitary(16, 8))
-    else:
-        pair = companion(random_commuting_unitary(16, 12))
-        cfg = OracleConfig(dim=16, theta=0.35, phi=-1.2, u_matrix=pair.u, v_matrix=pair.v)
+        return OracleConfig(dim=dim, theta=0.9, phi=-0.4, u_matrix=random_unitary(dim, seed))
+    pair = companion(random_commuting_unitary(dim, seed))
+    return OracleConfig(dim=dim, theta=0.35, phi=-1.2, u_matrix=pair.u, v_matrix=pair.v)
+
+
+#: (mode, dim, k_max, side): each side of evolve's rule in both modes, then
+#: dim = 8 k_max and 8 k_max + 1 on either side of its edge.
+EVOLVE_CASES = [
+    pytest.param("2d", 16, 30, "dense", id="2d"),
+    pytest.param("4d", 16, 30, "dense", id="4d"),
+    pytest.param("2d", 64, 6, "factored", id="2d-factored"),
+    pytest.param("4d", 64, 6, "factored", id="4d-factored"),
+    pytest.param("2d", 48, 6, "dense", id="2d-edge"),
+    pytest.param("2d", 49, 6, "factored", id="2d-past-edge"),
+]
+
+
+@pytest.mark.parametrize("mode, dim, k_max, side", EVOLVE_CASES)
+def test_evolve_equals_per_state_solves(mode, dim, k_max, side):
+    """Each state is one step from the last, bit for bit as the side's rule
+    says: ``Q @ prev`` with the dense Q, or ``-(a @ (u @ prev))``."""
+    assert (dim <= DENSE_Q_DIM_PER_STEP * k_max) == (side == "dense")
+    cfg = _evolve_cfg(mode, dim, 8)
     q = build_q(cfg)
-    run = evolve(q, cfg, 30)
+    run = evolve(q, cfg, k_max)
+    dense = q.dense()
     basis = invariant_basis(cfg)
-    assert len(run.states) == len(run.decompositions) == 31
-    np.testing.assert_array_equal(run.states[0], basis_state(16, 0))
+    assert len(run.states) == len(run.decompositions) == k_max + 1
+    np.testing.assert_array_equal(run.states[0], basis_state(dim, 0))
     for k, (state, dec) in enumerate(zip(run.states, run.decompositions)):
         if k:
-            np.testing.assert_array_equal(state, q @ run.states[k - 1])
+            prev = run.states[k - 1]
+            step = dense @ prev if side == "dense" else -(q.a @ (q.u @ prev))
+            assert _same_bits(state, step), f"state {k}"
         coeffs, residual = _per_state_decomposition(state, basis)
         np.testing.assert_array_equal(dec.coefficients, coeffs)
         assert dec.residual == residual
+
+
+@pytest.mark.parametrize("mode", ["2d", "4d"])
+@pytest.mark.parametrize("dim", [128, 900])
+def test_factored_and_dense_states_agree(dim, mode):
+    """One config's states from both sides of evolve's rule agree within 64 eps.
+
+    The factored run takes up to 17 steps (Table 1's largest k) and the
+    dense run the fewest steps that form Q. Over their common steps the
+    largest difference measured at N = 128..1024, three seeds and both modes
+    each, was 6.6e-15, about 30 eps.
+    """
+    cfg = _evolve_cfg(mode, dim, dim)
+    q = build_q(cfg)
+    k_factored = min(17, (dim - 1) // DENSE_Q_DIM_PER_STEP)
+    factored = evolve(q, cfg, k_factored).states
+    dense = evolve(q, cfg, -(-dim // DENSE_Q_DIM_PER_STEP)).states[:k_factored + 1]
+    assert not _same_bits(factored, dense)
+    assert np.max(np.abs(factored - dense)) <= 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("mode, dim, k_max", [
+    (mode, dim, k_max) for mode in ("2d", "4d") for dim, k_max in ((16, 30), (64, 6))])
+def test_evolve_mutates_nothing(mode, dim, k_max):
+    """Two runs from one ``build_q`` result are identical, and neither writes
+    to the factors or to the config's matrices."""
+    cfg = _evolve_cfg(mode, dim, 5)
+    q = build_q(cfg)
+    before = [m.copy() for m in (q.a, cfg.u_matrix, cfg.v_matrix) if m is not None]
+    first, second = evolve(q, cfg, k_max), evolve(q, cfg, k_max)
+    assert _same_bits(first.states, second.states)
+    assert _same_bits(first.decompositions, second.decompositions)
+    after = [m for m in (q.a, cfg.u_matrix, cfg.v_matrix) if m is not None]
+    assert all(_same_bits(x, y) for x, y in zip(before, after))
 
 
 @pytest.mark.parametrize("mode", ["2d", "4d"])
