@@ -213,20 +213,9 @@ def present_coeffs(params: AlgorithmParams) -> TwoDimCoefficients:
 
 
 def grover_coeffs(u: complex) -> TwoDimCoefficients:
-    """Both angles zero: (1 - 4|u|^2, 2u, -2 conj(u), 1).
-
-    These are :func:`present_coeffs` at theta = phi = 0, kept as a formula of
-    their own for the ``coeffs`` golden: ``present_coeffs`` gives alpha =
-    0.96 - 0j at u = 0.1, printed -0.0 where the golden has 0.0, so the fold
-    is a report change of its own.
-    """
-    u = _bounded("u", u)
-    return TwoDimCoefficients(
-        alpha=1 - 4 * abs(u) ** 2,
-        beta=2 * u,
-        lam=-2 * u.conjugate(),
-        delta=1.0,
-    )
+    """Both angles zero: :func:`present_coeffs` at (0, 0, u), which is
+    (1 - 4|u|^2, 2u, -2 conj(u), 1)."""
+    return present_coeffs(AlgorithmParams(0.0, 0.0, u))
 
 
 def long_coeffs(theta: float, phi: float, u: complex) -> TwoDimCoefficients:
@@ -234,8 +223,8 @@ def long_coeffs(theta: float, phi: float, u: complex) -> TwoDimCoefficients:
 
     Long's rotation at angle t is the package's rotation at (t - pi) / 2, so
     these are computed as :func:`present_coeffs` at ((theta - pi) / 2,
-    (phi - pi) / 2), after the check that names the caller's angles. Only
-    Grover's real case keeps a formula of its own (:func:`grover_coeffs`).
+    (phi - pi) / 2), after the check that names the caller's angles, as
+    :func:`grover_coeffs` is at (0, 0).
     """
     _finite_angles(theta=theta, phi=phi)
     return present_coeffs(AlgorithmParams((theta - math.pi) / 2, (phi - math.pi) / 2, u))

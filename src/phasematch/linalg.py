@@ -3,6 +3,9 @@
 States are one-dimensional ``complex128`` numpy arrays and operators are
 square two-dimensional ones. Every public function here is pure: inputs are
 never mutated, and randomness enters only through explicitly passed seeds.
+Each quantity is taken in one plain NumPy form (a matrix product, a solve, a
+norm), so its last digits are those of the numpy/BLAS build, which the
+goldens record.
 """
 
 from __future__ import annotations
@@ -120,18 +123,6 @@ def _identity_dev(p: np.ndarray) -> float:
     return float(np.max(np.abs(p)))
 
 
-def row_norms(x) -> np.ndarray:
-    """Euclidean norm of each row of a two-dimensional complex array.
-
-    Each row's squared norm is the real-part row dot plus the imaginary-part
-    row dot, the same sum ``np.linalg.norm`` forms for one complex vector,
-    taken here as one stacked 1 x N @ N x 1 product per part.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    re, im = x.real, x.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
-
-
 def gram_decompose(states, basis) -> np.recarray:
     """Solve the normal equations to expand each of ``states`` over ``basis``.
 
@@ -142,9 +133,10 @@ def gram_decompose(states, basis) -> np.recarray:
     scale-free, so the basis vectors need not be orthogonal or normalized.
 
     ``states`` is a sequence of vectors or an (n, N) array. All n states are
-    solved together: one stacked product forms the right-hand sides, one
-    multi-right-hand-side solve gives the coefficients, and the synthesis and
-    residual norms are broadcast over the states.
+    solved together, each step one matrix product or call: the right-hand
+    sides are ``duals @ states.T``, one multi-right-hand-side solve gives the
+    coefficients, their product with the basis is the synthesis, and
+    ``np.linalg.norm`` over rows gives the residuals.
 
     The result is one record array of length n whose ``coefficients`` field
     is the (n, m) array of coefficients over the m basis vectors and whose
@@ -155,7 +147,7 @@ def gram_decompose(states, basis) -> np.recarray:
     if vecs.ndim != 2:
         raise ValueError(f"expected a basis of vectors of one length, got shape {vecs.shape}")
     duals = vecs.conj()
-    gram = np.array([[di @ vj for vj in vecs] for di in duals])
+    gram = duals @ vecs.T
     # The SVD behind cond() does not converge on non-finite input.
     cond = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
     _refuse_degenerate(cond, "basis is numerically dependent")
@@ -167,14 +159,11 @@ def gram_decompose(states, basis) -> np.recarray:
                                ("residual", np.float64)])
     if len(s) == 0:
         return out
-    rhs = (duals[None, :, None, :] @ s[:, None, :, None])[:, :, 0, 0]
-    coeffs = np.linalg.solve(gram, rhs.T).T
+    coeffs = np.linalg.solve(gram, duals @ s.T).T
     out.coefficients = coeffs
-    synth = np.zeros_like(s)
-    for c, v in zip(coeffs.T, vecs):
-        synth += c[:, None] * v
+    synth = coeffs @ vecs
     # The synthesis buffer takes the residual vectors: one (n, N) array fewer.
-    out.residual = row_norms(np.subtract(s, synth, out=synth))
+    out.residual = np.linalg.norm(np.subtract(s, synth, out=synth), axis=1)
     return out
 
 

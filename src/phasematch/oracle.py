@@ -10,8 +10,9 @@ A run of at least dim / 8 steps first forms the dense Q = -(A U) with one
 N^3 product and then takes one matrix-vector product per step; a shorter
 run, such as Table 1's (N = 900 at k = 17), takes two per step, U y and then
 A (U y), and forms no N x N product.
-All of a run's states are decomposed over the invariant basis by one stacked
-solve of the Gram normal equations, into one record array. Its residuals
+All of a run's states are decomposed over the invariant basis by one
+multi-right-hand-side solve of the Gram normal equations, into one record
+array. Its residuals
 double as the subspace-preservation check: they stay at rounding level when
 the premise holds and blow up visibly when it does not.
 """
@@ -82,7 +83,7 @@ class OracleRun:
 
     ``states`` is one (k_max + 1, N) array whose row k is Q^k|gamma>;
     ``decompositions`` is the :func:`gram_decompose` record array of their
-    expansions over the invariant basis, from one stacked Gram solve.
+    expansions over the invariant basis, from one Gram solve.
     """
 
     states: np.ndarray

@@ -13,7 +13,6 @@ exposed as a pair of independently computed flags.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,19 +82,19 @@ def random_commuting_unitary(dim: int, seed) -> np.ndarray:
     eigenvalue +1, then (e_{2i} - e_{2i+1})/sqrt(2) for -1. Since P is an
     involution, V = PVP is the same as VP = PV, which holds exactly when V is
     block-diagonal in P's eigenbasis; so this spans the whole admissible set.
+
+    Written out, the aligned 2x2 block (i, j) of V is [[a, b], [b, a]] with
+    a = (A + B)_ij / 2 and b = (A - B)_ij / 2, and V is assembled so, with
+    no S and no N^3 product.
     """
     dim = _checked_even_dim(dim)
     rng = np.random.default_rng(seed)
-    half = dim // 2
-    i = np.arange(half)
-    r = 1 / math.sqrt(2)
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    s[2 * i, i] = s[2 * i + 1, i] = s[2 * i, half + i] = r
-    s[2 * i + 1, half + i] = -r
-    block = np.zeros((dim, dim), dtype=np.complex128)
-    block[:half, :half] = random_unitary(half, rng)
-    block[half:, half:] = random_unitary(half, rng)
-    return s @ block @ s.conj().T
+    a = random_unitary(dim // 2, rng)
+    b = random_unitary(dim // 2, rng)
+    v = np.empty((dim, dim), dtype=np.complex128)
+    v[0::2, 0::2] = v[1::2, 1::2] = (a + b) / 2
+    v[0::2, 1::2] = v[1::2, 0::2] = (a - b) / 2
+    return v
 
 
 @dataclass(frozen=True, eq=False)

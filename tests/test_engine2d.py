@@ -83,12 +83,16 @@ def test_long_coeffs_match_longs_quadruple_at_twice_the_angle_plus_pi(theta, phi
         assert abs(getattr(lc, name) - getattr(longs, name)) <= 1e-13
 
 
-def test_present_at_zero_angles_matches_grover():
-    """theta = phi = 0 is the inversion point of the double-rotation family."""
-    pc = present_coeffs(AlgorithmParams(0.0, 0.0, 0.3))
-    gc = grover_coeffs(0.3)
-    for name in ("alpha", "beta", "lam", "delta"):
-        assert getattr(pc, name) == pytest.approx(getattr(gc, name), abs=1e-15)
+@given(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+@settings(max_examples=100, deadline=None)
+def test_present_at_zero_angles_matches_grover(r, arg):
+    """theta = phi = 0 is the inversion point of the double-rotation family,
+    where ``grover_coeffs`` takes ``present_coeffs``: g(0) = 2, so the
+    quadruple is Grover's (1 - 4|u|^2, 2u, -2 conj(u), 1). Every product in
+    it is by a power of two, so it holds exactly."""
+    u = cmath.rect(r, arg)
+    gc = grover_coeffs(u)
+    assert (gc.alpha, gc.beta, gc.lam, gc.delta) == (1 - 4 * abs(u) ** 2, 2 * u, -2 * u.conjugate(), 1)
 
 
 def test_hoyer_at_pi():
