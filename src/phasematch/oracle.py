@@ -12,9 +12,8 @@ run, such as Table 1's (N = 900 at k = 17), takes two per step, U y and then
 A (U y), and forms no N x N product.
 All of a run's states are decomposed over the invariant basis by one
 multi-right-hand-side solve of the Gram normal equations, into one record
-array. Its residuals
-double as the subspace-preservation check: they stay at rounding level when
-the premise holds and blow up visibly when it does not.
+array. Its residuals double as the subspace-preservation check: they stay at
+rounding level when the premise holds and blow up visibly when it does not.
 """
 
 from __future__ import annotations

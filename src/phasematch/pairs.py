@@ -84,8 +84,8 @@ def random_commuting_unitary(dim: int, seed) -> np.ndarray:
     block-diagonal in P's eigenbasis; so this spans the whole admissible set.
 
     Written out, the aligned 2x2 block (i, j) of V is [[a, b], [b, a]] with
-    a = (A + B)_ij / 2 and b = (A - B)_ij / 2, and V is assembled so, with
-    no S and no N^3 product.
+    a = (A + B)_ij / 2 and b = (A - B)_ij / 2, and V is assembled from these
+    blocks directly, without forming S or a matrix product.
     """
     dim = _checked_even_dim(dim)
     rng = np.random.default_rng(seed)
