@@ -13,6 +13,8 @@ from .linalg import (
     EQUIVALENCE_TOL,
     STRUCTURAL_TOL,
     DegenerateBasisError,
+    HouseholderUnitary,
+    PlaneRotation,
     adjoint,
     basis_state,
     gram_decompose,
@@ -69,6 +71,7 @@ from .oracle import (
     OracleConfig,
     OracleRun,
     QFactors,
+    QOperator,
     build_q,
     evolve,
     invariant_basis,

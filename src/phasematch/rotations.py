@@ -91,10 +91,15 @@ def phase_scale(angle: float) -> complex:
     return 2 * snapped_cos(angle) * cmath.exp(1j * angle)
 
 
+def rotation_entry(angle: float) -> complex:
+    """The rotation's one entry that differs from the identity, ``1 - 2 cos(angle) e^(i*angle)``."""
+    return 1 - phase_scale(angle)
+
+
 def build(index: int, angle: float, dim: int) -> np.ndarray:
     """Dense matrix of the rotation: the identity with ``(index, index)``
-    entry ``1 - 2 cos(angle) e^(i*angle)``."""
+    entry :func:`rotation_entry` of ``angle``."""
     index = _checked_index("index", index, 0, dim - 1)
     m = np.eye(dim, dtype=np.complex128)
-    m[index, index] = 1 - phase_scale(angle)
+    m[index, index] = rotation_entry(angle)
     return m

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from phasematch.linalg import (
     DegenerateBasisError,
+    HouseholderUnitary,
+    PlaneRotation,
     adjoint,
     basis_state,
     gram_decompose,
@@ -158,9 +160,10 @@ def test_random_unitary_has_haar_moments():
 
 def test_random_unitary_holds_no_copy_of_the_draw():
     """At N = 512 the tracemalloc peak of ``random_unitary`` stays below 2.5 N^2
-    complex entries: the draw z and Q, with no copy of z and no N x N R (about
-    4 N^2 with both). LAPACK's own work buffers are ``malloc``ed by NumPy's
-    gufuncs and are not traced."""
+    complex entries: the N x N reflector array, the N (N + 1) / 2 normals and
+    Q, measured at 2.04 N^2. A copy of the normals or of the reflector array
+    would pass the bound. LAPACK's own work buffers are ``malloc``ed by
+    NumPy's gufuncs and are not traced."""
     dim = 512
     tracemalloc.start()
     try:
@@ -169,6 +172,47 @@ def test_random_unitary_holds_no_copy_of_the_draw():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * dim * dim * np.dtype(np.complex128).itemsize, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_householder_unitary_refuses_reflectors_of_another_form():
+    """The blocks read each reflector from its row down, with a 1 in its row
+    and 0 above it within the block; arrays of any other form are refused."""
+    w = HouseholderUnitary.draw(40, 1)
+    v, tau, signs = w.reflectors, w.tau, w.signs
+    assert HouseholderUnitary(v, tau, signs).certificate() == w.certificate()
+    diagonal, upper = v.copy(order="F"), v.copy(order="F")
+    diagonal[7, 7] = 1 + 1e-15
+    upper[33, 34] = 1e-300
+    with pytest.raises(ValueError, match="must hold 1 in row k"):
+        HouseholderUnitary(diagonal, tau, signs)
+    with pytest.raises(ValueError, match=r"among columns 32\.\.39 is not 0 above its row"):
+        HouseholderUnitary(upper, tau, signs)
+    with pytest.raises(ValueError, match="do not fit 39 values of tau"):
+        HouseholderUnitary(v, tau[:-1], signs)
+    with pytest.raises(ValueError, match="expected a vector of length 40"):
+        w.apply(np.ones(39))
+    rotated = w.rotated(PlaneRotation(3, 0.6, 0.8j, 0.8j))
+    assert rotated.reflectors is v and w.plane is None
+    with pytest.raises(ValueError, match="already holds a plane rotation"):
+        rotated.rotated(PlaneRotation(3, 1.0, 0j, 0j))
+    for partner in (0, 40):
+        with pytest.raises(ValueError, match=rf"partner = {partner} is outside \[1, 39\]"):
+            w.rotated(PlaneRotation(partner, 1.0, 0j, 0j))
+
+
+@pytest.mark.parametrize("plane", [PlaneRotation(1, 0.6, 0.8j, 0.8j),
+                                   PlaneRotation(1, 0.6, 0.8j, -0.8j),
+                                   PlaneRotation(1, 1.5, 0.3 - 0.1j, 0.2j),
+                                   PlaneRotation(1, math.nan, 0j, 0j)])
+def test_plane_deviation_is_the_2_norm(plane):
+    """``deviation`` is ||G+ G - I||_2 of the 2 x 2 block, nan for a nan entry."""
+    c, mix, unmix = plane.cos, plane.mix, plane.unmix
+    g = np.array([[c, unmix], [mix, c]])
+    if math.isnan(c):
+        assert math.isnan(plane.deviation())
+        return
+    expected = np.linalg.norm(adjoint(g) @ g - np.eye(2), 2)
+    assert plane.deviation() == pytest.approx(expected, rel=1e-14, abs=1e-16)
 
 
 def _identity_dev_cases():

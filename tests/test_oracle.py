@@ -1,19 +1,33 @@
 """Tests for the full-space simulator and its agreement with the engines."""
 
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasematch import linalg
+from phasematch.cli import TABLE1_CASES
 from phasematch.engine2d import AlgorithmParams, iterate2, present_coeffs
 from phasematch.engine4d import FourDimInputs, four_dim_coeffs, iterate4
-from phasematch.linalg import adjoint, basis_state, gram_decompose, is_unitary, random_unitary
+from phasematch.linalg import (
+    STRUCTURAL_TOL,
+    HouseholderUnitary,
+    adjoint,
+    basis_state,
+    gram_decompose,
+    is_unitary,
+    random_unitary,
+    unitary_dev,
+)
 from phasematch.oracle import (
     DENSE_Q_DIM_PER_STEP,
     OracleConfig,
+    QOperator,
     build_q,
     evolve,
     invariant_basis,
@@ -364,11 +378,60 @@ def test_target_amplitude_array_equals_per_k_calls(dim):
     np.testing.assert_array_equal(target_amplitude(run, cfg, np.arange(51))[ks], amplitudes)
 
 
+EPS = np.finfo(np.float64).eps
+
+#: Slack c of the operator's agreement with its dense form, in units of N
+#: eps. Over 40 seeds at N <= 65 and 4 at N = 100 to 900, with and without
+#: the plane rotation, the largest deviation of U y, U+ y or the tau row was
+#: 2.3 N eps, at N = 1, and 0.012 N eps from N = 100 on.
+_OPERATOR_SLACK = 4
+
+
+def _operator_cases(dim, seed):
+    """The bare draw, and at dim >= 2 the draw rotated to |u| = 1/sqrt(N)."""
+    yield HouseholderUnitary.draw(dim, seed)
+    if dim >= 2:
+        yield unitary_with_overlap(dim, seed, 1 / math.sqrt(dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 31, 32, 33, 63, 64, 65, 100, 257, 900])
+def test_householder_operator_agrees_with_its_dense_form(dim):
+    """U y, U+ y and the tau row through the operator agree with ``np.asarray``
+    of it within 4 N eps, at dims on either side of the block edges 32 and
+    64. The dense form is ``random_unitary(dim, seed)``, with the stored
+    rotation applied to columns 0 and the partner, which are the only
+    columns that differ from it. The partner is the one ``random_unitary``'s
+    tau row gives."""
+    seed = 3 * dim
+    base = random_unitary(dim, seed)
+    rng = np.random.default_rng(dim)
+    y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    y /= np.linalg.norm(y)
+    bound = _OPERATOR_SLACK * dim * EPS
+    for op in _operator_cases(dim, seed):
+        dense = np.asarray(op)
+        assert dense.shape == op.shape == (dim, dim)
+        assert np.max(np.abs(op.apply(y) - dense @ y)) <= bound
+        assert np.max(np.abs(op.apply_adjoint(y) - adjoint(dense) @ y)) <= bound
+        assert np.max(np.abs(op.row(dim - 1) - dense[dim - 1])) <= bound
+        assert op.certificate() <= STRUCTURAL_TOL
+        moved = [] if op.plane is None else [0, op.plane.partner]
+        kept = [c for c in range(dim) if c not in moved]
+        assert _same_bits(dense[:, kept], base[:, kept])
+        if moved:
+            assert op.plane.partner == 1 + int(np.argmax(np.abs(base[dim - 1, 1:])))
+            assert np.all(dense[:, moved] != base[:, moved])
+            assert abs(abs(op.row(dim - 1)[0]) - 1 / math.sqrt(dim)) <= 1e-13
+
+
 def test_unitary_with_overlap_hits_requested_magnitude():
+    """|u| read through the operator and from its dense form."""
     for dim, mag in ((10, 0.3), (100, 0.1), (7, 1 / math.sqrt(7))):
         w = unitary_with_overlap(dim, seed=6, magnitude=mag)
-        assert is_unitary(w)
-        assert abs(w[dim - 1, 0]) == pytest.approx(mag, abs=1e-13)
+        assert w.certificate() <= STRUCTURAL_TOL and is_unitary(np.asarray(w))
+        cfg = OracleConfig(dim=dim, theta=0.0, phi=0.0, u_matrix=w)
+        assert abs(cfg.u_element) == pytest.approx(mag, abs=1e-13)
+        assert abs(np.asarray(w)[dim - 1, 0]) == pytest.approx(mag, abs=1e-13)
 
 
 def test_unitary_with_overlap_rotates_only_gamma_and_its_partner():
@@ -376,9 +439,11 @@ def test_unitary_with_overlap_rotates_only_gamma_and_its_partner():
         w = unitary_with_overlap(dim, seed=6, magnitude=mag)
         base = random_unitary(dim, 6)
         partner = 1 + int(np.argmax(np.abs(base[dim - 1, 1:])))
+        assert w.plane.partner == partner
+        dense = np.asarray(w)
         kept = [c for c in range(dim) if c not in (0, partner)]
-        np.testing.assert_array_equal(w[:, kept], base[:, kept])
-        assert np.all(w[:, [0, partner]] != base[:, [0, partner]])
+        np.testing.assert_array_equal(dense[:, kept], base[:, kept])
+        assert np.all(dense[:, [0, partner]] != base[:, [0, partner]])
 
 
 def test_unitary_with_overlap_validation():
@@ -392,8 +457,8 @@ def test_unitary_with_overlap_reaches_magnitude_one_at_dim_two():
     """At dim 2 the reach is the tau row's norm, 1 up to its last bits: 1 is attained, not refused."""
     for seed in range(20):
         w = unitary_with_overlap(2, seed, 1.0)
-        assert is_unitary(w)
-        assert abs(abs(w[1, 0]) - 1) <= 1e-15
+        assert w.certificate() <= STRUCTURAL_TOL
+        assert abs(abs(w.row(1)[0]) - 1) <= 1e-15
     with pytest.raises(ValueError):
         unitary_with_overlap(2, 0, 1 + 1e-9)
 
@@ -406,3 +471,79 @@ def test_table_scale_instance_through_the_oracle():
     b6 = run.decompositions[6].coefficients[1]
     assert abs(b6) == pytest.approx(0.9375, abs=5e-4)
     assert run.decompositions[6].residual < 1e-12
+
+
+def test_the_oracle_runs_an_operator_without_forming_it():
+    """A HouseholderUnitary U goes through the config, ``build_q``, ``evolve``
+    and ``target_amplitude`` with no N^3 check and no Q formed."""
+    w = unitary_with_overlap(64, 2, 0.125)
+    refuse = mock.Mock(side_effect=AssertionError("formed or checked densely"))
+    with mock.patch.object(linalg, "_form_q", refuse), mock.patch.object(linalg, "is_unitary", refuse):
+        cfg = OracleConfig(dim=64, theta=0.3, phi=-0.2, u_matrix=w)
+        q = build_q(cfg)
+        assert isinstance(q, QOperator) and q.u is w
+        run = evolve(q, cfg, 10)
+        target_amplitude(run, cfg, np.arange(11))
+    assert cfg.u_matrix is w and run.decompositions.residual.max() < 1e-12
+
+
+def _mutated(w, tau=None, reflectors=None, signs=None, plane=None):
+    return HouseholderUnitary(w.reflectors if reflectors is None else reflectors,
+                              w.tau if tau is None else tau,
+                              w.signs if signs is None else signs, plane or w.plane)
+
+
+def test_config_refuses_an_operator_by_its_certificate():
+    """One tau_k scaled by 1 + 1e-9 makes H_k miss unitarity by about
+    2e-9 ||v_k||^2 Re tau_k; the certificate bounds the dense deviation and
+    the config names it. A nan in one reflector is refused as nan, and a
+    sign or the plane rotation off unitarity is refused too."""
+    w = unitary_with_overlap(40, 9, 0.2)
+    tau = w.tau.copy()
+    tau[17] *= 1 + 1e-9
+    scaled = _mutated(w, tau=tau)
+    cert = scaled.certificate()
+    n2 = np.linalg.norm(w.reflectors[17:, 17]) ** 2
+    assert cert == pytest.approx(abs(abs(tau[17]) ** 2 * n2 - 2 * tau[17].real) * n2, rel=1e-3)
+    assert STRUCTURAL_TOL < unitary_dev(np.asarray(scaled)) <= cert
+    with pytest.raises(ValueError, match=re.escape(
+            f"U must be unitary for the oracle: certified ||U+ U - I||_2 = {cert:.3g} "
+            f"exceeds the tolerance {STRUCTURAL_TOL:g}")):
+        OracleConfig(dim=40, theta=0.0, phi=0.0, u_matrix=scaled)
+    reflectors = w.reflectors.copy(order="F")
+    reflectors[25, 11] = math.nan
+    with pytest.raises(ValueError, match=r"U must be unitary for the oracle: .* = nan exceeds"):
+        OracleConfig(dim=40, theta=0.0, phi=0.0, u_matrix=_mutated(w, reflectors=reflectors))
+    with pytest.raises(ValueError, match=re.escape("U must be unitary for the oracle: max|U U+ - I| =")):
+        OracleConfig(dim=40, theta=0.0, phi=0.0, u_matrix=np.asarray(scaled))
+    signs = w.signs.copy()
+    signs[30] *= 1 + 1e-9
+    for off in (_mutated(w, signs=signs), _mutated(w, plane=w.plane._replace(cos=w.plane.cos * 1.001))):
+        assert STRUCTURAL_TOL < unitary_dev(np.asarray(off)) <= off.certificate()
+        with pytest.raises(ValueError, match="U must be unitary for the oracle: certified"):
+            OracleConfig(dim=40, theta=0.0, phi=0.0, u_matrix=off)
+
+
+def test_config_refuses_an_operator_in_4d_mode():
+    w = unitary_with_overlap(8, 1, 0.3)
+    with pytest.raises(ValueError, match="a HouseholderUnitary U is for the 2D mode only"):
+        OracleConfig(dim=8, theta=0.0, phi=0.0, u_matrix=w, v_matrix=random_unitary(8, 2))
+    with pytest.raises(ValueError, match=r"U has shape \(8, 8\), expected \(9, 9\)"):
+        OracleConfig(dim=9, theta=0.0, phi=0.0, u_matrix=w)
+
+
+@pytest.mark.parametrize("n, k", [case for case in TABLE1_CASES if case[0] <= 400])
+def test_table1_through_the_operator_agrees_with_the_dense_oracle(n, k):
+    """Table 1's run on ``unitary_with_overlap(n, s, 1/sqrt(n))`` and on its
+    dense form agree within 64 eps in every coefficient, residual and target
+    amplitude. Over 8 seeds at N = 100 and 400 and 2 at N = 625 and 900 the
+    largest difference was 22.6 eps."""
+    w = unitary_with_overlap(n, n + 1, 1 / math.sqrt(n))
+    runs = []
+    for u in (w, np.asarray(w)):
+        cfg = OracleConfig(dim=n, theta=0.0, phi=0.0, u_matrix=u)
+        run = evolve(build_q(cfg), cfg, k)
+        runs.append((run.decompositions.coefficients, run.decompositions.residual,
+                     target_amplitude(run, cfg, np.arange(k + 1))))
+    for op_side, dense_side in zip(*runs):
+        assert np.max(np.abs(op_side - dense_side)) <= 64 * EPS

@@ -109,7 +109,8 @@ def test_a_bool_count_is_refused_before_any_work(monkeypatch):
 def test_a_float_count_is_refused_before_any_work():
     """The dimension of each seeded draw, evolve's k_max and pair_swap's
     dimension are counts too: a float is a TypeError before a generator is
-    made or an array sized, and an integral NumPy count is taken."""
+    made or an array sized, and an integral NumPy count is taken. The
+    overlap draw is an operator; its dense form is read with ``np.asarray``."""
     draws = (lambda dim: random_unitary(dim, 1), lambda dim: unitary_with_overlap(dim, 1, 0.3),
              lambda dim: random_commuting_unitary(dim, 1))
     with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
@@ -117,7 +118,8 @@ def test_a_float_count_is_refused_before_any_work():
             with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
                 draw(4.0)
     for draw in draws:
-        assert draw(np.int64(4)).shape == (4, 4)
+        assert np.asarray(draw(np.int64(4))).shape == (4, 4)
+    assert unitary_with_overlap(np.int64(4), 1, 0.3).shape == (4, 4)
     for call in (lambda: evolve(build_q(_CFG), _CFG, 3.0), lambda: pair_swap(4.0)):
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
             call()
